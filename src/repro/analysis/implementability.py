@@ -245,14 +245,8 @@ def check_implementability(stg: STG,
     """Run the full battery of Section 2.1 checks and return a report.
 
     ``engine`` selects the reachability engine used to build the state
-    graph — any of the graph-building members of
-    :data:`repro.ts.builder.ENGINES` (``"auto"``, ``"compiled"``,
-    ``"naive"``, ``"bdd"``); the query-only ``"sat"`` and
-    ``"portfolio"`` engines cannot build the graph this report needs
-    (see :func:`repro.ts.builder.build_reachability_graph`), use
-    :func:`find_csc_conflict_sat` / :func:`find_csc_conflict_bdd` or
-    the racing checks of :mod:`repro.portfolio` for single-question
-    analyses instead.
+    graph — any member of :data:`repro.ts.builder.ENGINES` (``"auto"``,
+    ``"compiled"``, ``"naive"``, ``"bdd"``).
     """
     report = ImplementabilityReport(stg_name=stg.name)
     with obs.span("analysis.implementability", stg=stg.name,

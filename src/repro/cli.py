@@ -9,11 +9,10 @@ Usage::
     python -m repro resolve spec.g -o resolved.g
     python -m repro synthesize spec.g --arch cg --verify
     python -m repro synthesize spec.g --decompose --verilog
-    python -m repro sat-check spec.g --property deadlock --induction
-    python -m repro sat-check spec.g --property csc --json
-    python -m repro bdd-check spec.g --query csc
+    python -m repro check spec.g --query csc
     python -m repro check spec.g --query deadlock --portfolio
     python -m repro check spec.g --query csc --portfolio --faults "kill:attempt=0"
+    python -m repro sat-check spec.g --property deadlock --bound 12 --json
     python -m repro bdd-check spec.g --query count --stats --trace run.jsonl
     python -m repro dot spec.g
     python -m repro examples --list
@@ -22,10 +21,14 @@ Usage::
     python -m repro obs regress BENCH_*.json --baseline benchmarks/baselines.json
     python -m repro obs lint run.jsonl
 
+``sat-check`` and ``bdd-check --query deadlock|csc`` are aliases of
+``check`` pinned to the SAT or BDD engine (``--engines sat|bdd
+--inline``), with its output, run report and exit codes.
+
 Observability: ``--stats`` prints a per-span table to stderr,
-``--trace FILE`` streams span records as JSONL, and (on ``sat-check`` /
-``bdd-check``) ``--json`` replaces the human output with a versioned
-machine-readable run report.  The ``obs`` family turns those artifacts
+``--trace FILE`` streams span records as JSONL, and (on ``check``,
+``sat-check`` and ``bdd-check``) ``--json`` replaces the human output
+with a versioned machine-readable run report.  The ``obs`` family turns those artifacts
 into decisions: span-tree reports, trace diffs, schema lint and
 noise-aware benchmark regression checks — see ``docs/observability.md``.
 """
@@ -39,7 +42,7 @@ from typing import List, Optional
 
 from . import obs
 from .analysis import check_implementability
-from .errors import ReproError
+from .errors import ModelError, ReproError
 from .petri import linear_reduce, net_to_dot, p_invariants, sm_components
 from .stg import ALL_EXAMPLES, load_g, render_waveforms, save_g, write_g
 from .synth import (
@@ -285,16 +288,121 @@ def cmd_simulate(args) -> int:
     return 0
 
 
+def _target(args, stg) -> dict:
+    """The ``--target`` marking of a reach query (place -> tokens).  A
+    missing target or an unknown place is a usage error, not an engine
+    fault, so it is caught here instead of in every racer."""
+    if not args.target:
+        raise ModelError("a reach query requires --target")
+    target = {p: 1 for p in args.target.split()}
+    for p in target:
+        if p not in stg.net.places:
+            raise ModelError("unknown place %r in target marking" % p)
+    return target
+
+
+def _query(args, command: str, stg, query: str, options: dict) -> int:
+    """Run one :mod:`repro.portfolio` query and report it: the body of
+    ``check`` and of its ``sat-check`` / ``bdd-check`` aliases.
+
+    Prints the human lines, or with ``--json`` the run report, and
+    returns the exit code: 0 when the query's property holds (the
+    holds-verdict of :data:`repro.portfolio.tasks.QUERIES`), 1 when it
+    fails or is unknown, 2 on a flagged cross-validation disagreement
+    (``inconsistent``).
+    """
+    from . import portfolio
+    from .portfolio import faults
+
+    check = getattr(portfolio, "check_" + query)
+    plan = getattr(args, "faults", None)
+    installed = faults.install(plan) if plan else None
+    try:
+        with _Telemetry(args) as tel:
+            verdict = check(stg, **options)
+    finally:
+        if installed is not None:
+            faults.clear()
+    code = 2 if verdict.flagged else 0 if verdict else 1
+
+    details = {
+        "query": verdict.query,
+        "engine": verdict.engine,
+        "method": verdict.method,
+        "definitive": verdict.definitive,
+        "flagged": verdict.flagged,
+        "validator": verdict.validator,
+        "evidence": verdict.evidence,
+        "attempts": verdict.attempts,
+        "degradations": verdict.degradations,
+        "robustness": dict(verdict.stats),
+        "elapsed_s": round(verdict.elapsed_s, 6),
+    }
+    if verdict.witness is not None:
+        details["witness"] = list(verdict.witness)
+    if "disagreement" in verdict.details:
+        details["disagreement"] = verdict.details["disagreement"]
+    # why an unfinished k-induction gave up (see repro.sat.kinduction)
+    reasons = [p["reason"] for p in verdict.details.get("partial", ())
+               if "reason" in p]
+    if reasons:
+        details["reason"] = reasons[0]
+    if args.json:
+        print(json.dumps(tel.run_report(command, args.spec, verdict.verdict,
+                                        code, details), sort_keys=True))
+        return code
+
+    print("%s (winner: %s/%s%s)"
+          % (verdict.verdict, verdict.engine, verdict.method,
+             ", validated by %s" % verdict.validator
+             if verdict.validator else ""))
+    if verdict.evidence:
+        print("evidence: %s" % verdict.evidence)
+    if verdict.witness:
+        print("witness: %s" % " ".join(verdict.witness))
+    if "disagreement" in verdict.details:
+        print("DISAGREEMENT: %s" % verdict.details["disagreement"])
+    busy = {k: n for k, n in verdict.stats.items() if n}
+    print("robustness: %s"
+          % " ".join("%s=%d" % kv for kv in sorted(busy.items())))
+    return code
+
+
+def cmd_check(args) -> int:
+    """Portfolio model checking: race the engines, cross-validate the
+    winner (see ``docs/portfolio.md``).  Without ``--portfolio`` or
+    ``--engines`` only the first scheduled slot able to prove the
+    property runs, in-process."""
+    from .portfolio import tasks
+
+    stg = _load(args.spec)
+    options = {"cross_validate": not args.no_validate, "inline": args.inline}
+    for flag, option in (("deadline", "deadline_s"), ("bound", "bound"),
+                         ("max_k", "max_k"), ("max_states", "max_states")):
+        if getattr(args, flag) is not None:
+            options[option] = getattr(args, flag)
+    if args.query == "reach":
+        options.update(target=_target(args, stg), cover=args.cover)
+    if args.engines:
+        options["engines"] = [e.strip() for e in args.engines.split(",")
+                              if e.strip()]
+    elif not args.portfolio:
+        options["engines"] = [tasks.single_slot(stg, args.query,
+                                                args.cover)]
+        options["inline"] = True
+    return _query(args, "check", stg, args.query, options)
+
+
 def _sat_check_cnf(stg, prop: str, bound: int, target=None, cover=False):
     """The CNF whose satisfiability answers a ``sat-check`` query.
 
     Used by ``--dimacs``: the dumped formula is satisfiable iff the
-    query's bounded counterexample exists, so any external DIMACS solver
-    reproduces the verdict printed by the command.  (Under
-    ``--induction`` the dump covers the BMC base case only — a ``Proved``
-    or ``Unknown`` verdict additionally depends on the inductive-step
-    unrolling, which is flagged in the DIMACS comment header.)
+    query has a counterexample within ``bound`` steps, so any external
+    DIMACS solver reproduces a counterexample verdict of the command.
+    (A k-induction proof also rests on the inductive-step unrolling,
+    which the dump does not include.)
     """
+    from .petri import Marking
     from .sat import CNF, STGEncoding
     from .sat.queries import csc_pair_lits
 
@@ -320,415 +428,74 @@ def _sat_check_cnf(stg, prop: str, bound: int, target=None, cover=False):
     if prop == "deadlock":
         encoding.cnf.add_clause(encoding.deadlock_lit(bound))
     else:  # reach
-        for lit in encoding.marking_lits(bound, target, partial=cover):
+        for lit in encoding.marking_lits(bound, Marking(target),
+                                         partial=cover):
             encoding.cnf.add_clause(lit)
     return encoding.cnf
 
 
-def _sat_check_verdict(args, stg, target):
-    """Run one ``sat-check`` query.
-
-    Returns ``(verdict, exit_code, details, lines)``: a stable verdict
-    string and a details dict for the ``--json`` run report, plus the
-    human-readable output lines (printed unless ``--json``).
-    """
-    from .petri import find_deadlocks
-    from .sat import (
-        consistency_violation,
-        csc_conflict,
-        find_deadlock,
-        prove_deadlock_free,
-        reach_marking,
-    )
-    from .sat.kinduction import Proved, Refuted
-
-    if args.property == "deadlock":
-        if args.induction:
-            outcome = prove_deadlock_free(stg, max_k=args.bound)
-            if isinstance(outcome, Proved):
-                return ("proved", 0, {"k": outcome.k},
-                        ["deadlock-free: proved by %d-induction"
-                         % outcome.k])
-            if isinstance(outcome, Refuted):
-                w = outcome.witness
-                dead = find_deadlocks(stg.net,
-                                      markings=[w.final_marking])[0]
-                return ("refuted", 1,
-                        {"k": outcome.k, "trace": list(w.transitions),
-                         "dead_marking": {p: n for p, n in dead.items()}},
-                        ["deadlock reachable: %s" % " ".join(w.transitions),
-                         "dead marking: %r" % dead])
-            return ("unknown", 1,
-                    {"k": outcome.k, "reason": outcome.reason},
-                    ["unknown at k=%d (%s; raise --bound)"
-                     % (outcome.k, outcome.reason)])
-        witness = find_deadlock(stg, bound=args.bound)
-        if witness is None:
-            return ("no-deadlock", 0, {},
-                    ["no deadlock within %d steps" % args.bound])
-        dead = find_deadlocks(stg.net, markings=[witness.final_marking])[0]
-        return ("deadlock", 1,
-                {"trace": list(witness.transitions),
-                 "dead_marking": {p: n for p, n in dead.items()}},
-                ["deadlock reachable: %s" % " ".join(witness.transitions),
-                 "dead marking: %r" % dead])
-
-    if args.property == "reach":
-        witness = reach_marking(stg, target, bound=args.bound,
-                                partial=args.cover)
-        if witness is None:
-            return ("unreachable", 0, {},
-                    ["target not reachable within %d steps" % args.bound])
-        return ("reached", 1,
-                {"trace": list(witness.transitions),
-                 "final_marking": {p: n for p, n
-                                   in witness.final_marking.items()}},
-                ["reached %r via: %s" % (witness.final_marking,
-                                         " ".join(witness.transitions))])
-
-    if args.property == "csc":
-        conflict = csc_conflict(stg, bound=args.bound)
-        if conflict is None:
-            return ("no-conflict", 0, {},
-                    ["no CSC conflict within %d steps" % args.bound])
-        return ("conflict", 1,
-                {"trace_a": list(conflict.trace_a.transitions),
-                 "trace_b": list(conflict.trace_b.transitions)},
-                [str(conflict),
-                 "trace a: %s" % " ".join(conflict.trace_a.transitions),
-                 "trace b: %s" % " ".join(conflict.trace_b.transitions)])
-
-    # consistency
-    witness = consistency_violation(stg, bound=args.bound)
-    if witness is None:
-        return ("consistent", 0, {},
-                ["no consistency violation within %d steps" % args.bound])
-    return ("violation", 1, {"trace": list(witness.transitions)},
-            ["consistency violation: %s" % " ".join(witness.transitions)])
-
-
 def cmd_sat_check(args) -> int:
-    """SAT-based bounded model checking / k-induction (no state graph)."""
-    from .petri import Marking
-
+    """SAT model checking without a state graph: ``check --engines sat
+    --inline`` (k-induction, then BMC), where ``--bound`` caps both the
+    induction depth and the BMC unrolling."""
     stg = _load(args.spec)
-
-    if args.engine == "portfolio":
-        # delegate to the fault-tolerant racing layer (same properties,
-        # portfolio verdict vocabulary — see docs/portfolio.md)
-        if args.dimacs:
-            print("error: --dimacs requires --engine sat", file=sys.stderr)
-            return 2
-        target = None
-        if args.property == "reach":
-            if not args.target:
-                print("error: --property reach requires --target",
-                      file=sys.stderr)
-                return 2
-            target = {p: 1 for p in args.target.split()}
-        options = {"bound": args.bound, "max_k": args.bound}
-        if target is not None:
-            options["target"] = target
-            options["cover"] = args.cover
-        with _Telemetry(args) as tel:
-            verdict, code, details, lines = _portfolio_verdict(
-                stg, args.property, options)
-        if args.json:
-            details = dict(details, property=args.property,
-                           bound=args.bound)
-            print(json.dumps(tel.run_report("sat-check", args.spec,
-                                            verdict, code, details),
-                             sort_keys=True))
-        else:
-            for line in lines:
-                print(line)
-        return code
-
-    if args.induction and args.property != "deadlock":
-        # only the deadlock query has a k-induction proof path; silently
-        # running plain BMC would dress a bounded miss up as a proof
-        print("error: --induction is only supported for"
-              " --property deadlock", file=sys.stderr)
-        return 2
-
-    target = None
+    options = {"engines": ["sat"], "inline": True, "bound": args.bound,
+               "max_k": args.bound}
     if args.property == "reach":
-        if not args.target:
-            print("error: --property reach requires --target", file=sys.stderr)
-            return 2
-        target = Marking({p: 1 for p in args.target.split()})
-
-    lines: List[str] = []
+        options.update(target=_target(args, stg), cover=args.cover)
     if args.dimacs:
         cnf = _sat_check_cnf(stg, args.property, args.bound,
-                             target=target, cover=args.cover)
-        comments = ["repro sat-check %s --property %s --bound %d"
-                    % (stg.name, args.property, args.bound)]
-        if args.induction:
-            # the dump covers the bounded (base-case) query only; the
-            # inductive step lives in a second, unanchored unrolling
-            comments.append("bounded counterexample query only —"
-                            " induction step not included")
+                             target=options.get("target"), cover=args.cover)
         with open(args.dimacs, "w") as f:
-            f.write(cnf.to_dimacs(comments=comments))
-        lines.append("# wrote %s (%d vars, %d clauses%s)"
-                     % (args.dimacs, cnf.num_vars, len(cnf.clauses),
-                        ", base case only" if args.induction else ""))
+            f.write(cnf.to_dimacs(comments=[
+                "repro sat-check %s --property %s --bound %d"
+                % (stg.name, args.property, args.bound)]))
+        if not args.json:
+            print("# wrote %s (%d vars, %d clauses)"
+                  % (args.dimacs, cnf.num_vars, len(cnf.clauses)))
+    return _query(args, "sat-check", stg, args.property, options)
 
+
+def cmd_bdd_check(args) -> int:
+    """Symbolic BDD fixpoint queries without a state graph (Section
+    2.2): ``--query count`` counts the reachable markings, ``deadlock``
+    and ``csc`` are ``check --engines bdd --inline``."""
+    from .bdd import DenseSymbolicReachability, SymbolicReachability
+
+    stg = _load(args.spec)
+    if args.query != "count":
+        if args.encoding != "naive" or args.order != "dfs":
+            print("error: --encoding and --order apply to --query count"
+                  " only", file=sys.stderr)
+            return 2
+        return _query(args, "bdd-check", stg, args.query,
+                      {"engines": ["bdd"], "inline": True})
     with _Telemetry(args) as tel:
-        verdict, code, details, qlines = _sat_check_verdict(args, stg,
-                                                            target)
-    lines.extend(qlines)
-    if args.json:
-        details = dict(details, property=args.property, bound=args.bound)
-        if args.dimacs:
-            details["dimacs"] = args.dimacs
-        print(json.dumps(tel.run_report("sat-check", args.spec, verdict,
-                                        code, details), sort_keys=True))
-    else:
-        for line in lines:
-            print(line)
-    return code
-
-
-def _bdd_check_verdict(args, stg, net):
-    """Run one ``bdd-check`` query.
-
-    Returns ``(verdict, exit_code, details, lines)`` exactly as
-    :func:`_sat_check_verdict` does for ``sat-check``.
-    """
-    from .bdd import (
-        DenseSymbolicReachability,
-        SymbolicCSC,
-        SymbolicReachability,
-    )
-
-    if args.query == "count":
         if args.encoding == "dense":
-            dense = DenseSymbolicReachability(net)
+            dense = DenseSymbolicReachability(stg.net)
             count = dense.count()
             details = {"reachable": count, "encoding": "dense",
                        "variables": dense.encoding.width,
                        "bdd_nodes": dense.bdd_size()}
-            return ("counted", 0, details,
-                    ["reachable codes: %d (dense: %d variables, %d BDD"
-                     " nodes)" % (count, dense.encoding.width,
-                                  dense.bdd_size())])
-        sym = SymbolicReachability(net, place_order=args.order)
-        sym.assert_safe()
-        count = sym.count()
-        details = {"reachable": count, "encoding": "naive",
-                   "places": len(sym.places),
-                   "bdd_nodes": sym.bdd_size()}
-        return ("counted", 0, details,
-                ["reachable markings: %d (%d places, %d BDD nodes)"
-                 % (count, len(sym.places), sym.bdd_size())])
-
-    if args.query == "deadlock":
-        sym = SymbolicReachability(net, place_order=args.order)
-        dead = sym.find_deadlock()
-        if dead is None:
-            count = sym.count()
-            return ("deadlock-free", 0, {"reachable": count},
-                    ["deadlock-free: proved by symbolic fixpoint"
-                     " (%d reachable markings)" % count])
-        return ("deadlock", 1,
-                {"dead_marking": {p: n for p, n in dead.items()}},
-                ["dead marking: %r" % dead])
-
-    # csc
-    analysis = SymbolicCSC(stg, place_order=args.order)
-    if not analysis.has_conflict():
-        return ("no-conflict", 0,
-                {"conflicting_codes": 0,
-                 "signals": list(analysis.signals)},
-                ["CSC holds: no two reachable states share a code with"
-                 " different non-input excitation"])
-    parities = analysis.conflict_parities()
-    lines = ["CSC conflict: %d conflicting code(s) over signals %s"
-             % (len(parities), " ".join(analysis.signals))]
-    lines.extend("  code (xor initial): %s" % "".join(map(str, vec))
-                 for vec in parities)
-    return ("conflict", 1,
-            {"conflicting_codes": len(parities),
-             "signals": list(analysis.signals),
-             "parities": ["".join(map(str, vec)) for vec in parities]},
-            lines)
-
-
-def cmd_bdd_check(args) -> int:
-    """Symbolic BDD fixpoint queries — no state graph (Section 2.2)."""
-    stg = _load(args.spec)
-    if args.engine == "portfolio":
-        if args.query == "count":
-            print("error: --query count has no portfolio mode (it is not"
-                  " a verdict query)", file=sys.stderr)
-            return 2
-        if args.reduce:
-            print("error: --reduce requires --engine bdd", file=sys.stderr)
-            return 2
-        with _Telemetry(args) as tel:
-            verdict, code, details, lines = _portfolio_verdict(
-                stg, args.query, {})
-        if args.json:
-            details = dict(details, query=args.query)
-            print(json.dumps(tel.run_report("bdd-check", args.spec,
-                                            verdict, code, details),
-                             sort_keys=True))
+            line = ("reachable codes: %d (dense: %d variables, %d BDD"
+                    " nodes)" % (count, dense.encoding.width,
+                                 dense.bdd_size()))
         else:
-            for line in lines:
-                print(line)
-        return code
-    if args.encoding == "dense" and args.query != "count":
-        print("error: --encoding dense is only supported for --query count",
-              file=sys.stderr)
-        return 2
-    if args.reduce and args.query == "csc":
-        print("error: --reduce applies to net-level queries"
-              " (count, deadlock) only", file=sys.stderr)
-        return 2
-
-    with _Telemetry(args) as tel:
-        net = stg.net
-        if args.reduce:
-            net = linear_reduce(net)
-        verdict, code, details, lines = _bdd_check_verdict(args, stg, net)
+            sym = SymbolicReachability(stg.net, place_order=args.order)
+            sym.assert_safe()
+            count = sym.count()
+            details = {"reachable": count, "encoding": "naive",
+                       "places": len(sym.places),
+                       "bdd_nodes": sym.bdd_size()}
+            line = ("reachable markings: %d (%d places, %d BDD nodes)"
+                    % (count, len(sym.places), sym.bdd_size()))
     if args.json:
-        details = dict(details, query=args.query)
-        print(json.dumps(tel.run_report("bdd-check", args.spec, verdict,
-                                        code, details), sort_keys=True))
+        print(json.dumps(tel.run_report("bdd-check", args.spec, "counted", 0,
+                                        dict(details, query="count")),
+                         sort_keys=True))
     else:
-        for line in lines:
-            print(line)
-    return code
-
-
-def _portfolio_options(args, target=None) -> dict:
-    """Translate CLI flags into :func:`repro.portfolio.check_*` options."""
-    options = {"cross_validate": not getattr(args, "no_validate", False),
-               "inline": bool(getattr(args, "inline", False))}
-    if getattr(args, "deadline", None) is not None:
-        options["deadline_s"] = args.deadline
-    if getattr(args, "bound", None) is not None:
-        options["bound"] = args.bound
-    if getattr(args, "max_k", None) is not None:
-        options["max_k"] = args.max_k
-    if getattr(args, "max_states", None) is not None:
-        options["max_states"] = args.max_states
-    if getattr(args, "engines", None):
-        options["engines"] = [e.strip() for e in args.engines.split(",")
-                              if e.strip()]
-    if target is not None:
-        options["target"] = target
-        options["cover"] = bool(getattr(args, "cover", False))
-    return options
-
-
-def _portfolio_verdict(stg, query: str, options: dict):
-    """Run one portfolio query and flatten the :class:`Verdict` into the
-    ``(verdict, exit_code, details, lines)`` shape all checkers share.
-
-    Exit codes: 0 for the good answer, 1 for the bad or unknown one,
-    2 for a flagged cross-validation disagreement (``inconsistent``).
-    """
-    from . import portfolio
-
-    target = options.pop("target", None)
-    cover = options.pop("cover", False)
-    if query == "deadlock":
-        verdict = portfolio.check_deadlock(stg, **options)
-    elif query == "reach":
-        verdict = portfolio.check_reach(stg, target or {}, cover=cover,
-                                        **options)
-    elif query == "csc":
-        verdict = portfolio.check_csc(stg, **options)
-    else:
-        verdict = portfolio.check_consistency(stg, **options)
-
-    if verdict.flagged:
-        code = 2
-    elif bool(verdict) and verdict.definitive:
-        code = 0
-    else:
-        code = 1
-    details = {
-        "query": verdict.query,
-        "engine": verdict.engine,
-        "method": verdict.method,
-        "definitive": verdict.definitive,
-        "flagged": verdict.flagged,
-        "validator": verdict.validator,
-        "evidence": verdict.evidence,
-        "attempts": verdict.attempts,
-        "degradations": verdict.degradations,
-        "robustness": dict(verdict.stats),
-        "elapsed_s": round(verdict.elapsed_s, 6),
-    }
-    if verdict.witness is not None:
-        details["witness"] = list(verdict.witness)
-    if "disagreement" in verdict.details:
-        details["disagreement"] = verdict.details["disagreement"]
-
-    lines = ["%s (winner: %s/%s%s)"
-             % (verdict.verdict, verdict.engine, verdict.method,
-                ", validated by %s" % verdict.validator
-                if verdict.validator else "")]
-    if verdict.evidence:
-        lines.append("evidence: %s" % verdict.evidence)
-    if verdict.witness:
-        lines.append("witness: %s" % " ".join(verdict.witness))
-    if "disagreement" in verdict.details:
-        lines.append("DISAGREEMENT: %s" % verdict.details["disagreement"])
-    busy = {k: n for k, n in verdict.stats.items() if n}
-    lines.append("robustness: %s"
-                 % " ".join("%s=%d" % kv for kv in sorted(busy.items())))
-    return verdict.verdict, code, details, lines
-
-
-def cmd_check(args) -> int:
-    """Portfolio model checking: race the engines, cross-validate the
-    winner (see ``docs/portfolio.md``)."""
-    from .portfolio import faults
-
-    stg = _load(args.spec)
-    target = None
-    if args.query == "reach":
-        if not args.target:
-            print("error: --query reach requires --target", file=sys.stderr)
-            return 2
-        target = {p: 1 for p in args.target.split()}
-        # a bad place name is a usage error, not an engine fault — catch
-        # it here instead of letting every racer fail on it
-        net = stg.net if hasattr(stg, "net") else stg
-        for p in target:
-            if p not in net.places:
-                print("error: unknown place %r in target marking" % p,
-                      file=sys.stderr)
-                return 2
-
-    options = _portfolio_options(args, target=target)
-    if not args.portfolio and "engines" not in options:
-        # single-slot mode: keep only the schedule's first engine (its
-        # degradation ladder still applies) and skip worker processes
-        from .ts import choose_engine
-        options["engines"] = [choose_engine(stg, purpose="portfolio")[0]]
-        options["inline"] = True
-
-    installed = faults.install(args.faults) if args.faults else None
-    try:
-        with _Telemetry(args) as tel:
-            verdict, code, details, lines = _portfolio_verdict(
-                stg, args.query, options)
-    finally:
-        if installed is not None:
-            faults.clear()
-    if args.json:
-        print(json.dumps(tel.run_report("check", args.spec, verdict,
-                                        code, details), sort_keys=True))
-    else:
-        for line in lines:
-            print(line)
-    return code
+        print(line)
+    return 0
 
 
 def cmd_examples(args) -> int:
@@ -833,7 +600,8 @@ def _add_telemetry_flags(p: argparse.ArgumentParser,
 
     ``--stats`` and ``--trace`` are available on every instrumented
     command; ``--json`` (machine-readable run report) only where the
-    command defines a report shape (``sat-check`` / ``bdd-check``).
+    command defines a report shape (``check``, ``sat-check``,
+    ``bdd-check``).
     """
     p.add_argument("--stats", action="store_true",
                    help="print a per-span stats table to stderr"
@@ -930,17 +698,15 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--seed", type=int, default=0)
     p.set_defaults(func=cmd_simulate)
 
-    p = sub.add_parser("sat-check", help="SAT-based bounded model checking"
-                                         " / k-induction (no state graph)")
+    p = sub.add_parser("sat-check", help="SAT k-induction / bounded model"
+                                         " checking (check --engines sat"
+                                         " --inline)")
     p.add_argument("spec")
     p.add_argument("--property", choices=["deadlock", "reach", "csc",
                                           "consistency"],
                    default="deadlock")
     p.add_argument("--bound", type=int, default=20,
                    help="BMC unrolling depth / max induction k")
-    p.add_argument("--induction", action="store_true",
-                   help="deadlock: prove freedom by k-induction instead of"
-                        " a bounded search")
     p.add_argument("--target",
                    help="reach: space-separated marked places")
     p.add_argument("--cover", action="store_true",
@@ -948,26 +714,19 @@ def build_parser() -> argparse.ArgumentParser:
                         " constrained)")
     p.add_argument("--dimacs", metavar="FILE",
                    help="dump the unrolled CNF in DIMACS format")
-    p.add_argument("--engine", choices=["sat", "portfolio"], default="sat",
-                   help="portfolio: race all applicable engines instead of"
-                        " running SAT alone (see `check`)")
     _add_telemetry_flags(p, json_flag=True)
     p.set_defaults(func=cmd_sat_check)
 
     p = sub.add_parser("bdd-check", help="symbolic BDD fixpoint queries"
-                                         " (no state graph)")
+                                         " (no state graph; deadlock/csc:"
+                                         " check --engines bdd --inline)")
     p.add_argument("spec")
     p.add_argument("--query", choices=["count", "deadlock", "csc"],
                    default="count")
     p.add_argument("--encoding", choices=["naive", "dense"], default="naive",
                    help="count: state encoding (dense = SM-component codes)")
     p.add_argument("--order", choices=["dfs", "sorted"], default="dfs",
-                   help="BDD variable-order heuristic")
-    p.add_argument("--reduce", action="store_true",
-                   help="linear-reduce the net first (count/deadlock only)")
-    p.add_argument("--engine", choices=["bdd", "portfolio"], default="bdd",
-                   help="portfolio: race all applicable engines instead of"
-                        " running the BDD fixpoint alone (see `check`)")
+                   help="count: BDD variable-order heuristic")
     _add_telemetry_flags(p, json_flag=True)
     p.set_defaults(func=cmd_bdd_check)
 
@@ -979,8 +738,8 @@ def build_parser() -> argparse.ArgumentParser:
                    default="deadlock")
     p.add_argument("--portfolio", action="store_true",
                    help="race every applicable engine in worker processes"
-                        " (default: the auto-chosen engine alone,"
-                        " in-process)")
+                        " (default: the first engine able to prove the"
+                        " property, alone and in-process)")
     p.add_argument("--engines",
                    help="comma-separated engine slots to race (overrides"
                         " the auto schedule; implies racing)")
@@ -998,8 +757,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--max-states", type=int, dest="max_states",
                    help="state budget for explicit ladder rungs")
     p.add_argument("--inline", action="store_true",
-                   help="run ladders sequentially in-process (no worker"
-                        " processes)")
+                   help="run the ladders in-process, one slot after"
+                        " another (no worker processes)")
     p.add_argument("--no-validate", action="store_true", dest="no_validate",
                    help="skip cross-validation of the winning verdict")
     p.add_argument("--faults", metavar="SPEC",

@@ -155,15 +155,18 @@ def _deeper(parent: SpanNode, node: SpanNode) -> bool:
 def build_tree(records: Sequence[Record]) -> List[SpanNode]:
     """Reconstruct the span forest of a trace by interval containment.
 
-    Records are ordered by start time (ties: longer span first, so a
-    parent precedes the children sharing its start instant) and each is
-    attached to the innermost already-placed span whose interval
-    contains it *and* whose recorded depth is strictly smaller
-    (:func:`_deeper` — racing siblings in a merged trace may overlap in
-    time but never in depth).  Returns the root nodes in start order.
+    Records are ordered by start time (ties: longer span first, then
+    shallower, so a parent precedes the children sharing its start
+    instant — even one sharing its whole interval, as a worker's first
+    span can share its ``worker.task`` root's) and each is attached to
+    the innermost already-placed span whose interval contains it *and*
+    whose recorded depth is strictly smaller (:func:`_deeper` — racing
+    siblings in a merged trace may overlap in time but never in depth).
+    Returns the root nodes in start order.
     """
     ordered = sorted((SpanNode(r) for r in records),
                      key=lambda n: (n.start_s, -n.duration_s,
+                                    n.record.get("depth", 0),
                                     n.record.get("seq", 0)))
     roots: List[SpanNode] = []
     placed: List[SpanNode] = []

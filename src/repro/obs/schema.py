@@ -21,8 +21,8 @@ liveness/progress sample rather than a timed interval.  Both events are
 field keeps its meaning.
 
 **Run reports** (``repro-run-report/1``) — the single document printed
-by ``repro sat-check --json`` / ``repro bdd-check --json``: command,
-verdict, result details, and the per-span aggregate produced by
+by ``repro check --json`` and its ``sat-check`` / ``bdd-check`` aliases:
+command, verdict, result details, and the per-span aggregate produced by
 :meth:`repro.obs.sinks.MemorySink.stats`.
 
 **Benchmark reports** (``repro-bench/2``) — the ``BENCH_<suite>.json``

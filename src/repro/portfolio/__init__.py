@@ -13,27 +13,30 @@ resolved silently).
 
 Layers, bottom up:
 
-* :mod:`repro.portfolio.tasks` — normalised picklable runners with one
-  verdict vocabulary per query;
+* :mod:`repro.portfolio.tasks` — the method table (which method answers
+  which query, which methods are bounded, which verdict means the
+  property holds), the slot schedule, and the normalised picklable
+  runners with one verdict vocabulary per query;
 * :mod:`repro.portfolio.faults` — deterministic, seedable fault
   injection (``REPRO_FAULTS``) that can kill, stall or poison any
   worker, so the recovery machinery is itself testable;
-* :mod:`repro.portfolio.workers` — the process pool: :func:`race`,
-  :class:`TaskSpec`, classified :class:`TaskOutcome`;
+* :mod:`repro.portfolio.workers` — the supervisor: :func:`race` (worker
+  processes, or in-process with ``inline=True``), :class:`TaskSpec`,
+  classified :class:`TaskOutcome`;
 * :mod:`repro.portfolio.portfolio` — the entry points re-exported
   here: :func:`check_deadlock`, :func:`check_reach`, :func:`check_csc`,
   :func:`check_consistency`, each returning a :class:`Verdict`.
 
-The CLI front end is ``repro check`` (``repro check --help``); the
-engine schedule comes from :func:`repro.ts.builder.choose_engine` with
-``purpose="portfolio"``.  See ``docs/portfolio.md`` for the guide.
+The CLI front end is ``repro check`` (``repro check --help``), with
+``repro sat-check`` and ``repro bdd-check`` as aliases pinned to one
+engine.  See ``docs/portfolio.md`` for the guide.
 """
 
 from .portfolio import (DEFAULT_BOUND, DEFAULT_MAX_K, PROBE_BOUND, Verdict,
                         check_consistency, check_csc, check_deadlock,
                         check_reach)
 from .workers import (DEFAULT_DEADLINE_S, DEFAULT_MAX_ATTEMPTS, RaceResult,
-                      TaskOutcome, TaskSpec, race, run_ladder, run_task)
+                      TaskOutcome, TaskSpec, race)
 
 __all__ = [
     "DEFAULT_BOUND",
@@ -50,6 +53,4 @@ __all__ = [
     "check_deadlock",
     "check_reach",
     "race",
-    "run_ladder",
-    "run_task",
 ]

@@ -1,11 +1,12 @@
 """Fault-tolerant portfolio checks: race the engines, trust no winner.
 
 This is the orchestration layer over :mod:`repro.portfolio.workers`.
-Each ``check_*`` entry point asks :func:`repro.ts.builder.choose_engine`
-(``purpose="portfolio"``) which engines to race for the model at hand,
-builds one *degradation ladder* per engine slot (preferred method first,
-bounded fallback last), races the ladders in supervised worker
-processes, and wraps the first definitive answer in a :class:`Verdict`.
+Each ``check_*`` entry point asks :func:`repro.portfolio.tasks.schedule`
+which engines to race for the model at hand, builds one *degradation
+ladder* per engine slot from the method table
+(:data:`repro.portfolio.tasks.QUERIES`: strongest method first, bounded
+fallback last), races the ladders in supervised worker processes, and
+wraps the first definitive answer in a :class:`Verdict`.
 
 The winner is then **cross-validated** before being reported:
 
@@ -27,10 +28,11 @@ silently resolved in either direction.  When no slot produces a
 definitive answer the portfolio concedes ``"unknown"`` and reports the
 partial evidence it gathered (bounded misses, final depths).
 
-``inline=True`` runs the same ladders sequentially in-process — no
-worker processes, same classification and degradation semantics (fault
-injection included, see :func:`repro.portfolio.faults.fire`) — for
-platforms or tests where forking is unwanted.
+``inline=True`` runs the same ladders through the same supervisor loop
+in-process, one slot after another — no worker processes, same
+classification and degradation semantics (fault injection included, see
+:func:`repro.portfolio.faults.fire`) — for platforms or tests where
+forking is unwanted.
 
 Telemetry: each race runs under a ``portfolio.race`` span carrying the
 query, the slot schedule, the robustness counters (``attempts``,
@@ -45,20 +47,18 @@ engine spans.
 
 from __future__ import annotations
 
-import time
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Sequence, Tuple, Union
 
 from .. import obs
 from ..budgets import DEFAULT_STATE_BOUND
-from ..errors import (EngineTimeoutError, ModelError, StateExplosionError,
-                      UnboundedError, WorkerCrashError)
+from ..errors import ModelError, StateExplosionError, UnboundedError
 from ..petri.marking import Marking
 from ..petri.net import PetriNet
 from ..petri.token_game import enabled_transitions, fire_sequence
 from ..obs.remote import DEFAULT_HEARTBEAT_S
 from ..stg.stg import STG
-from . import faults, tasks
+from . import tasks
 from .workers import (DEFAULT_DEADLINE_S, RaceResult, TaskOutcome, TaskSpec,
                       race)
 
@@ -106,201 +106,32 @@ class Verdict:
     details: dict = field(default_factory=dict)
 
     def __bool__(self) -> bool:
-        """True for the "good" outcome of the query (no deadlock, no
-        conflict, consistent, and — for reach — target reached)."""
-        return self.verdict in ("deadlock-free", "unreachable",
-                                "no-conflict", "consistent", "reached")
+        """True exactly when the verdict is the query's holds-verdict in
+        :data:`repro.portfolio.tasks.QUERIES`: ``deadlock-free``,
+        ``unreachable``, ``no-conflict`` or ``consistent``."""
+        return self.verdict == tasks.QUERIES[self.query].holds
 
 
 def _net_of(model: Model) -> PetriNet:
     return model.net if isinstance(model, STG) else model
 
 
-def _schedule(model: Model,
-              engines: Optional[Sequence[str]]) -> Tuple[str, ...]:
-    """The slot order to race: caller override or the auto heuristic."""
-    if engines:
-        return tuple(engines)
-    from ..ts.builder import choose_engine
-    return choose_engine(model, purpose="portfolio")  # type: ignore
-
-
-def _ladders(model: Model, query: str, schedule: Tuple[str, ...],
-             max_states: int, max_k: int, bound: int, deadline_s: float,
-             target: Optional[Dict[str, int]] = None,
-             cover: bool = False,
-             heartbeat_s: float = DEFAULT_HEARTBEAT_S
-             ) -> Dict[str, Sequence[TaskSpec]]:
-    """Build one degradation ladder per scheduled engine slot.
-
-    Each ladder starts with the slot's most informative method and
-    falls back to a bounded one, so a timeout or state explosion on the
-    strong method still yields evidence.  Slots whose engine cannot
-    answer the query at all (e.g. BDD consistency) are skipped.
-    """
-
-    def spec(slot: str, engine: str, method: str, fn, **kwargs) -> TaskSpec:
-        return TaskSpec(slot=slot, engine=engine, method=method, fn=fn,
-                        kwargs=kwargs, deadline_s=deadline_s,
-                        heartbeat_s=heartbeat_s)
-
-    ladders: Dict[str, Sequence[TaskSpec]] = {}
-    for engine in schedule:
-        slot = "explicit" if engine in ("compiled", "naive", "explicit") \
-            else engine
-        if slot in ladders:
-            continue
-        rungs: List[TaskSpec] = []
-        if query == "deadlock":
-            if slot == "sat":
-                rungs = [spec(slot, "sat", "kinduction",
-                              tasks.deadlock_kinduction, model=model,
-                              max_k=max_k),
-                         spec(slot, "sat", "bmc", tasks.deadlock_bmc,
-                              model=model, bound=bound)]
-            elif slot == "bdd":
-                rungs = [spec(slot, "bdd", "bdd", tasks.deadlock_bdd,
-                              model=model),
-                         spec(slot, "sat", "bmc", tasks.deadlock_bmc,
-                              model=model, bound=bound)]
-            elif slot == "explicit":
-                rungs = [spec(slot, engine, "explicit",
-                              tasks.deadlock_explicit, model=model,
-                              max_states=max_states),
-                         spec(slot, "sat", "bmc", tasks.deadlock_bmc,
-                              model=model, bound=bound)]
-        elif query == "reach":
-            if slot == "sat":
-                rungs = [spec(slot, "sat", "kinduction",
-                              tasks.reach_kinduction, model=model,
-                              target=target, max_k=max_k),
-                         spec(slot, "sat", "bmc", tasks.reach_bmc,
-                              model=model, target=target, bound=bound,
-                              cover=cover)]
-                if cover:  # exact-marking induction can't prove covers
-                    rungs = rungs[1:]
-            elif slot == "explicit":
-                rungs = [spec(slot, engine, "explicit",
-                              tasks.reach_explicit, model=model,
-                              target=target, max_states=max_states,
-                              cover=cover),
-                         spec(slot, "sat", "bmc", tasks.reach_bmc,
-                              model=model, target=target, bound=bound,
-                              cover=cover)]
-            # the bdd slot has no reach query variant: skip it
-        elif query == "csc":
-            if slot == "sat":
-                rungs = [spec(slot, "sat", "sat", tasks.csc_sat,
-                              stg=model, bound=bound)]
-            elif slot == "bdd":
-                rungs = [spec(slot, "bdd", "bdd", tasks.csc_bdd,
-                              stg=model),
-                         spec(slot, "sat", "sat", tasks.csc_sat,
-                              stg=model, bound=bound)]
-            elif slot == "explicit":
-                rungs = [spec(slot, engine, "explicit",
-                              tasks.csc_explicit, stg=model,
-                              max_states=max_states),
-                         spec(slot, "sat", "sat", tasks.csc_sat,
-                              stg=model, bound=bound)]
-        elif query == "consistency":
-            if slot == "sat":
-                rungs = [spec(slot, "sat", "sat", tasks.consistency_sat,
-                              stg=model, bound=bound)]
-            elif slot == "explicit":
-                rungs = [spec(slot, engine, "explicit",
-                              tasks.consistency_explicit, stg=model,
-                              max_states=max_states),
-                         spec(slot, "sat", "sat", tasks.consistency_sat,
-                              stg=model, bound=bound)]
-            # the bdd slot has no consistency query variant: skip it
-        else:
-            raise ModelError("unknown portfolio query %r" % query)
-        if rungs:
-            ladders[slot] = rungs
-    if not ladders:
-        raise ModelError(
-            "no engine in %r can answer the %r query" % (schedule, query))
+def _ladders(model: Model, query: str, engines: Sequence[str],
+             options: dict, deadline_s: float,
+             heartbeat_s: float) -> Dict[str, List[TaskSpec]]:
+    """One degradation ladder of tasks per slot, read off the method
+    table (:func:`repro.portfolio.tasks.ladders`)."""
+    ladders: Dict[str, List[TaskSpec]] = {}
+    slots = tasks.ladders(query, engines, options.get("cover", False))
+    for slot, (entry, methods) in slots.items():
+        ladders[slot] = []
+        for method in methods:
+            fn, kwargs = tasks.bind(query, method, model, options)
+            ladders[slot].append(TaskSpec(
+                slot=slot, engine=tasks.engine_of(method, entry),
+                method=method, fn=fn, kwargs=kwargs, deadline_s=deadline_s,
+                heartbeat_s=heartbeat_s))
     return ladders
-
-
-# -- inline (process-free) execution ------------------------------------ #
-
-def _race_inline(ladders: Dict[str, Sequence[TaskSpec]]) -> RaceResult:
-    """Run the ladders sequentially in-process, mirroring :func:`race`.
-
-    Same classification, retry and degradation semantics as the worker
-    pool — injected ``kill``/``delay`` faults arrive pre-translated into
-    :class:`WorkerCrashError`/:class:`EngineTimeoutError` by
-    :func:`repro.portfolio.faults.fire` in inline mode — but slots run
-    one after another (schedule order) instead of concurrently, and
-    engine code runs under no deadline.
-    """
-    started = time.perf_counter()
-    outcomes: List[TaskOutcome] = []
-    stats = {"attempts": 0, "retries": 0, "timeouts": 0, "stalls": 0,
-             "crashes": 0, "errors": 0, "degradations": 0,
-             "cancellations": 0}
-
-    def count(key: str, n: int = 1) -> None:
-        stats[key] += n
-        obs.add(key, n)
-
-    winner: Optional[TaskOutcome] = None
-    for ladder in ladders.values():
-        if winner is not None:
-            break
-        rung = 0
-        while rung < len(ladder) and winner is None:
-            spec = ladder[rung]
-            attempt = 0
-            while True:
-                count("attempts")
-                t0 = time.perf_counter()
-                failure: Optional[BaseException] = None
-                status = "error"
-                payload = None
-                try:
-                    faults.fire(spec.slot, spec.engine, spec.method,
-                                attempt, inline=True)
-                    payload = spec.fn(**spec.kwargs)
-                except EngineTimeoutError as exc:
-                    failure, status = exc, "timeout"
-                except WorkerCrashError as exc:
-                    failure, status = exc, "crash"
-                except (StateExplosionError, UnboundedError,
-                        Exception) as exc:
-                    failure, status = exc, "error"
-                elapsed = time.perf_counter() - t0
-                if failure is None:
-                    status = "ok" if payload.get("definitive") \
-                        else "partial"
-                    outcome = TaskOutcome(spec, status, payload=payload,
-                                          attempts=attempt + 1,
-                                          elapsed_s=elapsed)
-                    outcomes.append(outcome)
-                    if status == "ok":
-                        winner = outcome
-                    else:  # partial evidence closes the slot
-                        rung = len(ladder)
-                    break
-                outcomes.append(TaskOutcome(spec, status, error=failure,
-                                            attempts=attempt + 1,
-                                            elapsed_s=elapsed))
-                count({"timeout": "timeouts", "crash": "crashes"}
-                      .get(status, "errors"))
-                retryable = status in ("crash", "error") and \
-                    not isinstance(failure, StateExplosionError)
-                if retryable and attempt + 1 < spec.max_attempts:
-                    count("retries")
-                    attempt += 1
-                    continue
-                rung += 1  # degrade to the next-cheaper rung
-                if rung < len(ladder):
-                    count("degradations")
-                break
-    return RaceResult(winner=winner, outcomes=outcomes, stats=stats,
-                      elapsed_s=time.perf_counter() - started)
 
 
 # -- cross-validation --------------------------------------------------- #
@@ -322,7 +153,7 @@ def _same_marking(a: Marking, b: Marking) -> bool:
 
 
 def _validate_witness(model: Model, query: str, payload: dict,
-                      cover: bool) -> Optional[bool]:
+                      options: dict) -> Optional[bool]:
     """Replay the winner's witness; None when there is nothing to replay."""
     net = _net_of(model)
     verdict = payload["verdict"]
@@ -334,8 +165,8 @@ def _validate_witness(model: Model, query: str, payload: dict,
         if query == "deadlock" and verdict == "deadlock":
             return not enabled_transitions(net, final)
         if query == "reach" and verdict == "reached":
-            goal = _marking(payload_target(payload))
-            return final.covers(goal) if cover \
+            goal = _marking(options["target"])
+            return final.covers(goal) if options["cover"] \
                 else _same_marking(final, goal)
         if query == "csc" and verdict == "conflict":
             other = payload.get("witness_b")
@@ -347,42 +178,26 @@ def _validate_witness(model: Model, query: str, payload: dict,
     return None
 
 
-def payload_target(payload: dict) -> Dict[str, int]:
-    """The reach target recorded on a payload by the entry point."""
-    return payload.get("target") or {}
-
-
-#: For each (query, verdict) a *probe*: a cheap bounded task on an
-#: independent method that could expose the winner by finding a
-#: counterexample.  ``None`` verdicts carry their own witness instead.
 def _probe(model: Model, query: str, verdict: str,
-           target: Optional[Dict[str, int]], cover: bool
-           ) -> Optional[Tuple[str, dict]]:
-    """Run the independent probe; returns (probe_name, payload) or None."""
-    if query == "deadlock" and verdict == "deadlock-free":
-        return ("independent:bmc",
-                tasks.deadlock_bmc(model, bound=PROBE_BOUND))
-    if query == "reach" and verdict == "unreachable":
-        return ("independent:bmc",
-                tasks.reach_bmc(model, target or {}, bound=PROBE_BOUND,
-                                cover=cover))
-    if query == "csc" and verdict == "no-conflict":
-        return ("independent:sat",
-                tasks.csc_sat(model, bound=PROBE_BOUND))
-    if query == "consistency" and verdict == "consistent":
-        return ("independent:sat",
-                tasks.consistency_sat(model, bound=PROBE_BOUND))
-    return None
+           options: dict) -> Optional[Tuple[str, dict]]:
+    """Probe a witness-free holds-verdict (a proof, an empty fixpoint)
+    with the query's bounded method at :data:`PROBE_BOUND`, which could
+    expose it by finding a counterexample; returns (probe_name, payload),
+    or None when the verdict carries nothing a probe could contradict."""
+    row = tasks.QUERIES[query]
+    if verdict != row.holds:
+        return None
+    fn, kwargs = tasks.bind(query, row.bounded, model,
+                            dict(options, bound=PROBE_BOUND))
+    return "independent:" + row.bounded, fn(**kwargs)
 
 
 def _cross_validate(model: Model, query: str, winner: TaskOutcome,
-                    verdict: Verdict, cover: bool) -> None:
+                    verdict: Verdict, options: dict) -> None:
     """Check the winner against independent evidence; downgrade on
     disagreement (mutates ``verdict`` in place)."""
-    # verdict.details is the winner's payload augmented with the query
-    # target by _assemble — the replay needs that target
     payload = verdict.details
-    replayed = _validate_witness(model, query, payload, cover)
+    replayed = _validate_witness(model, query, payload, options)
     if replayed is True:
         verdict.validator = "dead-marking" \
             if payload.get("witness") is None else "token-game"
@@ -396,8 +211,7 @@ def _cross_validate(model: Model, query: str, winner: TaskOutcome,
         verdict.validator = "token-game"
         return
     try:
-        probed = _probe(model, query, payload["verdict"],
-                        payload_target(payload), cover)
+        probed = _probe(model, query, payload["verdict"], options)
     except (StateExplosionError, UnboundedError, ModelError):
         probed = None  # the probe itself failed: nothing to compare
     if probed is None:
@@ -428,24 +242,24 @@ def _check(model: Model, query: str, *,
            target: Optional[Dict[str, int]] = None,
            cover: bool = False,
            heartbeat_s: float = DEFAULT_HEARTBEAT_S) -> Verdict:
-    schedule = _schedule(model, engines)
-    ladders = _ladders(model, query, schedule, max_states, max_k, bound,
-                       deadline_s, target=target, cover=cover,
-                       heartbeat_s=heartbeat_s)
+    # what the runners may read (tasks.bind passes each only its own)
+    options = {"max_states": max_states, "max_k": max_k, "bound": bound}
+    if target is not None:
+        options.update(target=target, cover=cover)
+    ladders = _ladders(model, query, engines or tasks.schedule(model),
+                       options, deadline_s, heartbeat_s)
     with obs.span("portfolio.race", query=query,
                   slots=",".join(ladders),
                   mode="inline" if inline else "process") as span:
-        result = _race_inline(ladders) if inline else race(ladders)
-        verdict = _assemble(model, query, result, cross_validate, target,
-                            cover)
+        result = race(ladders, inline=inline)
+        verdict = _assemble(model, query, result, cross_validate, options)
         span.annotate(verdict=verdict.verdict, engine=verdict.engine,
                       method=verdict.method, flagged=verdict.flagged)
     return verdict
 
 
 def _assemble(model: Model, query: str, result: RaceResult,
-              cross_validate: bool, target: Optional[Dict[str, int]],
-              cover: bool) -> Verdict:
+              cross_validate: bool, options: dict) -> Verdict:
     winner = result.winner
     if winner is None:
         partials = [o for o in result.outcomes if o.status == "partial"]
@@ -462,8 +276,8 @@ def _assemble(model: Model, query: str, result: RaceResult,
             for o in result.outcomes if o.error is not None]
         return verdict
     payload = dict(winner.payload or {})
-    if target is not None:
-        payload.setdefault("target", dict(target))
+    if "target" in options:
+        payload.setdefault("target", dict(options["target"]))
     verdict = Verdict(query=query, verdict=payload["verdict"],
                       engine=winner.spec.engine,
                       method=winner.spec.method, definitive=True,
@@ -478,7 +292,7 @@ def _assemble(model: Model, query: str, result: RaceResult,
         # independent probe, so the merged trace attributes the
         # post-race tail as validation work rather than a black hole
         with obs.span("portfolio.validate", query=query) as vspan:
-            _cross_validate(model, query, winner, verdict, cover)
+            _cross_validate(model, query, winner, verdict, options)
             vspan.annotate(validator=verdict.validator or "none",
                            flagged=verdict.flagged)
     return verdict
@@ -505,7 +319,7 @@ def check_reach(model: Model, target: Dict[str, int],
     reachable marking covering it counts (and unreachability proofs are
     skipped — only the explicit engine can then answer negatively).
     Verdicts: ``"reached"``, ``"unreachable"``, ``"unknown"``,
-    ``"inconsistent"``.
+    ``"inconsistent"`` — truthy exactly when the target is unreachable.
     """
     return _check(model, "reach", target=dict(target), cover=cover,
                   **options)

@@ -1,11 +1,23 @@
-"""The normalised engine runners the portfolio races.
+"""The method table and the normalised engine runners the portfolio races.
 
-Each function here runs one engine/method combination for one query and
-returns a plain-data *payload* dict — only strings, numbers, lists and
-dicts, so the result survives the pickle trip back from a worker
-process unchanged.  All runners for the same query speak one verdict
-vocabulary (below), which is what makes first-answer-wins sound: any
-winner reports the same verdict string the others would have.
+:data:`QUERIES` is the only place that knows which method answers which
+query.  Per query it names the verdict that means the property holds,
+the *bounded* method (it only finds counterexamples, so its miss is
+``unknown``, never a proof) and, per engine slot, the ladder of methods
+the slot runs, strongest first.  The ladders the portfolio races
+(:func:`ladders`), the slot ``repro check`` runs alone
+(:func:`single_slot`), the truth value of a
+:class:`~repro.portfolio.Verdict` and every CLI exit code derive from
+it; :func:`schedule` orders the slots.
+
+The runner of method ``m`` for query ``q`` is the function ``q_m`` of
+this module (:func:`bind`), looked up each time a race is built, so
+tests and profilers can rebind it.  Each returns a plain-data *payload*
+dict — only strings, numbers, lists and dicts, so the result survives
+the pickle trip back from a worker process unchanged.  All runners for
+the same query speak one verdict vocabulary (below), which is what makes
+first-answer-wins sound: any winner reports the same verdict string the
+others would have.
 
 ========== =============================================== ==============
 query      definitive verdicts                             partial verdict
@@ -32,13 +44,120 @@ exception carry the budget numbers it needs.
 
 from __future__ import annotations
 
-from typing import Dict, Optional, Union
+import inspect
+from typing import Callable, Dict, NamedTuple, Sequence, Tuple, Union
 
+from ..errors import ModelError
 from ..petri.marking import Marking
 from ..petri.net import PetriNet
 from ..stg.stg import STG
 
 Model = Union[PetriNet, STG]
+
+
+class Query(NamedTuple):
+    """One row of :data:`QUERIES`."""
+
+    #: The verdict that means the property holds.
+    holds: str
+    #: The method that only finds counterexamples: its miss is ``unknown``.
+    bounded: str
+    #: Engine slot -> the methods its ladder runs, strongest first.
+    ladders: Dict[str, Tuple[str, ...]]
+
+
+#: The method table (see the module docstring).
+QUERIES: Dict[str, Query] = {
+    "deadlock": Query("deadlock-free", "bmc", {
+        "sat": ("kinduction", "bmc"),
+        "bdd": ("bdd", "bmc"),
+        "explicit": ("explicit", "bmc")}),
+    "reach": Query("unreachable", "bmc", {
+        "sat": ("kinduction", "bmc"),
+        "explicit": ("explicit", "bmc")}),
+    "csc": Query("no-conflict", "sat", {
+        "sat": ("sat",),
+        "bdd": ("bdd", "sat"),
+        "explicit": ("explicit", "sat")}),
+    "consistency": Query("consistent", "sat", {
+        "sat": ("sat",),
+        "explicit": ("explicit", "sat")}),
+}
+
+#: The engine each method runs on; ``explicit`` runs on the graph engine
+#: its schedule entry names.
+_ENGINE = {"kinduction": "sat", "bmc": "sat", "sat": "sat", "bdd": "bdd"}
+
+
+def schedule(model: Model) -> Tuple[str, ...]:
+    """The engine slots the portfolio races, ordered by predicted win.
+
+    The SAT query engine first (cheapest definitive answers on the
+    library corpus), then ``"bdd"`` when the net is in the symbolic
+    domain (ordinary arcs, safe initial marking), then the graph engine
+    :func:`repro.ts.choose_engine` picks, as the exhaustive anchor.
+    """
+    from ..ts.builder import choose_engine
+
+    net = _net_of(model)
+    slots = ["sat"]
+    if net.has_ordinary_arcs() and net.initial_marking.is_safe():
+        slots.append("bdd")
+    slots.append(choose_engine(net))
+    return tuple(slots)
+
+
+def ladders(query: str, engines: Sequence[str], cover: bool = False
+            ) -> Dict[str, Tuple[str, Tuple[str, ...]]]:
+    """The ladders to race for ``query`` over the schedule ``engines``.
+
+    Maps each slot to its schedule entry and its methods, strongest
+    first.  The graph engines (``compiled``, ``naive``, ``explicit``)
+    share the ``explicit`` slot; slots without a ladder for the query
+    are skipped.  A ``cover`` reach target drops k-induction, which can
+    only prove exact markings unreachable.
+    """
+    if query not in QUERIES:
+        raise ModelError("unknown portfolio query %r" % query)
+    out: Dict[str, Tuple[str, Tuple[str, ...]]] = {}
+    for engine in engines:
+        slot = "explicit" if engine in ("compiled", "naive", "explicit") \
+            else engine
+        methods = tuple(m for m in QUERIES[query].ladders.get(slot, ())
+                        if not (cover and m == "kinduction"))
+        if methods and slot not in out:
+            out[slot] = (engine, methods)
+    if not out:
+        raise ModelError("no engine in %r can answer the %r query"
+                         % (tuple(engines), query))
+    return out
+
+
+def single_slot(model: Model, query: str, cover: bool = False) -> str:
+    """The schedule entry ``repro check`` runs alone: the first slot whose
+    head method is not bounded, so that its answer can prove the property
+    as well as refute it.  The graph engine that closes every schedule
+    always qualifies."""
+    slots = ladders(query, schedule(model), cover)
+    return next(engine for engine, methods in slots.values()
+                if methods[0] != QUERIES[query].bounded)
+
+
+def engine_of(method: str, entry: str) -> str:
+    """The engine ``method`` runs on in the slot of schedule ``entry``."""
+    return _ENGINE.get(method, entry)
+
+
+def bind(query: str, method: str, model: Model,
+         options: dict) -> Tuple[Callable[..., dict], dict]:
+    """The runner of ``method`` for ``query`` and its keyword arguments:
+    the model plus those of ``options`` (``max_states``, ``max_k``,
+    ``bound``, ``target``, ``cover``) that its signature names."""
+    fn = globals()["%s_%s" % (query, method)]
+    params = inspect.signature(fn).parameters
+    kwargs = {k: v for k, v in options.items() if k in params}
+    kwargs["model"] = model
+    return fn, kwargs
 
 
 def _net_of(model: Model) -> PetriNet:
@@ -213,12 +332,12 @@ def reach_bmc(model: Model, target: Dict[str, int], bound: int,
 # CSC
 # ---------------------------------------------------------------------- #
 
-def csc_explicit(stg: STG, max_states: int) -> dict:
+def csc_explicit(model: STG, max_states: int) -> dict:
     """State-graph CSC check; definitive in both directions."""
     from ..analysis.implementability import csc_conflicts
     from ..ts.state_graph import build_state_graph
 
-    sg = build_state_graph(stg, max_states=max_states)
+    sg = build_state_graph(model, max_states=max_states)
     conflicts = csc_conflicts(sg)
     if conflicts:
         return _payload(
@@ -231,11 +350,11 @@ def csc_explicit(stg: STG, max_states: int) -> dict:
         states=len(sg))
 
 
-def csc_bdd(stg: STG) -> dict:
+def csc_bdd(model: STG) -> dict:
     """Symbolic CSC characteristic function; definitive both ways."""
     from ..bdd.queries import SymbolicCSC
 
-    analysis = SymbolicCSC(stg)
+    analysis = SymbolicCSC(model)
     if analysis.has_conflict():
         count = analysis.conflict_count()
         return _payload(
@@ -247,11 +366,11 @@ def csc_bdd(stg: STG) -> dict:
         "symbolic CSC function is empty (no conflicting codes)")
 
 
-def csc_sat(stg: STG, bound: int) -> dict:
+def csc_sat(model: STG, bound: int) -> dict:
     """Bounded two-copy search: a found conflict is definitive."""
     from ..sat.queries import csc_conflict
 
-    conflict = csc_conflict(stg, bound=bound)
+    conflict = csc_conflict(model, bound=bound)
     if conflict is not None:
         return _payload(
             "conflict", True, "sat",
@@ -267,14 +386,14 @@ def csc_sat(stg: STG, bound: int) -> dict:
 # consistency
 # ---------------------------------------------------------------------- #
 
-def consistency_explicit(stg: STG, max_states: int) -> dict:
+def consistency_explicit(model: STG, max_states: int) -> dict:
     """State-graph construction decides consistency completely (it also
     catches cross-path divergence no single trace can witness)."""
     from ..errors import ConsistencyError
     from ..ts.state_graph import build_state_graph
 
     try:
-        sg = build_state_graph(stg, max_states=max_states)
+        sg = build_state_graph(model, max_states=max_states)
     except ConsistencyError as exc:
         return _payload(
             "violation", True, "explicit",
@@ -285,11 +404,11 @@ def consistency_explicit(stg: STG, max_states: int) -> dict:
         states=len(sg))
 
 
-def consistency_sat(stg: STG, bound: int) -> dict:
+def consistency_sat(model: STG, bound: int) -> dict:
     """Bounded single-trace search: a found violation is definitive."""
     from ..sat.queries import consistency_violation
 
-    witness = consistency_violation(stg, bound=bound)
+    witness = consistency_violation(model, bound=bound)
     if witness is not None:
         return _payload(
             "violation", True, "sat",

@@ -47,6 +47,13 @@ payloads cross back through a pipe and must be plain data (see
 :mod:`repro.portfolio.tasks`).  Fault injection
 (:mod:`repro.portfolio.faults`) hooks the child wrapper, never the
 engines themselves.
+
+``race(..., inline=True)`` drives the same slots through the same loop
+without child processes: each rung runs in the caller's process, one
+slot at a time in schedule order, and its result or exception is
+classified exactly as a worker's report would be.  There is no deadline
+to enforce and no heartbeat to watch; injected faults arrive
+pre-translated (:func:`repro.portfolio.faults.fire`).
 """
 
 from __future__ import annotations
@@ -277,7 +284,8 @@ class _Slot:
         self.rung = 0
         self.attempt = 0
         self.worker: Optional[_Worker] = None
-        self.restart_at: Optional[float] = None
+        # when the next attempt is due; None while one runs or once closed
+        self.restart_at: Optional[float] = 0.0
         self.evidence: List[TaskOutcome] = []
         self.closed = not self.ladder
 
@@ -286,17 +294,39 @@ class _Slot:
         return self.ladder[self.rung]
 
     def degrade(self) -> bool:
-        """Advance to the next-cheaper rung; False when exhausted."""
+        """Advance to the next-cheaper rung, due at once; False when
+        exhausted."""
         self.rung += 1
         self.attempt = 0
-        self.restart_at = None
         if self.rung >= len(self.ladder):
+            self.restart_at = None
             self.closed = True
             return False
+        self.restart_at = time.perf_counter()
         return True
 
 
-def race(ladders: Dict[str, Sequence[TaskSpec]],
+def _run_inline(spec: TaskSpec, attempt: int) -> TaskOutcome:
+    """Run one rung in this process and classify it as :func:`race`
+    classifies a worker's report (the ``inline=True`` executor)."""
+    started = time.perf_counter()
+    status, payload, error = "error", None, None
+    try:
+        faults.fire(spec.slot, spec.engine, spec.method, attempt, inline=True)
+        payload = spec.fn(**spec.kwargs)
+        status = "ok" if payload.get("definitive") else "partial"
+    except EngineTimeoutError as exc:  # an injected delay or stall
+        status, error = "timeout", exc
+    except WorkerCrashError as exc:  # an injected kill
+        status, error = "crash", exc
+    except Exception as exc:  # engine failure: the supervisor classifies
+        error = exc
+    return TaskOutcome(spec, status, payload=payload, error=error,
+                       attempts=attempt + 1,
+                       elapsed_s=time.perf_counter() - started)
+
+
+def race(ladders: Dict[str, Sequence[TaskSpec]], inline: bool = False,
          backoff_base_s: float = BACKOFF_BASE_S,
          backoff_cap_s: float = BACKOFF_CAP_S) -> RaceResult:
     """Race the ladders' head rungs; first definitive verdict wins.
@@ -314,6 +344,10 @@ def race(ladders: Dict[str, Sequence[TaskSpec]],
     ``degradations``, ``cancellations``) when telemetry is armed — and
     each worker's span records and heartbeats are merged into the
     parent trace as they stream in (:mod:`repro.obs.remote`).
+
+    With ``inline=True`` the rungs run in this process instead, one slot
+    at a time in ``ladders`` order, through the same retry / degrade /
+    settle logic (see the module docstring).
 
     Never raises on worker misbehaviour — a race with no surviving
     definitive rung returns ``winner=None`` plus the partial evidence.
@@ -333,9 +367,12 @@ def race(ladders: Dict[str, Sequence[TaskSpec]],
         obs.add(key, n)
 
     def start_worker(slot: _Slot) -> None:
-        slot.worker = _Worker(ctx, slot.spec, slot.attempt)
         slot.restart_at = None
         count("attempts")
+        if inline:
+            settle(slot, _run_inline(slot.spec, slot.attempt))
+        else:
+            slot.worker = _Worker(ctx, slot.spec, slot.attempt)
 
     def handle_telemetry(worker: _Worker, message) -> None:
         """Absorb one ("span"/"heartbeat", record) worker message."""
@@ -392,7 +429,6 @@ def race(ladders: Dict[str, Sequence[TaskSpec]],
     def degrade_or_close(slot: _Slot) -> None:
         if slot.degrade():
             count("degradations")
-            start_worker(slot)
 
     def settle(slot: _Slot, outcome: TaskOutcome) -> None:
         """Record a classified rung outcome and advance the slot."""
@@ -512,20 +548,23 @@ def race(ladders: Dict[str, Sequence[TaskSpec]],
                                  attempts=attempts, elapsed_s=elapsed))
 
     try:
-        for slot in slots:
-            if not slot.closed:
-                start_worker(slot)
         while winner is None:
             live = [s for s in slots if not s.closed]
             if not live:
                 break
+            if inline:  # in-process: one slot at a time, schedule order
+                live = live[:1]
             now = time.perf_counter()
-            # (re)start any worker whose backoff has elapsed
+            # start every rung that is due: first attempts, degradations
+            # and retries whose backoff has elapsed
             for slot in live:
                 if slot.worker is None and slot.restart_at is not None \
                         and now >= slot.restart_at:
                     start_worker(slot)
+            if winner is not None:  # inline: the rung just run won
+                break
             # how long may we sleep before something needs attention?
+            now = time.perf_counter()
             wakeups = []
             for s in live:
                 if s.worker is not None:
@@ -535,8 +574,8 @@ def race(ladders: Dict[str, Sequence[TaskSpec]],
                         wakeups.append(stall_at)
                 elif s.restart_at is not None:
                     wakeups.append(s.restart_at)
-            if not wakeups:  # every live slot is settling; shouldn't linger
-                break
+            if not wakeups:  # inline: the slot closed; go on to the next
+                continue
             timeout = max(0.0, min(wakeups) - now)
             results = {s.worker.conn: s for s in live
                        if s.worker is not None}
@@ -578,34 +617,3 @@ def race(ladders: Dict[str, Sequence[TaskSpec]],
 
     return RaceResult(winner=winner, outcomes=outcomes, stats=stats,
                       elapsed_s=time.perf_counter() - started)
-
-
-def run_task(spec: TaskSpec) -> dict:
-    """Run one task in a supervised worker and return its payload.
-
-    The blocking single-task form of the pool, exposed for callers (and
-    tests) that want the classification *as exceptions*: raises
-    :class:`~repro.errors.EngineTimeoutError` on deadline overrun,
-    :class:`~repro.errors.WorkerCrashError` once crash retries are
-    exhausted, and the reconstructed engine error for in-worker
-    exceptions (retried like the race does before being raised).
-    """
-    result = race({spec.slot: [spec]})
-    if result.winner is not None:
-        return result.winner.payload
-    last = result.outcomes[-1]
-    if last.status == "partial":
-        return last.payload
-    raise last.error
-
-
-def run_ladder(ladder: Sequence[TaskSpec]) -> TaskOutcome:
-    """Run one degradation ladder to completion (no racing).
-
-    Returns the winning outcome, or the last rung's outcome when every
-    rung failed or finished with partial evidence.
-    """
-    result = race({ladder[0].slot: ladder})
-    if result.winner is not None:
-        return result.winner
-    return result.outcomes[-1]

@@ -29,29 +29,15 @@ order (BFS level order, transitions fired in sorted name order per
 state), so every downstream consumer — state-graph codes, regions, CSC,
 synthesis, verification — is oblivious to the choice.
 
-The fifth engine name, ``"sat"``, is reserved for the query-based
-verification path of :mod:`repro.sat`: it never builds the graph, so
-requesting it here raises :class:`~repro.errors.ModelError` with a
-pointer to :mod:`repro.sat.queries` (``reach_marking``,
-``find_deadlock``, ``csc_conflict``, ``prove_deadlock_free``, ...).
 The ``"bdd"`` engine has query variants too
 (:mod:`repro.bdd.queries`: ``reachable_count``, ``find_deadlock``,
 ``csc_conflict_chf``) that answer without materialising anything —
 prefer those over graph construction when only the answer is needed.
-
-The sixth name, ``"portfolio"``, is likewise query-only: it names the
-fault-tolerant orchestration layer of :mod:`repro.portfolio`, which
-*races* the other engines in worker processes (per-task deadlines,
-retry-with-backoff, degradation to cheaper engines) and cross-validates
-the winner — see ``docs/portfolio.md``.  Requesting it here raises
-:class:`~repro.errors.ModelError` with a pointer to
-:mod:`repro.portfolio` (``check_deadlock``, ``check_reach``,
-``check_csc``, ``check_consistency``).
 """
 
 from __future__ import annotations
 
-from typing import Optional, Tuple, Union
+from typing import Optional, Union
 
 from .. import obs
 from ..bdd.symbolic import SymbolicReachability
@@ -64,58 +50,26 @@ from ..petri.token_game import enabled_transitions, fire
 from ..stg.stg import STG
 from .transition_system import TransitionSystem
 
-ENGINES = ("auto", "compiled", "naive", "bdd", "sat", "portfolio")
+ENGINES = ("auto", "compiled", "naive", "bdd")
 
 
 def choose_engine(model: Union[PetriNet, STG],
                   initial: Optional[Marking] = None,
-                  require_safe: bool = True,
-                  purpose: str = "graph") -> Union[str, Tuple[str, ...]]:
+                  require_safe: bool = True) -> str:
     """The ``engine="auto"`` selection heuristic, exposed for callers.
 
-    ``purpose="graph"`` answers "which engine should *build* the
-    transition system": ``"compiled"`` whenever the net is ordinary with
-    a safe initial marking (markings fit machine ints; ~5-8x faster than
-    the dict token game), else ``"naive"`` (the only engine covering
-    weighted arcs and k-bounded exploration).
-
-    ``purpose="query"`` answers "which engine should answer a question
-    about the state space without materialising it": ``"bdd"``
-    (:mod:`repro.bdd.queries` — exact fixpoint counts, deadlocks, CSC
-    characteristic functions) when the net is ordinary and safely marked,
-    else ``"sat"`` (:mod:`repro.sat.queries` — bounded search and
-    k-induction).  Query engines keep working at sizes where every
-    graph-building engine exceeds its state budget.
-
-    ``purpose="portfolio"`` answers "which engines should the
-    :mod:`repro.portfolio` layer race, and in what slot order" — the
-    only purpose returning a *tuple*, ordered by predicted win: the SAT
-    query engine first (cheapest definitive answers on the library
-    corpus), then ``"bdd"`` when the net is in the symbolic domain
-    (ordinary arcs, safe initial marking), then the graph engine that
-    ``purpose="graph"`` would pick as the exhaustive anchor.
+    Answers "which engine should *build* the transition system":
+    ``"compiled"`` whenever the net is ordinary with a safe initial
+    marking (markings fit machine ints; ~5-8x faster than the dict token
+    game), else ``"naive"`` (the only engine covering weighted arcs and
+    k-bounded exploration).
     """
     net = model.net if isinstance(model, STG) else model
     if initial is None:
         initial = net.initial_marking
-    if purpose == "graph":
-        if require_safe and supports_compilation(net, initial):
-            return "compiled"
-        return "naive"
-    if purpose == "query":
-        if net.has_ordinary_arcs() and initial.is_safe():
-            return "bdd"
-        return "sat"
-    if purpose == "portfolio":
-        schedule = ["sat"]
-        if net.has_ordinary_arcs() and initial.is_safe():
-            schedule.append("bdd")
-        schedule.append(choose_engine(net, initial,
-                                      require_safe=require_safe,
-                                      purpose="graph"))
-        return tuple(schedule)
-    raise ModelError("unknown purpose %r (expected 'graph', 'query' or"
-                     " 'portfolio')" % purpose)
+    if require_safe and supports_compilation(net, initial):
+        return "compiled"
+    return "naive"
 
 
 def build_reachability_graph(model: Union[PetriNet, STG],
@@ -129,9 +83,7 @@ def build_reachability_graph(model: Union[PetriNet, STG],
     event strings such as ``"LDS+"`` or ``"LDS+/2"``).
 
     ``engine`` selects the exploration engine: ``"auto"``, ``"compiled"``,
-    ``"naive"`` or ``"bdd"`` build the graph (bit-identically); ``"sat"``
-    and ``"portfolio"`` are query-only and raise with a pointer to
-    :mod:`repro.sat.queries` / :mod:`repro.portfolio`.
+    ``"naive"`` or ``"bdd"`` build the graph (bit-identically).
     See the module docstring and ``docs/engines.md``.  Requesting the
     compiled or bdd engine for a model outside its domain raises
     :class:`ModelError`.
@@ -165,21 +117,6 @@ def build_reachability_graph(model: Union[PetriNet, STG],
                 " (require_safe=False needs engine='naive')")
         return _traced_build(
             "bdd", net, lambda: _build_bdd(net, initial, max_states))
-    if engine == "sat":
-        # the SAT engine answers *queries*, it never materialises the
-        # graph — asking it for the full graph is a usage error
-        raise ModelError(
-            "engine='sat' answers targeted queries without building the"
-            " reachability graph; use repro.sat.queries (reach_marking,"
-            " find_deadlock, csc_conflict, ...) or repro.bdd.queries"
-            " instead of build_reachability_graph")
-    if engine == "portfolio":
-        # the portfolio races query engines; it never builds the graph
-        raise ModelError(
-            "engine='portfolio' races query engines with deadlines and"
-            " degradation; use repro.portfolio (check_deadlock,"
-            " check_reach, check_csc, check_consistency) instead of"
-            " build_reachability_graph")
     raise ModelError(
         "unknown engine %r (expected one of %s)" % (engine, ENGINES))
 

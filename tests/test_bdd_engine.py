@@ -138,19 +138,16 @@ class TestChooseEngine:
         assert choose_engine(stg) == "compiled"
         assert choose_engine(stg, require_safe=False) == "naive"
 
-    def test_query_purpose(self):
-        assert choose_engine(vme_read(), purpose="query") == "bdd"
-
     def test_query_falls_back_to_sat_outside_bdd_domain(self):
+        # the portfolio schedule races bdd only inside its domain
+        from repro.portfolio.tasks import schedule
+
         net = PetriNet("weighted")
         net.add_place("p", tokens=1)
         net.add_transition("t")
         net.add_arc("p", "t", weight=2)
-        assert choose_engine(net, purpose="query") == "sat"
-
-    def test_unknown_purpose(self):
-        with pytest.raises(ModelError):
-            choose_engine(vme_read(), purpose="magic")
+        assert schedule(net) == ("sat", "naive")
+        assert schedule(vme_read()) == ("sat", "bdd", "compiled")
 
 
 class TestQueries:

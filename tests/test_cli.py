@@ -122,22 +122,36 @@ class TestBddCheck:
 
     def test_count_dense_reduced(self, capsys):
         assert main(["bdd-check", "vme_read_write", "--query", "count",
-                     "--encoding", "dense", "--reduce"]) == 0
+                     "--encoding", "dense"]) == 0
         assert "reachable codes:" in capsys.readouterr().out
+
+    def test_count_is_the_original_nets(self, capsys):
+        # the state graph of Figure 5 has 24 states; a count over a
+        # linear-reduced net is not a count of this spec, so --reduce
+        # is gone rather than answering for another net
+        assert main(["bdd-check", "vme_read_write", "--query",
+                     "count"]) == 0
+        assert "reachable markings: 24 " in capsys.readouterr().out
+        with pytest.raises(SystemExit) as err:
+            main(["bdd-check", "vme_read_write", "--query", "count",
+                  "--reduce"])
+        assert err.value.code == 2
 
     def test_deadlock_free_proof(self, spec_file, capsys):
         assert main(["bdd-check", spec_file, "--query", "deadlock"]) == 0
-        assert "proved by symbolic fixpoint" in capsys.readouterr().out
+        out = capsys.readouterr().out
+        assert "deadlock-free (winner: bdd/bdd" in out
+        assert "symbolic fixpoint proved deadlock freedom" in out
 
     def test_csc_conflict_found(self, spec_file, capsys):
         assert main(["bdd-check", spec_file, "--query", "csc"]) == 1
         out = capsys.readouterr().out
-        assert "CSC conflict" in out
-        assert "code (xor initial):" in out
+        assert "conflict (winner: bdd/bdd)" in out
+        assert "covers 1 conflicting code(s)" in out
 
     def test_csc_clean_example(self, capsys):
         assert main(["bdd-check", "vme_read_csc", "--query", "csc"]) == 0
-        assert "CSC holds" in capsys.readouterr().out
+        assert "no-conflict (winner: bdd/bdd" in capsys.readouterr().out
 
     def test_sorted_order_variant(self, spec_file, capsys):
         assert main(["bdd-check", spec_file, "--order", "sorted"]) == 0
@@ -148,30 +162,46 @@ class TestBddCheck:
                      "--encoding", "dense"]) == 2
 
     def test_reduce_restricted_to_net_queries(self, spec_file, capsys):
-        assert main(["bdd-check", spec_file, "--query", "csc",
-                     "--reduce"]) == 2
+        with pytest.raises(SystemExit) as err:
+            main(["bdd-check", spec_file, "--query", "csc", "--reduce"])
+        assert err.value.code == 2
 
 
 class TestSatCheck:
     def test_deadlock_bounded(self, spec_file, capsys):
         assert main(["sat-check", spec_file, "--bound", "8"]) == 0
-        assert "no deadlock within 8 steps" in capsys.readouterr().out
+        assert "deadlock-free (winner: sat/kinduction" in \
+            capsys.readouterr().out
 
     def test_deadlock_induction(self, spec_file, capsys):
-        assert main(["sat-check", spec_file, "--induction"]) == 0
-        assert "proved by 0-induction" in capsys.readouterr().out
+        # the SAT ladder tries k-induction before BMC
+        assert main(["sat-check", spec_file]) == 0
+        assert "proved deadlock-free by 0-induction" in \
+            capsys.readouterr().out
 
     def test_csc_conflict_found(self, spec_file, capsys):
         assert main(["sat-check", spec_file, "--property", "csc",
                      "--bound", "12"]) == 1
         out = capsys.readouterr().out
-        assert "CSC conflict" in out
-        assert "trace a:" in out and "trace b:" in out
+        assert "conflict (winner: sat/sat, validated by token-game)" in out
+        assert "found a CSC conflict" in out
+        assert "witness:" in out
 
     def test_csc_clean_example(self, capsys):
+        # a bounded miss is no proof: unknown, never no-conflict
         assert main(["sat-check", "latch_controller", "--property", "csc",
-                     "--bound", "8"]) == 0
-        assert "no CSC conflict" in capsys.readouterr().out
+                     "--bound", "8"]) == 1
+        out = capsys.readouterr().out
+        assert out.startswith("unknown ")
+        assert "no CSC conflict within 8 steps (bounded)" in out
+
+    def test_bounded_csc_miss_is_unknown(self, capsys):
+        # vme_read_csc is CSC-clean, but two steps prove nothing
+        assert main(["sat-check", "vme_read_csc", "--property", "csc",
+                     "--bound", "2", "--json"]) == 1
+        doc = json.loads(capsys.readouterr().out)
+        assert doc["verdict"] == "unknown"
+        assert not doc["details"]["definitive"]
 
     def test_reach_with_target(self, spec_file, capsys):
         assert main(["sat-check", spec_file, "--property", "reach",
@@ -182,14 +212,19 @@ class TestSatCheck:
         assert main(["sat-check", spec_file, "--property", "reach"]) == 2
 
     def test_induction_only_for_deadlock(self, spec_file, capsys):
-        # a bounded-only CSC run must not masquerade as an inductive proof
-        assert main(["sat-check", spec_file, "--property", "csc",
-                     "--induction"]) == 2
+        # --induction is gone: the SAT ladder always tries k-induction
+        # where one exists, and a bounded CSC miss reports unknown
+        with pytest.raises(SystemExit) as err:
+            main(["sat-check", spec_file, "--property", "csc",
+                  "--induction"])
+        assert err.value.code == 2
 
     def test_consistency(self, spec_file, capsys):
         assert main(["sat-check", spec_file, "--property", "consistency",
-                     "--bound", "6"]) == 0
-        assert "no consistency violation" in capsys.readouterr().out
+                     "--bound", "6"]) == 1
+        out = capsys.readouterr().out
+        assert out.startswith("unknown ")
+        assert "no single-trace violation within 6 steps" in out
 
     def test_dimacs_dump_round_trips(self, spec_file, tmp_path, capsys):
         from repro.sat import CNF
@@ -212,11 +247,37 @@ class TestSatCheck:
         from repro.sat import CNF, Solver
 
         path = str(tmp_path / "query.cnf")
-        code = main(["sat-check", spec_file, "--property", prop,
-                     "--bound", "10", "--dimacs", path])
-        assert code == (1 if expect_sat else 0)
+        main(["sat-check", spec_file, "--property", prop, "--bound", "10",
+              "--dimacs", path, "--json"])
+        verdict = json.loads(capsys.readouterr().out)["verdict"]
+        assert (verdict in ("deadlock", "conflict", "violation")) == \
+            expect_sat
         solver = Solver(CNF.from_dimacs(open(path).read()))
         assert solver.solve() == expect_sat
+
+
+class TestCheck:
+    def test_single_slot_csc_runs_a_complete_method(self, capsys):
+        # the SAT slot cannot prove CSC; the first slot that can is bdd
+        assert main(["check", "vme_read_csc", "--query", "csc"]) == 0
+        assert capsys.readouterr().out.startswith(
+            "no-conflict (winner: bdd/bdd")
+
+    def test_single_slot_consistency_runs_a_complete_method(self, capsys):
+        assert main(["check", "latch_controller", "--query",
+                     "consistency"]) == 0
+        assert capsys.readouterr().out.startswith(
+            "consistent (winner: compiled/explicit")
+
+    def test_reach_exit_code_reads_the_holds_verdict(self, spec_file,
+                                                     capsys):
+        # the property of a reach query is "the target is unreachable"
+        assert main(["check", spec_file, "--query", "reach",
+                     "--target", "p4", "--cover"]) == 1
+        assert capsys.readouterr().out.startswith("reached ")
+        assert main(["check", spec_file, "--query", "reach",
+                     "--target", "p0 p4"]) == 0
+        assert capsys.readouterr().out.startswith("unreachable ")
 
 
 class TestTelemetry:
@@ -232,9 +293,9 @@ class TestTelemetry:
         assert report["command"] == "sat-check"
         assert report["verdict"] == "conflict"
         assert report["exit_code"] == 1
-        assert report["details"]["property"] == "csc"
-        assert report["details"]["bound"] == 12
-        assert report["details"]["trace_a"] and report["details"]["trace_b"]
+        assert report["details"]["query"] == "csc"
+        assert report["details"]["engine"] == "sat"
+        assert report["details"]["witness"]
         solve = report["stats"]["sat.solve"]
         assert solve["counters"]["decisions"] > 0
         assert solve["counters"]["propagations"] > 0
@@ -248,7 +309,8 @@ class TestTelemetry:
         assert obs.validate_run_report(report) == []
         assert report["command"] == "bdd-check"
         assert report["verdict"] == "conflict"
-        assert report["details"]["conflicting_codes"] == 1
+        assert report["details"]["engine"] == "bdd"
+        assert "covers 1 conflicting code" in report["details"]["evidence"]
         fixpoint = report["stats"]["bdd.fixpoint"]
         assert fixpoint["counters"]["image_iterations"] > 0
         assert fixpoint["gauges"]["peak_nodes"] > 0
@@ -261,11 +323,14 @@ class TestTelemetry:
         assert report["details"]["reachable"] == 14
 
     def test_stats_table_goes_to_stderr(self, spec_file, capsys):
+        assert main(["sat-check", spec_file, "--bound", "8"]) == 0
+        plain = capsys.readouterr().out
         code = main(["sat-check", spec_file, "--bound", "8", "--stats"])
         assert code == 0
         captured = capsys.readouterr()
         # stdout is byte-identical to a run without --stats
-        assert captured.out == "no deadlock within 8 steps\n"
+        assert captured.out == plain
+        assert plain.startswith("deadlock-free ")
         assert "sat.solve" in captured.err
         assert "span" in captured.err
 

@@ -15,7 +15,7 @@ import os
 import time
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from repro import obs
@@ -193,6 +193,9 @@ def span_forests(draw):
 
 class TestMergeProperties:
     @given(span_forests())
+    # a worker span with the same interval as its worker.task root (and
+    # an earlier seq) must still nest under the root
+    @example([_worker_record("s0", 1, "worker.task", 10.0, 10.0, 0)])
     @settings(max_examples=30, deadline=None)
     def test_merge_preserves_nesting_and_counter_totals(self, records):
         obs.reset()

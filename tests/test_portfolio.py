@@ -20,12 +20,10 @@ from repro.errors import (EngineTimeoutError, ReproError,
                           StateExplosionError, WorkerCrashError)
 from repro.petri.library import dining_philosophers
 from repro.portfolio import (TaskSpec, check_consistency, check_csc,
-                             check_deadlock, check_reach, race, run_ladder,
-                             run_task)
+                             check_deadlock, check_reach, race)
 from repro.portfolio import faults, tasks
 from repro.portfolio.faults import FaultRule, FaultSyntaxError, parse
 from repro.stg.library import ALL_EXAMPLES
-from repro.ts import choose_engine
 
 
 @pytest.fixture(autouse=True)
@@ -115,35 +113,43 @@ def _deadlock_spec(model, **overrides):
     return TaskSpec(**spec)
 
 
+def _last_outcome(spec):
+    """Race one single-rung ladder; the classified outcome of its rung."""
+    return race({spec.slot: [spec]}).outcomes[-1]
+
+
 class TestWorkers:
     def test_run_task_returns_payload(self):
         stg = ALL_EXAMPLES["vme_read"]()
-        payload = run_task(_deadlock_spec(stg))
-        assert payload["verdict"] == "deadlock-free"
-        assert payload["definitive"] is True
+        winner = race({"sat": [_deadlock_spec(stg)]}).winner
+        assert winner.payload["verdict"] == "deadlock-free"
+        assert winner.payload["definitive"] is True
         assert_no_orphans()
 
     def test_deadline_overrun_is_classified(self):
         stg = ALL_EXAMPLES["vme_read"]()
         faults.install("delay:seconds=30")
-        with pytest.raises(EngineTimeoutError) as err:
-            run_task(_deadlock_spec(stg, deadline_s=0.5))
-        assert err.value.deadline_s == 0.5
+        outcome = _last_outcome(_deadlock_spec(stg, deadline_s=0.5))
+        assert outcome.status == "timeout"
+        assert isinstance(outcome.error, EngineTimeoutError)
+        assert outcome.error.deadline_s == 0.5
         assert_no_orphans()
 
     def test_persistent_crash_is_classified_after_retries(self):
         stg = ALL_EXAMPLES["vme_read"]()
         faults.install("kill:max_attempt=99")
-        with pytest.raises(WorkerCrashError) as err:
-            run_task(_deadlock_spec(stg))
-        assert err.value.exitcode == faults.KILL_EXIT_CODE
+        outcome = _last_outcome(_deadlock_spec(stg))
+        assert outcome.status == "crash"
+        assert outcome.attempts == 3
+        assert isinstance(outcome.error, WorkerCrashError)
+        assert outcome.error.exitcode == faults.KILL_EXIT_CODE
         assert_no_orphans()
 
     def test_transient_crash_is_retried_transparently(self):
         stg = ALL_EXAMPLES["vme_read"]()
         faults.install("kill:attempt=0")  # first attempt only
-        payload = run_task(_deadlock_spec(stg))
-        assert payload["verdict"] == "deadlock-free"
+        winner = race({"sat": [_deadlock_spec(stg)]}).winner
+        assert winner.payload["verdict"] == "deadlock-free"
 
     def test_engine_errors_cross_the_process_boundary(self):
         # pin an empty plan: an ambient REPRO_FAULTS (the CI stress
@@ -154,21 +160,44 @@ class TestWorkers:
                         fn=tasks.deadlock_explicit,
                         kwargs={"model": stg, "max_states": 3},
                         max_attempts=1)
-        with pytest.raises(StateExplosionError) as err:
-            run_task(spec)
-        assert err.value.bound == 3
+        outcome = _last_outcome(spec)
+        assert outcome.status == "error"
+        assert isinstance(outcome.error, StateExplosionError)
+        assert outcome.error.bound == 3
 
     def test_ladder_degrades_from_timeout_to_cheaper_engine(self):
         stg = ALL_EXAMPLES["vme_read"]()
         faults.install("delay:method=kinduction,seconds=30")
-        outcome = run_ladder([
+        result = race({"sat": [
             _deadlock_spec(stg, deadline_s=0.5),
             TaskSpec(slot="sat", engine="sat", method="bmc",
                      fn=tasks.deadlock_bmc,
                      kwargs={"model": stg, "bound": 8}),
-        ])
-        assert outcome.spec.method == "bmc"
-        assert outcome.payload["verdict"] == "unknown"
+        ]})
+        assert result.winner is None
+        assert result.stats["degradations"] == 1
+        assert result.outcomes[-1].spec.method == "bmc"
+        assert result.outcomes[-1].payload["verdict"] == "unknown"
+        assert_no_orphans()
+
+    @pytest.mark.parametrize("fault", [
+        "kill:attempt=0", "raise:max_attempt=1",
+        "delay:method=kinduction", "kill:max_attempt=99"])
+    def test_inline_race_classifies_like_worker_processes(self, fault):
+        # one supervisor loop: the same ladder under the same fault plan
+        # settles through the same outcomes in both execution modes
+        stg = ALL_EXAMPLES["vme_read"]()
+        ladder = [_deadlock_spec(stg, deadline_s=2.0),
+                  TaskSpec(slot="sat", engine="sat", method="bmc",
+                           fn=tasks.deadlock_bmc,
+                           kwargs={"model": stg, "bound": 4})]
+        faults.install(fault)
+        runs = [race({"sat": ladder}, inline=inline)
+                for inline in (False, True)]
+        process, inline = ([(o.spec.method, o.status, o.attempts)
+                            for o in r.outcomes] for r in runs)
+        assert process == inline
+        assert runs[0].stats == runs[1].stats
         assert_no_orphans()
 
     def test_race_cancels_losers_on_first_definitive_verdict(self):
@@ -281,10 +310,12 @@ class TestVerdictAgreement:
         target = dead["dead_marking"]
         verdict = check_reach(net, target, inline=True)
         assert verdict.verdict == "reached"
+        assert not verdict  # a reachable target fails the property
         assert verdict.validator in ("token-game", None)
         missing = {p: 2 for p in list(target)[:1]}  # unreachable: 2 tokens
         verdict = check_reach(net, missing, inline=True)
         assert verdict.verdict == "unreachable"
+        assert verdict
 
     def test_every_slot_dead_concedes_unknown_with_evidence(self):
         stg = ALL_EXAMPLES["vme_read"]()
@@ -377,13 +408,39 @@ class TestMergedTraces:
 # engine selection and CLI
 # ---------------------------------------------------------------------- #
 
+class TestMethodTable:
+    @pytest.mark.parametrize("query", sorted(tasks.QUERIES))
+    def test_every_ladder_ends_in_the_bounded_method(self, query):
+        row = tasks.QUERIES[query]
+        for slot, methods in row.ladders.items():
+            assert methods[-1] == row.bounded, (query, slot)
+            assert row.bounded not in methods[:-1], (query, slot)
+            for method in methods:  # every named method has a runner
+                assert callable(getattr(tasks, "%s_%s" % (query, method)))
+
+    @pytest.mark.parametrize("name", CORPUS)
+    @pytest.mark.parametrize("query", ["deadlock", "csc", "consistency"])
+    def test_single_slot_pick_proves_or_refutes(self, name, query):
+        # what `repro check` runs without --portfolio: one slot, inline
+        stg = ALL_EXAMPLES[name]()
+        engine = tasks.single_slot(stg, query)
+        (_, methods), = tasks.ladders(query, [engine]).values()
+        assert methods[0] != tasks.QUERIES[query].bounded
+        check = {"deadlock": check_deadlock, "csc": check_csc,
+                 "consistency": check_consistency}[query]
+        verdict = check(stg, engines=[engine], inline=True)
+        assert verdict.definitive
+        assert verdict.verdict == reference_verdict(name, query)
+        assert bool(verdict) == (verdict.verdict ==
+                                 tasks.QUERIES[query].holds)
+
+
 class TestIntegration:
     def test_choose_engine_portfolio_schedule(self):
         stg = ALL_EXAMPLES["vme_read"]()
-        schedule = choose_engine(stg, purpose="portfolio")
-        assert isinstance(schedule, tuple)
-        assert schedule[0] == "sat"
-        assert schedule[-1] in ("compiled", "naive")
+        assert tasks.schedule(stg) == ("sat", "bdd", "compiled")
+        assert tasks.schedule(dining_philosophers(2))[-1] in ("compiled",
+                                                              "naive")
 
     def test_build_graph_rejects_portfolio_engine(self):
         from repro.ts import build_reachability_graph
@@ -422,40 +479,40 @@ class TestIntegration:
         assert main(["check", "vme_read", "--query", "reach"]) == 2
 
     def test_cli_sat_check_portfolio_engine(self, capsys):
+        # sat-check is `check --engines sat --inline`
         code = main(["sat-check", "vme_read", "--property", "deadlock",
-                     "--engine", "portfolio", "--json"])
+                     "--json"])
         assert code == 0
         doc = json.loads(capsys.readouterr().out)
         assert doc["verdict"] == "deadlock-free"
         assert doc["command"] == "sat-check"
-
-    def test_cli_sat_check_portfolio_rejects_dimacs(self, tmp_path):
-        code = main(["sat-check", "vme_read", "--engine", "portfolio",
-                     "--dimacs", str(tmp_path / "x.cnf")])
-        assert code == 2
+        assert doc["details"]["engine"] == "sat"
+        assert doc["details"]["method"] == "kinduction"
 
     def test_cli_bdd_check_portfolio_engine(self, capsys):
-        code = main(["bdd-check", "vme_read_csc", "--query", "csc",
-                     "--engine", "portfolio"])
+        # bdd-check --query csc is `check --engines bdd --inline`
+        code = main(["bdd-check", "vme_read_csc", "--query", "csc"])
         assert code == 0
-        assert "no-conflict" in capsys.readouterr().out
+        assert "no-conflict (winner: bdd/bdd" in capsys.readouterr().out
 
-    def test_cli_bdd_check_portfolio_rejects_count(self):
-        assert main(["bdd-check", "vme_read", "--query", "count",
-                     "--engine", "portfolio"]) == 2
+    def test_sat_check_json_reports_unknown_reason(self, capsys,
+                                                   monkeypatch):
+        # an unfinished induction must explain itself in the run report;
+        # every bundled spec is decided at k=0, so stand in an undecided
+        # k-induction (its partial payload closes the sat slot)
+        def undecided(model, max_k):
+            return {"verdict": "unknown", "definitive": False,
+                    "method": "kinduction", "k": max_k,
+                    "reason": "step-satisfiable",
+                    "evidence": "k-induction undecided at k=%d" % max_k}
 
-    def test_sat_check_json_reports_unknown_reason(self, capsys):
-        # an unfinished induction must explain itself in the run report
+        monkeypatch.setattr(tasks, "deadlock_kinduction", undecided)
         code = main(["sat-check", "handshake_arbiter_free_choice",
-                     "--property", "deadlock", "--induction",
-                     "--bound", "0", "--json"])
+                     "--property", "deadlock", "--bound", "3", "--json"])
         doc = json.loads(capsys.readouterr().out)
-        if doc["verdict"] == "unknown":
-            assert doc["details"]["reason"] in ("step-satisfiable",
-                                                "bound-reached")
-            assert code == 1
-        else:  # k=0 already decides this net: still a valid outcome
-            assert doc["verdict"] in ("proved", "refuted")
+        assert doc["verdict"] == "unknown"
+        assert doc["details"]["reason"] == "step-satisfiable"
+        assert code == 1
 
     def test_portfolio_race_span_counts_robustness(self):
         from repro import obs

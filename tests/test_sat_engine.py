@@ -290,7 +290,9 @@ def test_consistency_violation_found_and_replays():
 # ---------------------------------------------------------------------- #
 
 def test_build_reachability_graph_rejects_sat_engine():
-    with pytest.raises(ModelError, match="repro.sat.queries"):
+    # SAT answers queries (repro.portfolio, repro.sat.queries); it is
+    # not a graph builder
+    with pytest.raises(ModelError, match="unknown engine 'sat'"):
         build_reachability_graph(vme_read(), engine="sat")
 
 
