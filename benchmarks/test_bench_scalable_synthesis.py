@@ -15,7 +15,7 @@ reproduces the analytic cycle time exactly.
 import pytest
 
 from repro.boolmin import equivalent, parse_expr
-from repro.stg import muller_pipeline, pipeline_ring
+from repro.stg import muller_pipeline, pipeline_ring, sequencer
 from repro.synth import synthesize_gc
 from repro.timing import TimedMarkedGraph, cycle_time, simulate
 from repro.ts import build_state_graph
@@ -26,9 +26,13 @@ from repro.verify import verify_circuit
 # see EXPERIMENTS.md for the measured engine speedups (~8x warm / ~3-5x
 # cold on reachability, ~3x on the full synthesize+verify flow at n=8).
 SIZES = (2, 3, 4, 5, 6, 7, 8)
+# 10 and 12 are tractable since minimisation works from the OFF-set and
+# never lists the unreachable codes (EXPERIMENTS.md, "OFF-set
+# minimisation"); each takes seconds, so they are timed with one round
+LARGE_SIZES = (10, 12)
 
 
-@pytest.mark.parametrize("n", SIZES)
+@pytest.mark.parametrize("n", SIZES + LARGE_SIZES)
 def test_pipeline_synthesis_scales(benchmark, n):
     stg = muller_pipeline(n)
 
@@ -37,7 +41,10 @@ def test_pipeline_synthesis_scales(benchmark, n):
         report = verify_circuit(netlist, stg)
         return netlist, report
 
-    netlist, report = benchmark(flow)
+    if n in LARGE_SIZES:
+        netlist, report = benchmark.pedantic(flow, rounds=1, iterations=1)
+    else:
+        netlist, report = benchmark(flow)
     assert report.ok
     assert report.states == 2 ** (n + 1)
     for i in range(1, n):
@@ -65,6 +72,30 @@ def test_pipeline_size_table(benchmark):
     for (n1, s1, g1, l1), (n2, s2, g2, l2) in zip(rows, rows[1:]):
         assert s2 == 2 * s1
         assert g2 == g1 + 1
+
+
+def test_sequencer_sparse_code_space(benchmark):
+    """sequencer(16): 32 states among 2^16 codes.  With every don't-care
+    listed, gC synthesis of the smaller sequencer(12) took 78 s
+    (EXPERIMENTS.md); from the OFF-set this case takes well under a
+    second."""
+    n = 16
+    stg = sequencer(n)
+
+    def flow():
+        netlist = synthesize_gc(stg)
+        report = verify_circuit(netlist, stg)
+        return netlist, report
+
+    netlist, report = benchmark.pedantic(flow, rounds=1, iterations=1)
+    assert report.ok
+    assert report.states == 2 * n
+    assert netlist.literal_count() == 2 * n
+    assert equivalent(netlist.gates["x0"].set_expr,
+                      parse_expr("~x%d" % (n - 1)))
+    for i in range(1, n):
+        assert equivalent(netlist.gates["x%d" % i].set_expr,
+                          parse_expr("x%d" % (i - 1)))
 
 
 @pytest.mark.parametrize("n", (4, 8))

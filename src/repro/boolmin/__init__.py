@@ -1,5 +1,6 @@
-"""Two-level boolean minimization: cube algebra, Quine–McCluskey with
-Petrick covering, expression AST and parser (substrate for Section 3)."""
+"""Two-level boolean minimization: cube algebra, exact minimization from
+the ON- and OFF-sets with Petrick covering, hazard-free minimization,
+expression AST and parser (substrate for Section 3)."""
 
 from .cube import (
     Cube,
@@ -33,7 +34,6 @@ from .expr import (
     parse_expr,
 )
 from .quine_mccluskey import minimize, prime_implicants, verify_cover
-from .espresso import espresso
 from .hazardfree import (
     InputTransition,
     check_cover_hazard_free,
@@ -51,7 +51,6 @@ __all__ = [
     "all_assignments", "equivalent", "expr_to_cubes", "from_cubes",
     "parse_expr",
     "minimize", "prime_implicants", "verify_cover",
-    "espresso",
     "InputTransition", "check_cover_hazard_free", "dhf_prime_implicants",
     "is_dhf_implicant", "minimize_hazard_free",
 ]

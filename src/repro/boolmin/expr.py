@@ -346,12 +346,12 @@ def equivalent(a: BoolExpr, b: BoolExpr,
 
 
 def expr_to_cubes(expr: BoolExpr, names: Sequence[str]) -> List[Cube]:
-    """Exhaustive SOP extraction: one cube per satisfying assignment,
-    then a quick merge via Quine–McCluskey."""
+    """Exhaustive SOP extraction: evaluate every assignment, then minimise
+    the completely specified function."""
     from .quine_mccluskey import minimize
 
-    onset = []
+    onset: List[int] = []
+    offset: List[int] = []
     for i, env in enumerate(all_assignments(names)):
-        if expr.eval(env):
-            onset.append(i)
-    return minimize(onset, [], len(names))
+        (onset if expr.eval(env) else offset).append(i)
+    return minimize(onset, offset, len(names))

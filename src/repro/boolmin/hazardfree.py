@@ -41,9 +41,11 @@ from .cube import (
     cube_minterms,
     cubes_intersect,
     int_to_minterm,
+    literal_count,
     minterm_to_int,
 )
-from .quine_mccluskey import prime_implicants, _implicant_to_cube
+from .quine_mccluskey import (_implicant_to_cube, _select_cover,
+                              prime_implicants)
 
 
 Minterm = Tuple[int, ...]
@@ -136,14 +138,13 @@ def dhf_prime_implicants(transitions: Sequence[InputTransition],
                          n: int) -> List[Cube]:
     """All maximal dynamic-hazard-free implicants.
 
-    Ordinary primes of (ON, DC) are shrunk away from every violated
-    dynamic transition cube (one variable restriction per fixed literal of
-    the transition cube), recursively; maximal survivors are kept.
+    Ordinary primes (the maximal cubes disjoint from the OFF-set) are
+    shrunk away from every violated dynamic transition cube (one variable
+    restriction per fixed literal of the transition cube), recursively;
+    maximal survivors are kept.
     """
-    onset, offset = onset_offset(transitions, n)
-    dcset = set(range(1 << n)) - onset - offset
-    primes = [_implicant_to_cube(p, n)
-              for p in prime_implicants(sorted(onset), sorted(dcset), n)]
+    _, offset = onset_offset(transitions, n)
+    primes = [_implicant_to_cube(p, n) for p in prime_implicants(offset, n)]
 
     results: Set[Cube] = set()
     seen: Set[Cube] = set()
@@ -226,29 +227,8 @@ def minimize_hazard_free(transitions: Sequence[InputTransition],
                 % (payload,))
         table.append(covering)
 
-    # essential then Petrick (reusing the QM machinery's approach)
-    chosen: Set[int] = set()
-    for covering in table:
-        if len(covering) == 1:
-            chosen.add(next(iter(covering)))
-    remaining = {idx: covering for idx, covering in enumerate(table)
-                 if not (covering & chosen)}
-    if remaining:
-        from .quine_mccluskey import _greedy_cover, _petrick
-
-        chart = {idx: covering for idx, covering in remaining.items()}
-        solutions = _petrick(chart)
-        if solutions is None:
-            chosen |= _greedy_cover(chart)
-        else:
-            def cost(solution: Set[int]):
-                total = chosen | solution
-                literals = sum(
-                    sum(1 for v in candidates[i] if v is not None)
-                    for i in total)
-                return (len(total), literals, tuple(sorted(total)))
-
-            chosen |= min(solutions, key=cost)
+    chosen = _select_cover(dict(enumerate(table)),
+                           [literal_count(c) for c in candidates])
 
     cover = [candidates[i] for i in sorted(chosen)]
     problems = check_cover_hazard_free(cover, transitions)

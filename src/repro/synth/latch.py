@@ -7,7 +7,7 @@ functions:
 
 * the set function must cover ``ER(z+)`` and be 0 on ``OFF(z)``
   (= ``ER(z-) ∪ QR(z-)``); it is free on ``QR(z+)`` and on unreachable
-  codes;
+  codes, which the minimiser never lists;
 * dually for the reset function.
 
 This is the *monotonous cover* architecture of [1, 14]: if the chosen
@@ -22,7 +22,7 @@ from __future__ import annotations
 
 from typing import Dict, List, Optional, Sequence, Set, Tuple
 
-from ..errors import SynthesisError
+from ..errors import CSCError
 from ..boolmin.cube import Cube, cube_contains, minterm_to_int
 from ..boolmin.expr import BoolExpr, from_cubes
 from ..boolmin.quine_mccluskey import minimize
@@ -35,24 +35,31 @@ from .netlist import Gate, GateKind, Netlist
 def excitation_covers(sg: StateGraph, signal: str) -> Tuple[List[Cube], List[Cube]]:
     """Minimized set and reset covers for a signal.
 
+    The set cover is 1 on ``ER(z+)`` and 0 on ``ER(z-) ∪ QR(z-)``; the
+    reset cover is 1 on ``ER(z-)`` and 0 on ``ER(z+) ∪ QR(z+)``.  Codes of
+    no state are left free and never listed.  Raises :class:`CSCError`
+    when an ON code of either cover is also one of its OFF codes.
+
     Returns ``(set_cubes, reset_cubes)`` over ``sg.signal_order``.
     """
-    er_plus = {minterm_to_int(sg.code(s))
-               for s in sg.excitation_region(signal, RISE)}
-    er_minus = {minterm_to_int(sg.code(s))
-                for s in sg.excitation_region(signal, FALL)}
-    qr_plus = {minterm_to_int(sg.code(s))
-               for s in sg.quiescent_region(signal, RISE)}
-    qr_minus = {minterm_to_int(sg.code(s))
-                for s in sg.quiescent_region(signal, FALL)}
+    def codes(region) -> Set[int]:
+        return {minterm_to_int(sg.code(s)) for s in region}
+
+    er_plus = codes(sg.excitation_region(signal, RISE))
+    er_minus = codes(sg.excitation_region(signal, FALL))
+    set_off = er_minus | codes(sg.quiescent_region(signal, FALL))
+    reset_off = er_plus | codes(sg.quiescent_region(signal, RISE))
     n = len(sg.signal_order)
-    unreachable = set(range(1 << n)) - er_plus - er_minus - qr_plus - qr_minus
-    if er_plus & er_minus:
-        raise SynthesisError(
-            "signal %r is both rising and falling for the same code — "
-            "CSC violation" % signal)
-    set_cubes = minimize(sorted(er_plus), sorted(qr_plus | unreachable), n)
-    reset_cubes = minimize(sorted(er_minus), sorted(qr_minus | unreachable), n)
+    for onset, offset, cover in ((er_plus, set_off, "set"),
+                                 (er_minus, reset_off, "reset")):
+        clash = onset & offset
+        if clash:
+            raise CSCError(
+                "CSC conflict for signal %r: code %s is in both the ON-set"
+                " and the OFF-set of its %s cover"
+                % (signal, format(min(clash), "0%db" % n), cover))
+    set_cubes = minimize(sorted(er_plus), sorted(set_off), n)
+    reset_cubes = minimize(sorted(er_minus), sorted(reset_off), n)
     return set_cubes, reset_cubes
 
 

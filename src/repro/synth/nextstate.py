@@ -43,7 +43,9 @@ class NextStateFunction:
 
     @property
     def dcset(self) -> Set[int]:
-        """Codes not reachable in the SG (usable as don't-cares)."""
+        """Codes not reachable in the SG: the don't-cares of the Section
+        3.2 table.  Minimisation does not read this set; it takes the ON
+        and OFF codes and leaves every other code free."""
         universe = set(range(1 << self.width))
         return universe - self.onset - self.offset
 
@@ -57,8 +59,8 @@ class NextStateFunction:
         return None
 
     def minimized_cubes(self) -> List[Cube]:
-        """Minimal SOP cover (exploiting the don't-care set)."""
-        return minimize(sorted(self.onset), sorted(self.dcset), self.width)
+        """Minimal SOP cover (every code outside ON and OFF is free)."""
+        return minimize(sorted(self.onset), sorted(self.offset), self.width)
 
     def minimized_expr(self) -> BoolExpr:
         """Minimal SOP as a boolean expression over the signal names."""

@@ -44,6 +44,7 @@ class StateGraph:
         self.codes: Dict[State, Tuple[int, ...]] = {}
         self.initial_values: Dict[str, int] = {}
         self._enabled_events: Dict[State, List[SignalEvent]] = {}
+        self._regions: Optional[Dict[Tuple[str, str], Set[State]]] = None
         self._assign_codes()
 
     # ------------------------------------------------------------------ #
@@ -202,14 +203,16 @@ class StateGraph:
 
     def excitation_region(self, signal: str, direction: str) -> Set[State]:
         """``ER(z+)`` or ``ER(z-)``: states where a transition of the signal
-        in the given direction is enabled."""
-        result = set()
-        for state in self.ts.states:
-            for s, d in self.enabled_signals(state):
-                if s == signal and d == direction:
-                    result.add(state)
-                    break
-        return result
+        in the given direction is enabled (a fresh set per call)."""
+        if self._regions is None:
+            # one pass over the graph builds every region (memoized like
+            # the enabled events it is made of)
+            regions: Dict[Tuple[str, str], Set[State]] = {}
+            for state in self.ts.states:
+                for pair in self.enabled_signals(state):
+                    regions.setdefault(pair, set()).add(state)
+            self._regions = regions
+        return set(self._regions.get((signal, direction), ()))
 
     def quiescent_region(self, signal: str, direction: str) -> Set[State]:
         """``QR(z+)``: states where z is stable 1 (``QR(z-)``: stable 0)."""

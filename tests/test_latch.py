@@ -1,10 +1,21 @@
 """Latch-based synthesis: gC / RS architectures and monotonous covers
 (paper Sections 3.2-3.4, Figure 8)."""
 
+import re
+
 import pytest
 
 from repro.boolmin import cube_contains, minterm_to_int
-from repro.stg import RISE, FALL, latch_controller, vme_read_csc
+from repro.errors import CSCError
+from repro.stg import (
+    FALL,
+    RISE,
+    concurrent_latch_controller,
+    latch_controller,
+    vme_read,
+    vme_read_csc,
+    vme_read_write,
+)
 from repro.synth import (
     check_monotonous_cover,
     excitation_covers,
@@ -15,7 +26,6 @@ from repro.synth import (
 from repro.synth.netlist import GateKind
 from repro.ts import build_state_graph
 from repro.verify import verify_circuit
-from repro.stg import vme_read
 
 
 @pytest.fixture
@@ -93,3 +103,26 @@ class TestArchitectures:
         netlist = synthesize_gc(stg)
         report = verify_circuit(netlist, stg)
         assert report.ok, report.summary()
+
+
+class TestCSCViolations:
+    """Specs without CSC have no latch covers: some code is in a cover's
+    ON-set and in its OFF-set, and synthesis must say so instead of
+    returning a circuit that does not verify."""
+
+    @pytest.mark.parametrize("arch", (synthesize_gc, synthesize_sr),
+                             ids=("gc", "sr"))
+    @pytest.mark.parametrize("spec", (vme_read, vme_read_write,
+                                      concurrent_latch_controller),
+                             ids=lambda f: f.__name__)
+    def test_latch_synthesis_raises_csc_error(self, arch, spec):
+        with pytest.raises(CSCError, match="CSC conflict for signal"):
+            arch(spec())
+
+    def test_error_names_signal_and_code(self):
+        sg = build_state_graph(vme_read())
+        with pytest.raises(CSCError) as info:
+            for signal in sg.stg.noninput_signals:
+                excitation_covers(sg, signal)
+        assert re.search(r"signal '\w+': code [01]{%d} "
+                         % len(sg.signal_order), str(info.value))
