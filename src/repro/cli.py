@@ -372,9 +372,14 @@ def cmd_check(args) -> int:
     """Portfolio model checking: race the engines, cross-validate the
     winner (see ``docs/portfolio.md``).  Without ``--portfolio`` or
     ``--engines`` only the first scheduled slot able to prove the
-    property runs, in-process."""
+    property runs, in-process unless ``--deadline`` asks for a worker
+    process that can be stopped; ``--inline`` with ``--deadline`` is a
+    usage error, since nothing stops an in-process rung."""
     from .portfolio import tasks
 
+    if args.inline and args.deadline is not None:
+        raise ReproError("--deadline needs worker processes; it cannot be"
+                         " combined with --inline")
     stg = _load(args.spec)
     options = {"cross_validate": not args.no_validate, "inline": args.inline}
     for flag, option in (("deadline", "deadline_s"), ("bound", "bound"),
@@ -389,7 +394,7 @@ def cmd_check(args) -> int:
     elif not args.portfolio:
         options["engines"] = [tasks.single_slot(stg, args.query,
                                                 args.cover)]
-        options["inline"] = True
+        options["inline"] = args.deadline is None
     return _query(args, "check", stg, args.query, options)
 
 
@@ -749,7 +754,8 @@ def build_parser() -> argparse.ArgumentParser:
                    help="reach: cover query (only marked places"
                         " constrained)")
     p.add_argument("--deadline", type=float, metavar="SECONDS",
-                   help="per-worker wall-clock deadline")
+                   help="per-worker wall-clock deadline (runs even the"
+                        " single slot in a worker process)")
     p.add_argument("--bound", type=int,
                    help="BMC depth for bounded ladder rungs")
     p.add_argument("--max-k", type=int, dest="max_k",

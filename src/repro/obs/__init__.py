@@ -20,9 +20,9 @@ the library's zero-dependency rule or its performance:
   for trace lines, the CLI's ``--json`` run reports, benchmark
   artifacts and the committed benchmark baseline;
 * **remote** (:mod:`repro.obs.remote`) — cross-process propagation:
-  portfolio workers stream their span trees over the result pipe and
-  beat a heartbeat side channel; the supervisor merges both into the
-  parent trace under the owning ``portfolio.race`` span;
+  traced portfolio workers stream their span trees and heartbeats over
+  the result pipe; the supervisor merges them into the parent trace
+  under the owning ``portfolio.race`` span;
 * **analysis** (:mod:`repro.obs.analyze`) — the ``repro obs`` CLI
   family: span-tree reports (a text flamegraph), trace diffs, and
   noise-aware benchmark regression checks against

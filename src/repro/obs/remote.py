@@ -6,20 +6,20 @@ inside the child die with it — a ``portfolio.race`` trace shows the
 race outcome with a black hole where the engine work happened.  This
 module closes that hole from both ends of the pipe:
 
-**Worker side** — :class:`worker_telemetry` arms a forked child: it
-drops the telemetry state inherited from the parent (span stack and
-sinks — including any open ``--trace`` file descriptor, which the
-parent still owns), attaches a :class:`PipeSink` that streams every
-completed span over the existing result pipe as it closes (one message
-per record, so a killed worker loses nothing already sent), and opens a
-root ``worker.task`` span tagged with the task's slot / engine / method
-/ attempt.  A :class:`HeartbeatThread` concurrently emits periodic
-``heartbeat`` events over a dedicated side channel, each carrying a
-live progress sample from the innermost engine
+**Worker side** — when tracing is armed, :class:`worker_telemetry`
+drops the telemetry state the forked child inherited from the parent
+(span stack and sinks — including any open ``--trace`` file descriptor,
+which the parent still owns), attaches a :class:`PipeSink` that streams
+every completed span over the existing result pipe as it closes (one
+message per record, so a killed worker loses nothing already sent), and
+opens a root ``worker.task`` span tagged with the task's slot / engine
+/ method / attempt.  A :class:`HeartbeatThread` hands a ``heartbeat``
+event to the same sink every :data:`HEARTBEAT_S`, each carrying a live
+progress sample from the innermost engine
 (:func:`repro.obs.core.sample_progress` — SAT conflicts/decisions, BDD
-node counts, explicit states explored).  Heartbeats flow even when
-tracing is disabled: the supervisor's stall detector needs the liveness
-signal unconditionally.
+node counts, explicit states explored).  Heartbeats are trace records
+only: an untraced worker starts no thread, and nothing stops a worker
+for a missing beat — its deadline is the only stop.
 
 **Parent side** — :func:`merge_worker_record` re-bases each received
 record under the owning span (normally ``portfolio.race``): fresh
@@ -27,9 +27,9 @@ record under the owning span (normally ``portfolio.race``): fresh
 tags, then dispatches it to the parent's sinks immediately — partial
 traces are flushed line-by-line, never lost wholesale.  For workers the
 parent stops before they can report their root span (cancelled losers,
-deadline overruns, crashes, stalls), :func:`synthesize_task_record`
-emits the ``worker.task`` record from the parent's own observations, so
-every second a worker process ran is attributed in the merged trace.
+deadline overruns, crashes), :func:`synthesize_task_record` emits the
+``worker.task`` record from the parent's own observations, so every
+second a worker process ran is attributed in the merged trace.
 
 Record timestamps need no translation: workers are forked, so the child
 inherits the parent's trace origin, and ``perf_counter`` is
@@ -50,45 +50,37 @@ from .schema import TRACE_SCHEMA
 #: Span name of the root span each worker opens around its task.
 TASK_SPAN = "worker.task"
 
-#: Event/span name of the periodic liveness records workers emit.
+#: Event/span name of the periodic progress records traced workers emit.
 HEARTBEAT_NAME = "worker.heartbeat"
 
-#: Default interval between heartbeats (seconds); 0 disables the thread.
-DEFAULT_HEARTBEAT_S = 0.25
-
-# set by the "stall" fault action: the heartbeat thread goes silent
-# while the flag is up, simulating a hung worker for the stall detector
-_suppressed = threading.Event()
-
-
-def suppress_heartbeats() -> None:
-    """Silence this process's heartbeat thread (the ``stall`` fault)."""
-    _suppressed.set()
-
-
-def resume_heartbeats() -> None:
-    """Let heartbeats flow again after :func:`suppress_heartbeats`."""
-    _suppressed.clear()
+#: Interval between heartbeats (seconds), read as each heartbeat thread
+#: starts.
+HEARTBEAT_S = 0.25
 
 
 class PipeSink:
     """A sink that streams records over a multiprocessing Connection.
 
-    Each completed span becomes one ``("span", record)`` message — the
-    pipe is the line-buffered trace, so everything sent before a kill
-    survives in the parent.  Send failures are swallowed: a worker whose
+    Each record — a completed span or a heartbeat event — becomes one
+    ``("span", record)`` message: the pipe is the line-buffered trace, so
+    everything sent before a kill survives in the parent.  Sends are
+    serialised by a lock, because the heartbeat thread and the task's
+    thread share the sink and a large record is written to the pipe in
+    more than one piece.  Send failures are swallowed: a worker whose
     parent vanished must still run its task to completion.
     """
 
     def __init__(self, conn: Any):
         self._conn = conn
+        self._lock = threading.Lock()
 
     def handle(self, record: Dict[str, Any]) -> None:
         """Ship one record to the parent (best effort)."""
-        try:
-            self._conn.send(("span", record))
-        except Exception:
-            pass
+        with self._lock:
+            try:
+                self._conn.send(("span", record))
+            except Exception:
+                pass
 
     def __repr__(self):
         return "PipeSink(%r)" % (self._conn,)
@@ -119,44 +111,27 @@ def heartbeat_record(tags: Dict[str, Any]) -> Dict[str, Any]:
 
 
 class HeartbeatThread(threading.Thread):
-    """Daemon thread beating ``("heartbeat", record)`` down a pipe.
+    """Daemon thread handing a heartbeat record to ``sink`` every
+    :data:`HEARTBEAT_S` — once immediately, then until :meth:`stop`."""
 
-    Beats once immediately (so the supervisor's stall clock starts from
-    a real signal, not from process launch) and then every ``interval_s``
-    until :meth:`stop` — unless :func:`suppress_heartbeats` is in force,
-    in which case beats are skipped while the timer keeps running.
-    """
-
-    def __init__(self, conn: Any, tags: Dict[str, Any],
-                 interval_s: float = DEFAULT_HEARTBEAT_S):
+    def __init__(self, sink: Any, tags: Dict[str, Any]):
         super().__init__(name="repro-heartbeat", daemon=True)
-        self._conn = conn
+        self._sink = sink
         self._tags = dict(tags, pid=os.getpid())
-        self._interval_s = interval_s
         self._halt = threading.Event()
 
-    def beat(self) -> bool:
-        """Send one heartbeat now; False once the pipe is gone."""
-        try:
-            self._conn.send(("heartbeat", heartbeat_record(self._tags)))
-            return True
-        except Exception:
-            return False
-
     def run(self) -> None:
-        """Beat until stopped, the pipe dies, or suppression blocks us."""
-        while not self._halt.is_set():
-            if not _suppressed.is_set():
-                if not self.beat():
-                    return
-            if self._halt.wait(self._interval_s):
+        """Beat until stopped."""
+        interval_s = HEARTBEAT_S
+        while True:
+            self._sink.handle(heartbeat_record(self._tags))
+            if self._halt.wait(interval_s):
                 return
 
-    def stop(self, join_s: float = 1.0) -> None:
-        """Ask the thread to exit and join it briefly."""
+    def stop(self) -> None:
+        """Ask the thread to exit and wait until it has."""
         self._halt.set()
-        if self.is_alive():
-            self.join(join_s)
+        self.join()
 
 
 class worker_telemetry:
@@ -164,29 +139,24 @@ class worker_telemetry:
 
     Used by the worker wrapper around the task body::
 
-        with remote.worker_telemetry(conn, hb_conn, slot="sat",
-                                     engine="sat", method="bmc",
-                                     attempt=0) as telemetry:
+        with remote.worker_telemetry(conn, slot="sat", engine="sat",
+                                     method="bmc", attempt=0) as telemetry:
             payload = run_the_task()
             telemetry.annotate(outcome="ok")
 
-    On entry: clears heartbeat suppression inherited across fork, starts
-    the :class:`HeartbeatThread` on the side channel (always — liveness
-    is not optional), and, when tracing is armed, resets the inherited
-    span stack/sinks, installs a :class:`PipeSink` on the result pipe
-    and opens the root :data:`TASK_SPAN` span.  On exit: closes the span
-    (its record is the last span message the parent receives before the
-    final result) and stops the heartbeat.
+    A no-op unless tracing is armed.  Then, on entry, it resets the
+    inherited span stack/sinks, installs a :class:`PipeSink` on the
+    result pipe, opens the root :data:`TASK_SPAN` span and starts the
+    :class:`HeartbeatThread` on the same sink.  On exit it stops the
+    thread, then closes the span, whose record is the last message the
+    parent receives before the final result.
     """
 
-    def __init__(self, conn: Any, hb_conn: Optional[Any], *, slot: str,
-                 engine: str, method: str, attempt: int,
-                 heartbeat_s: float = DEFAULT_HEARTBEAT_S):
+    def __init__(self, conn: Any, *, slot: str, engine: str, method: str,
+                 attempt: int):
         self._conn = conn
-        self._hb_conn = hb_conn
         self._tags = {"slot": slot, "engine": engine, "method": method,
                       "attempt": attempt}
-        self._heartbeat_s = heartbeat_s
         self._beat: Optional[HeartbeatThread] = None
         self._sink: Optional[PipeSink] = None
         self.span: Optional[core.Span] = None
@@ -197,11 +167,6 @@ class worker_telemetry:
             self.span.annotate(**tags)
 
     def __enter__(self) -> "worker_telemetry":
-        resume_heartbeats()
-        if self._hb_conn is not None and self._heartbeat_s > 0:
-            self._beat = HeartbeatThread(self._hb_conn, self._tags,
-                                         self._heartbeat_s)
-            self._beat.start()
         if core.enabled():
             # the fork copied the parent's telemetry state; none of it is
             # ours to keep — the parent still owns its sinks (and any
@@ -212,18 +177,20 @@ class worker_telemetry:
             self._sink = core.add_sink(PipeSink(self._conn))
             self.span = core.Span(TASK_SPAN, **self._tags)
             self.span.__enter__()
+            self._beat = HeartbeatThread(self._sink, self._tags)
+            self._beat.start()
         return self
 
     def __exit__(self, exc_type, exc, tb) -> None:
+        if self._beat is not None:
+            self._beat.stop()
+            self._beat = None
         if self.span is not None:
             self.span.__exit__(exc_type, exc, tb)
             self.span = None
         if self._sink is not None:
             core.remove_sink(self._sink)
             self._sink = None
-        if self._beat is not None:
-            self._beat.stop()
-            self._beat = None
         return None
 
 
@@ -260,10 +227,10 @@ def synthesize_task_record(*, started_at: float, stopped_at: float,
     """Emit a ``worker.task`` record for a worker that never reported.
 
     The parent observed the worker's lifetime even if the child was
-    killed, stalled or cancelled before its root span could close; this
-    converts that observation (``perf_counter`` start/stop instants)
-    into a trace record attributed like the real thing, tagged with the
-    ``outcome`` ("cancelled", "timeout", "crash", "stall") and
+    killed or cancelled before its root span could close; this converts
+    that observation (``perf_counter`` start/stop instants) into a trace
+    record attributed like the real thing, tagged with the ``outcome``
+    ("cancelled", "timeout", "crash") and
     ``synthetic: True``.  Returns the merged record.
     """
     record: Dict[str, Any] = {

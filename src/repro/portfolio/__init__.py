@@ -18,7 +18,7 @@ Layers, bottom up:
   property holds), the slot schedule, and the normalised picklable
   runners with one verdict vocabulary per query;
 * :mod:`repro.portfolio.faults` — deterministic, seedable fault
-  injection (``REPRO_FAULTS``) that can kill, stall or poison any
+  injection (``REPRO_FAULTS``) that can kill, delay or poison any
   worker, so the recovery machinery is itself testable;
 * :mod:`repro.portfolio.workers` — the supervisor: :func:`race` (worker
   processes, or in-process with ``inline=True``), :class:`TaskSpec`,

@@ -12,11 +12,7 @@ engine worker misbehave on demand:
   an :class:`~repro.errors.EngineTimeoutError` and degrades the slot to
   the next-cheaper engine;
 * ``raise`` — the worker raises :class:`InjectedFault` mid-run: the
-  supervisor records the error and retries;
-* ``stall`` — the worker's heartbeat goes silent
-  (:func:`repro.obs.remote.suppress_heartbeats`) while the task sleeps:
-  the supervisor's stall detector fires well before the hard deadline
-  and degrades the slot.
+  supervisor records the error and retries.
 
 Faults are described by *rules* that match a task's slot name, engine,
 method and attempt index, installed either programmatically
@@ -46,9 +42,11 @@ import zlib
 from dataclasses import dataclass
 from typing import List, Optional, Sequence, Union
 
+from ..errors import ReproError
+
 ENV_VAR = "REPRO_FAULTS"
 
-ACTIONS = ("kill", "delay", "raise", "stall")
+ACTIONS = ("kill", "delay", "raise")
 
 #: Exit code used by the ``kill`` action (distinctive in ps output and
 #: in :class:`~repro.errors.WorkerCrashError.exitcode`).
@@ -64,8 +62,9 @@ class InjectedFault(RuntimeError):
     """
 
 
-class FaultSyntaxError(ValueError):
-    """Raised by :func:`parse` for an unparseable rule string."""
+class FaultSyntaxError(ReproError, ValueError):
+    """Raised by :func:`parse` for an unparseable rule string (a usage
+    error: the CLI reports it as ``error: ...`` with exit code 2)."""
 
 
 @dataclass
@@ -113,7 +112,7 @@ class FaultRule:
         if self.p < 1.0:
             pairs.append("p=%g" % self.p)
             pairs.append("seed=%d" % self.seed)
-        if self.action in ("delay", "stall"):
+        if self.action == "delay":
             pairs.append("seconds=%g" % self.seconds)
         return self.action + (":" + ",".join(pairs) if pairs else "")
 
@@ -214,7 +213,7 @@ def fire(slot: str, engine: str, method: str, attempt: int,
     (``inline=False``) the actions are literal: ``kill`` exits the
     process, ``delay`` sleeps, ``raise`` raises.  Under the inline
     (process-free) execution mode ``kill`` and ``delay`` cannot take
-    down or stall the caller's process, so they are translated into the
+    down or hold up the caller's process, so they are translated into the
     errors the supervisor would have classified them as —
     :class:`~repro.errors.WorkerCrashError` and
     :class:`~repro.errors.EngineTimeoutError` — keeping the degradation
@@ -239,16 +238,6 @@ def fire(slot: str, engine: str, method: str, attempt: int,
                     task=slot, deadline_s=rule.seconds)
             time.sleep(rule.seconds)
             return "delay"
-        if rule.action == "stall":
-            if inline:
-                from ..errors import EngineTimeoutError
-                raise EngineTimeoutError(
-                    "injected stall of %s (inline mode)" % slot,
-                    task=slot, deadline_s=rule.seconds)
-            from ..obs import remote
-            remote.suppress_heartbeats()
-            time.sleep(rule.seconds)
-            return "stall"
         raise InjectedFault(
             "injected fault in %s (%s/%s, attempt %d)"
             % (slot, engine, method, attempt))

@@ -36,10 +36,10 @@ forking is unwanted.
 
 Telemetry: each race runs under a ``portfolio.race`` span carrying the
 query, the slot schedule, the robustness counters (``attempts``,
-``retries``, ``timeouts``, ``stalls``, ``crashes``, ``errors``,
-``degradations``, ``cancellations``) and the final verdict.  In process
-mode the workers' own span trees and heartbeat events stream back over
-their pipes and are merged under the ``portfolio.race`` span with
+``retries``, ``timeouts``, ``crashes``, ``errors``, ``degradations``,
+``cancellations``) and the final verdict.  In process mode the workers'
+own span trees and heartbeat events stream back over their result pipes
+and are merged under the ``portfolio.race`` span with
 slot/engine/attempt attribution (:mod:`repro.obs.remote`), so a
 ``--trace`` file attributes the race's wall-clock to named worker-side
 engine spans.
@@ -56,7 +56,6 @@ from ..errors import ModelError, StateExplosionError, UnboundedError
 from ..petri.marking import Marking
 from ..petri.net import PetriNet
 from ..petri.token_game import enabled_transitions, fire_sequence
-from ..obs.remote import DEFAULT_HEARTBEAT_S
 from ..stg.stg import STG
 from . import tasks
 from .workers import (DEFAULT_DEADLINE_S, RaceResult, TaskOutcome, TaskSpec,
@@ -117,8 +116,7 @@ def _net_of(model: Model) -> PetriNet:
 
 
 def _ladders(model: Model, query: str, engines: Sequence[str],
-             options: dict, deadline_s: float,
-             heartbeat_s: float) -> Dict[str, List[TaskSpec]]:
+             options: dict, deadline_s: float) -> Dict[str, List[TaskSpec]]:
     """One degradation ladder of tasks per slot, read off the method
     table (:func:`repro.portfolio.tasks.ladders`)."""
     ladders: Dict[str, List[TaskSpec]] = {}
@@ -129,8 +127,7 @@ def _ladders(model: Model, query: str, engines: Sequence[str],
             fn, kwargs = tasks.bind(query, method, model, options)
             ladders[slot].append(TaskSpec(
                 slot=slot, engine=tasks.engine_of(method, entry),
-                method=method, fn=fn, kwargs=kwargs, deadline_s=deadline_s,
-                heartbeat_s=heartbeat_s))
+                method=method, fn=fn, kwargs=kwargs, deadline_s=deadline_s))
     return ladders
 
 
@@ -240,14 +237,13 @@ def _check(model: Model, query: str, *,
            inline: bool = False,
            cross_validate: bool = True,
            target: Optional[Dict[str, int]] = None,
-           cover: bool = False,
-           heartbeat_s: float = DEFAULT_HEARTBEAT_S) -> Verdict:
+           cover: bool = False) -> Verdict:
     # what the runners may read (tasks.bind passes each only its own)
     options = {"max_states": max_states, "max_k": max_k, "bound": bound}
     if target is not None:
         options.update(target=target, cover=cover)
     ladders = _ladders(model, query, engines or tasks.schedule(model),
-                       options, deadline_s, heartbeat_s)
+                       options, deadline_s)
     with obs.span("portfolio.race", query=query,
                   slots=",".join(ladders),
                   mode="inline" if inline else "process") as span:
@@ -305,7 +301,7 @@ def check_deadlock(model: Model, **options) -> Verdict:
     ``"deadlock-free"``, ``"unknown"`` or ``"inconsistent"`` (truthy
     exactly when deadlock freedom was established).  Options —
     ``engines`` (slot override), ``max_states``, ``max_k``, ``bound``,
-    ``deadline_s``, ``heartbeat_s``, ``inline``, ``cross_validate`` —
+    ``deadline_s``, ``inline``, ``cross_validate`` —
     are shared by all four checks, see :func:`_check`.
     """
     return _check(model, "deadlock", **options)

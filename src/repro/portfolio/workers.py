@@ -16,22 +16,20 @@ engineered to survive every way a worker can misbehave:
   degrades the slot immediately (retrying a deterministic blow-up is
   wasted work);
 * **any other exception** — retried with backoff (it may be an
-  injected or transient fault), then degraded;
-* **stall** — every worker beats a heartbeat side channel
-  (:mod:`repro.obs.remote`) on a fixed interval; a worker silent for
-  :data:`STALL_FACTOR` × that interval is treated as hung *before* its
-  hard deadline, classified as an
-  :class:`~repro.errors.EngineTimeoutError` and degraded like a
-  timeout.
+  injected or transient fault), then degraded.
+
+The deadline is the only way a worker is stopped early: a hung worker
+(a spinning loop, a blocking call) is classified when its deadline
+passes, like any other overrun.
 
 Telemetry crosses the process boundary with the results: when tracing
-is armed, each worker streams its span records over the result pipe as
-they close and the supervisor merges them under the ambient
+is armed, each worker streams its span records and heartbeat events
+over the result pipe and the supervisor merges them under the ambient
 ``portfolio.race`` span with slot/engine/attempt attribution
 (:func:`repro.obs.remote.merge_worker_record`).  Workers the supervisor
 stops before they can report — cancelled losers, deadline overruns,
-crashes, stalls — get their ``worker.task`` interval synthesized from
-the parent's own clock, so the merged trace attributes every second a
+crashes — get their ``worker.task`` interval synthesized from the
+parent's own clock, so the merged trace attributes every second a
 child process ran.
 
 The race ends at the **first definitive verdict**: every other live
@@ -52,8 +50,8 @@ engines themselves.
 without child processes: each rung runs in the caller's process, one
 slot at a time in schedule order, and its result or exception is
 classified exactly as a worker's report would be.  There is no deadline
-to enforce and no heartbeat to watch; injected faults arrive
-pre-translated (:func:`repro.portfolio.faults.fire`).
+to enforce; injected faults arrive pre-translated
+(:func:`repro.portfolio.faults.fire`).
 """
 
 from __future__ import annotations
@@ -77,14 +75,6 @@ DEFAULT_MAX_ATTEMPTS = 3
 #: First retry backoff; doubles per attempt, capped at BACKOFF_CAP_S.
 BACKOFF_BASE_S = 0.05
 BACKOFF_CAP_S = 2.0
-
-#: A worker silent for this many heartbeat intervals is declared hung.
-#: Generous on purpose: a healthy worker beats every interval, so the
-#: detector only fires after ~20 consecutive missed beats (5 s at the
-#: default interval) — beyond scheduler jitter on a loaded CI runner
-#: and beyond the GC pauses a heavy engine run can inflict on the
-#: beating thread, yet still far ahead of the 60 s hard deadline.
-STALL_FACTOR = 20.0
 
 
 def _context():
@@ -112,9 +102,6 @@ class TaskSpec:
     kwargs: dict = field(default_factory=dict)
     deadline_s: float = DEFAULT_DEADLINE_S
     max_attempts: int = DEFAULT_MAX_ATTEMPTS
-    #: Interval between worker heartbeats; 0 disables the side channel
-    #: (and with it the stall detector) for this task.
-    heartbeat_s: float = remote.DEFAULT_HEARTBEAT_S
 
     def label(self) -> str:
         """Short ``slot:engine/method`` identifier for messages."""
@@ -126,8 +113,7 @@ class TaskOutcome:
     """The classified result of one ladder rung (possibly after retries).
 
     ``status`` is one of ``"ok"`` (definitive payload), ``"partial"``
-    (payload with ``definitive: False``), ``"timeout"``, ``"stall"``
-    (hung per the heartbeat detector), ``"crash"`` or
+    (payload with ``definitive: False``), ``"timeout"``, ``"crash"`` or
     ``"error"``; ``error`` carries the classified exception
     (:class:`~repro.errors.EngineTimeoutError`,
     :class:`~repro.errors.WorkerCrashError`, a reconstructed engine
@@ -149,8 +135,7 @@ class RaceResult:
     ``winner`` is the first definitive outcome (or None), ``outcomes``
     every classified rung in completion order, and ``stats`` the
     robustness counters (``attempts``, ``retries``, ``timeouts``,
-    ``stalls``, ``crashes``, ``errors``, ``degradations``,
-    ``cancellations``).
+    ``crashes``, ``errors``, ``degradations``, ``cancellations``).
     """
 
     winner: Optional[TaskOutcome]
@@ -166,19 +151,19 @@ def _error_attrs(exc: BaseException) -> dict:
     return {}
 
 
-def _worker_main(conn, hb_conn, spec: TaskSpec, attempt: int) -> None:
+def _worker_main(conn, spec: TaskSpec, attempt: int) -> None:
     """Child entry point: arm telemetry, fire faults, run, report, exit.
 
-    The telemetry context streams span records over ``conn`` while the
-    task runs and beats ``hb_conn`` from a daemon thread; it is closed
+    When tracing is armed, the telemetry context streams span records
+    and heartbeats over ``conn`` while the task runs; it is closed
     *before* the final result message, so the parent receives the
     worker's complete span tree ahead of the verdict that settles the
     slot.
     """
     final = None
     telemetry = remote.worker_telemetry(
-        conn, hb_conn, slot=spec.slot, engine=spec.engine,
-        method=spec.method, attempt=attempt, heartbeat_s=spec.heartbeat_s)
+        conn, slot=spec.slot, engine=spec.engine, method=spec.method,
+        attempt=attempt)
     with telemetry:
         try:
             faults.fire(spec.slot, spec.engine, spec.method, attempt)
@@ -195,8 +180,6 @@ def _worker_main(conn, hb_conn, spec: TaskSpec, attempt: int) -> None:
         pass  # pipe gone: the parent will classify this as a crash
     finally:
         conn.close()
-        if hb_conn is not None:
-            hb_conn.close()
 
 
 def _rebuild_error(name: str, message: str, attrs: dict) -> BaseException:
@@ -221,45 +204,29 @@ def _rebuild_error(name: str, message: str, attrs: dict) -> BaseException:
 class _Worker:
     """One live child process plus its parent-side bookkeeping."""
 
-    __slots__ = ("spec", "attempt", "process", "conn", "hb_conn",
-                 "started_at", "deadline_at", "last_beat", "hb_eof",
-                 "root_reported")
+    __slots__ = ("spec", "attempt", "process", "conn", "started_at",
+                 "deadline_at", "root_reported")
 
     def __init__(self, ctx, spec: TaskSpec, attempt: int):
         self.spec = spec
         self.attempt = attempt
-        parent_conn, child_conn = ctx.Pipe(duplex=False)
-        hb_parent, hb_child = ctx.Pipe(duplex=False)
-        self.conn = parent_conn
-        self.hb_conn = hb_parent
+        self.conn, child_conn = ctx.Pipe(duplex=False)
         self.process = ctx.Process(
-            target=_worker_main,
-            args=(child_conn, hb_child, spec, attempt), daemon=True)
+            target=_worker_main, args=(child_conn, spec, attempt),
+            daemon=True)
         # stamp before the fork so the synthetic span of a worker that
         # never reports covers the process-start latency it caused
         self.started_at = time.perf_counter()
         self.process.start()
-        child_conn.close()  # the parent keeps only the read ends
-        hb_child.close()
+        child_conn.close()  # the parent keeps only the read end
         self.deadline_at = self.started_at + spec.deadline_s
-        # the stall clock starts at launch; the first real beat arrives
-        # as soon as the child's heartbeat thread spins up
-        self.last_beat = self.started_at
-        self.hb_eof = spec.heartbeat_s <= 0
         self.root_reported = False
 
     def elapsed(self) -> float:
         return time.perf_counter() - self.started_at
 
-    def stall_at(self) -> Optional[float]:
-        """Instant at which this worker counts as hung, or None when the
-        stall detector is off for its task."""
-        if self.spec.heartbeat_s <= 0:
-            return None
-        return self.last_beat + self.spec.heartbeat_s * STALL_FACTOR
-
     def reap(self, timeout: float = 5.0) -> None:
-        """Join the child, escalating terminate → kill; close the pipes."""
+        """Join the child, escalating terminate → kill; close the pipe."""
         if self.process.is_alive():
             self.process.terminate()
             self.process.join(timeout)
@@ -269,7 +236,6 @@ class _Worker:
         else:
             self.process.join(timeout)
         self.conn.close()
-        self.hb_conn.close()
 
 
 class _Slot:
@@ -315,7 +281,7 @@ def _run_inline(spec: TaskSpec, attempt: int) -> TaskOutcome:
         faults.fire(spec.slot, spec.engine, spec.method, attempt, inline=True)
         payload = spec.fn(**spec.kwargs)
         status = "ok" if payload.get("definitive") else "partial"
-    except EngineTimeoutError as exc:  # an injected delay or stall
+    except EngineTimeoutError as exc:  # an injected delay
         status, error = "timeout", exc
     except WorkerCrashError as exc:  # an injected kill
         status, error = "crash", exc
@@ -326,21 +292,18 @@ def _run_inline(spec: TaskSpec, attempt: int) -> TaskOutcome:
                        elapsed_s=time.perf_counter() - started)
 
 
-def race(ladders: Dict[str, Sequence[TaskSpec]], inline: bool = False,
-         backoff_base_s: float = BACKOFF_BASE_S,
-         backoff_cap_s: float = BACKOFF_CAP_S) -> RaceResult:
+def race(ladders: Dict[str, Sequence[TaskSpec]],
+         inline: bool = False) -> RaceResult:
     """Race the ladders' head rungs; first definitive verdict wins.
 
     ``ladders`` maps slot names to degradation ladders (most-informative
     rung first, cheapest last).  The supervision loop enforces each
-    rung's deadline, watches the heartbeat side channel (a worker silent
-    for :data:`STALL_FACTOR` heartbeat intervals is treated as hung and
-    degraded before its deadline), retries crashes and unclassified
-    errors with exponential backoff, degrades on timeout / stall / state
-    explosion / exhausted retries, and cancels every loser the moment a
-    worker reports a definitive payload.  Robustness counters are also
+    rung's deadline, retries crashes and unclassified errors with
+    exponential backoff, degrades on timeout / state explosion /
+    exhausted retries, and cancels every loser the moment a worker
+    reports a definitive payload.  Robustness counters are also
     forwarded to the ambient :mod:`repro.obs` span (``attempts``,
-    ``retries``, ``timeouts``, ``stalls``, ``crashes``,
+    ``retries``, ``timeouts``, ``crashes``, ``errors``,
     ``degradations``, ``cancellations``) when telemetry is armed — and
     each worker's span records and heartbeats are merged into the
     parent trace as they stream in (:mod:`repro.obs.remote`).
@@ -349,17 +312,19 @@ def race(ladders: Dict[str, Sequence[TaskSpec]], inline: bool = False,
     at a time in ``ladders`` order, through the same retry / degrade /
     settle logic (see the module docstring).
 
+    The fault plan is parsed before any rung runs, so a malformed one
+    raises :class:`~repro.portfolio.faults.FaultSyntaxError` here.
     Never raises on worker misbehaviour — a race with no surviving
     definitive rung returns ``winner=None`` plus the partial evidence.
     Guarantees no child process outlives the call.
     """
+    faults.active_rules()  # a malformed plan fails the call, not each rung
     ctx = _context()
     started = time.perf_counter()
     slots = [_Slot(name, ladder) for name, ladder in ladders.items()]
     outcomes: List[TaskOutcome] = []
-    stats = {"attempts": 0, "retries": 0, "timeouts": 0, "stalls": 0,
-             "crashes": 0, "errors": 0, "degradations": 0,
-             "cancellations": 0}
+    stats = {"attempts": 0, "retries": 0, "timeouts": 0, "crashes": 0,
+             "errors": 0, "degradations": 0, "cancellations": 0}
     winner: Optional[TaskOutcome] = None
 
     def count(key: str, n: int = 1) -> None:
@@ -374,32 +339,28 @@ def race(ladders: Dict[str, Sequence[TaskSpec]], inline: bool = False,
         else:
             slot.worker = _Worker(ctx, slot.spec, slot.attempt)
 
-    def handle_telemetry(worker: _Worker, message) -> None:
-        """Absorb one ("span"/"heartbeat", record) worker message."""
-        kind, record = message[0], message[1]
-        worker.last_beat = time.perf_counter()  # any message is liveness
-        if kind == "span" and (record.get("parent") is None
-                               or record.get("name") == remote.TASK_SPAN):
+    def handle_telemetry(worker: _Worker, record: dict) -> None:
+        """Absorb one streamed trace record (a span or a heartbeat)."""
+        if record.get("parent") is None \
+                or record.get("name") == remote.TASK_SPAN:
             worker.root_reported = True
         if obs.enabled():
             remote.merge_worker_record(record, slot=worker.spec.slot,
                                        attempt=worker.attempt)
 
     def salvage_telemetry(worker: _Worker) -> None:
-        """Drain telemetry already in a worker's pipes before reaping it,
+        """Drain telemetry already in a worker's pipe before reaping it,
         so records a loser streamed before cancellation still merge."""
-        for conn in (worker.conn, worker.hb_conn):
-            while True:
-                try:
-                    if not conn.poll(0):
-                        break
-                    message = conn.recv()
-                except (EOFError, OSError):
-                    break
-                if isinstance(message, tuple) and message \
-                        and message[0] in ("span", "heartbeat"):
-                    handle_telemetry(worker, message)
-                # a final verdict that lost the race is dropped
+        while True:
+            try:
+                if not worker.conn.poll(0):
+                    return
+                message = worker.conn.recv()
+            except (EOFError, OSError):
+                return
+            if message[0] == "span":
+                handle_telemetry(worker, message[1])
+            # a final verdict that lost the race is dropped
 
     def stop_worker(slot: _Slot, outcome: Optional[str] = None) -> None:
         worker = slot.worker
@@ -422,7 +383,7 @@ def race(ladders: Dict[str, Sequence[TaskSpec]], inline: bool = False,
 
     def schedule_retry(slot: _Slot) -> None:
         count("retries")
-        delay = min(backoff_cap_s, backoff_base_s * (2 ** slot.attempt))
+        delay = min(BACKOFF_CAP_S, BACKOFF_BASE_S * (2 ** slot.attempt))
         slot.attempt += 1
         slot.restart_at = time.perf_counter() + delay
 
@@ -441,8 +402,8 @@ def race(ladders: Dict[str, Sequence[TaskSpec]], inline: bool = False,
             slot.evidence.append(outcome)
             slot.closed = True
             return
-        if outcome.status in ("timeout", "stall"):
-            count("timeouts" if outcome.status == "timeout" else "stalls")
+        if outcome.status == "timeout":
+            count("timeouts")
             degrade_or_close(slot)
             return
         if outcome.status == "crash":
@@ -469,9 +430,8 @@ def race(ladders: Dict[str, Sequence[TaskSpec]], inline: bool = False,
                 message = worker.conn.recv()
             except (EOFError, OSError):
                 message = None
-            if message is not None and isinstance(message, tuple) \
-                    and message and message[0] in ("span", "heartbeat"):
-                handle_telemetry(worker, message)
+            if message is not None and message[0] == "span":
+                handle_telemetry(worker, message[1])
                 continue
             elapsed = worker.elapsed()
             stop_worker(slot, outcome="crash" if message is None else None)
@@ -499,23 +459,6 @@ def race(ladders: Dict[str, Sequence[TaskSpec]], inline: bool = False,
                                      attempts=attempts, elapsed_s=elapsed))
             return
 
-    def drain_heartbeats(slot: _Slot) -> None:
-        """Absorb everything pending on a worker's heartbeat channel."""
-        worker = slot.worker
-        if worker is None:
-            return
-        while True:
-            try:
-                if not worker.hb_conn.poll(0):
-                    return
-                message = worker.hb_conn.recv()
-            except (EOFError, OSError):
-                # channel closed (worker exiting); the result pipe
-                # decides how the rung ends
-                worker.hb_eof = True
-                return
-            handle_telemetry(worker, message)
-
     def expire(slot: _Slot) -> None:
         """Terminate a worker that overran its deadline."""
         worker = slot.worker
@@ -528,23 +471,6 @@ def race(ladders: Dict[str, Sequence[TaskSpec]], inline: bool = False,
             % (worker.spec.label(), worker.spec.deadline_s),
             task=worker.spec.label(), deadline_s=worker.spec.deadline_s)
         settle(slot, TaskOutcome(worker.spec, "timeout", error=error,
-                                 attempts=attempts, elapsed_s=elapsed))
-
-    def expire_stalled(slot: _Slot) -> None:
-        """Terminate a worker whose heartbeat went silent (hung)."""
-        worker = slot.worker
-        assert worker is not None
-        attempts = slot.attempt + 1
-        elapsed = worker.elapsed()
-        silent_s = time.perf_counter() - worker.last_beat
-        stop_worker(slot, outcome="stall")
-        error = EngineTimeoutError(
-            "worker %s stalled: no heartbeat for %.3gs (interval %.3gs,"
-            " deadline %.3gs away)"
-            % (worker.spec.label(), silent_s, worker.spec.heartbeat_s,
-               max(0.0, worker.deadline_at - time.perf_counter())),
-            task=worker.spec.label(), deadline_s=worker.spec.deadline_s)
-        settle(slot, TaskOutcome(worker.spec, "stall", error=error,
                                  attempts=attempts, elapsed_s=elapsed))
 
     try:
@@ -569,9 +495,6 @@ def race(ladders: Dict[str, Sequence[TaskSpec]], inline: bool = False,
             for s in live:
                 if s.worker is not None:
                     wakeups.append(s.worker.deadline_at)
-                    stall_at = s.worker.stall_at()
-                    if stall_at is not None:
-                        wakeups.append(stall_at)
                 elif s.restart_at is not None:
                     wakeups.append(s.restart_at)
             if not wakeups:  # inline: the slot closed; go on to the next
@@ -579,16 +502,10 @@ def race(ladders: Dict[str, Sequence[TaskSpec]], inline: bool = False,
             timeout = max(0.0, min(wakeups) - now)
             results = {s.worker.conn: s for s in live
                        if s.worker is not None}
-            beats = {s.worker.hb_conn: s for s in live
-                     if s.worker is not None and not s.worker.hb_eof}
             if results:
-                ready = multiprocessing.connection.wait(
-                    list(results) + list(beats), timeout)
-                for conn in ready:
-                    if conn in beats:
-                        drain_heartbeats(beats[conn])
-                    else:
-                        receive(results[conn])
+                for conn in multiprocessing.connection.wait(list(results),
+                                                            timeout):
+                    receive(results[conn])
                     if winner is not None:
                         break
             else:
@@ -596,18 +513,9 @@ def race(ladders: Dict[str, Sequence[TaskSpec]], inline: bool = False,
             if winner is not None:
                 break
             now = time.perf_counter()
-            for slot in [s for s in slots if not s.closed]:
-                worker = slot.worker
-                if worker is None:
-                    continue
-                if now >= worker.deadline_at:
+            for slot in slots:
+                if slot.worker is not None and now >= slot.worker.deadline_at:
                     expire(slot)
-                else:
-                    stall_at = worker.stall_at()
-                    if stall_at is not None and now >= stall_at:
-                        expire_stalled(slot)
-                if winner is not None:
-                    break
     finally:
         # cancel every loser: no child process outlives the race
         for slot in slots:

@@ -1,17 +1,28 @@
 """The command-line interface."""
 
 import json
+import multiprocessing
+import time
 
 import pytest
 
 from repro.cli import main
-from repro.stg import save_g, vme_read
+from repro.stg import muller_pipeline, save_g, vme_read, write_g
 
 
 @pytest.fixture
 def spec_file(tmp_path):
     path = tmp_path / "spec.g"
     save_g(vme_read(), str(path))
+    return str(path)
+
+
+@pytest.fixture
+def muller20_file(tmp_path):
+    """A spec whose single-slot deadlock query runs far longer than a
+    second on either rung of its ladder."""
+    path = tmp_path / "m20.g"
+    path.write_text(write_g(muller_pipeline(20)))
     return str(path)
 
 
@@ -278,6 +289,28 @@ class TestCheck:
         assert main(["check", spec_file, "--query", "reach",
                      "--target", "p0 p4"]) == 0
         assert capsys.readouterr().out.startswith("unreachable ")
+
+    def test_deadline_stops_the_single_slot(self, muller20_file, capsys):
+        # without --portfolio the slot runs in a worker process when a
+        # deadline is given, so each rung stops when its deadline passes
+        started = time.perf_counter()
+        code = main(["check", muller20_file, "--query", "deadlock",
+                     "--deadline", "0.5"])
+        assert time.perf_counter() - started < 10.0
+        assert code == 1
+        out = capsys.readouterr().out
+        assert out.startswith("unknown ")
+        assert "timeouts=" in out
+        assert multiprocessing.active_children() == []
+
+    def test_deadline_with_inline_is_a_usage_error(self, muller20_file,
+                                                   capsys):
+        # nothing stops an in-process rung, so the pair is refused
+        assert main(["check", muller20_file, "--query", "deadlock",
+                     "--inline", "--deadline", "0.5"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error: --deadline")
 
 
 class TestTelemetry:

@@ -1,17 +1,18 @@
 """Cross-process telemetry (``repro.obs.remote``).
 
 The contract under test: worker span trees and heartbeats cross the
-process boundary losslessly (every record still ``repro-trace/1``
-valid), merging preserves the tree shape and counter totals while
-adding slot/attempt attribution, stalled workers are detected by
-heartbeat silence well before their hard deadline, and a killed
-process never costs more than the unflushed tail of its trace —
-which per-line flushing makes empty.
+process boundary losslessly over the one result pipe (every record
+still ``repro-trace/1`` valid), merging preserves the tree shape and
+counter totals while adding slot/attempt attribution, only traced
+workers run a heartbeat thread, and a killed process never costs more
+than the unflushed tail of its trace — which per-line flushing makes
+empty.
 """
 
 import json
 import multiprocessing
 import os
+import threading
 import time
 
 import pytest
@@ -20,10 +21,9 @@ from hypothesis import strategies as st
 
 from repro import obs
 from repro.cli import main
-from repro.errors import EngineTimeoutError
 from repro.obs import remote
 from repro.obs.analyze import build_tree, coverage, lint_records, read_trace
-from repro.portfolio import TaskSpec, faults, race, tasks
+from repro.portfolio import TaskSpec, faults, race
 from repro.stg import write_g
 from repro.stg.library import ALL_EXAMPLES, muller_pipeline
 
@@ -43,7 +43,7 @@ def _pipe():
 
 
 # ---------------------------------------------------------------------- #
-# the pipe sink and heartbeat channel
+# the pipe sink and heartbeats
 # ---------------------------------------------------------------------- #
 
 class TestPipeSink:
@@ -77,10 +77,11 @@ class TestHeartbeats:
             obs.pop_progress()
         assert record["gauges"] == {"conflicts": 41, "decisions": 7}
 
-    def test_thread_beats_immediately_and_repeatedly(self):
+    def test_thread_beats_immediately_and_repeatedly(self, monkeypatch):
+        monkeypatch.setattr(remote, "HEARTBEAT_S", 0.01)
         reader, writer = _pipe()
-        thread = remote.HeartbeatThread(writer, {"slot": "s"},
-                                        interval_s=0.01)
+        thread = remote.HeartbeatThread(remote.PipeSink(writer),
+                                        {"slot": "s"})
         thread.start()
         try:
             deadline = time.time() + 5.0
@@ -91,20 +92,10 @@ class TestHeartbeats:
         finally:
             thread.stop()
         assert len(beats) >= 3
-        assert all(kind == "heartbeat" for kind, _ in beats)
+        # heartbeats are trace records on the span stream
+        assert all(kind == "span" and record["event"] == "heartbeat"
+                   for kind, record in beats)
         assert beats[0][1]["tags"]["pid"] == os.getpid()
-
-    def test_suppression_silences_the_beat(self):
-        reader, writer = _pipe()
-        remote.suppress_heartbeats()
-        thread = remote.HeartbeatThread(writer, {}, interval_s=0.01)
-        thread.start()
-        try:
-            time.sleep(0.15)
-            assert not reader.poll(0)  # suppressed: total silence
-        finally:
-            thread.stop()
-            remote.resume_heartbeats()
 
 
 # ---------------------------------------------------------------------- #
@@ -234,42 +225,69 @@ class TestMergeProperties:
 
 
 # ---------------------------------------------------------------------- #
-# the stall detector
+# one result pipe per worker
 # ---------------------------------------------------------------------- #
 
-class TestStallDetector:
-    def test_stalled_worker_is_expired_before_its_deadline(self):
-        stg = ALL_EXAMPLES["vme_read"]()
-        faults.install("stall:seconds=60")
-        spec = TaskSpec(slot="sat", engine="sat", method="kinduction",
-                        fn=tasks.deadlock_kinduction,
-                        kwargs={"model": stg, "max_k": 10},
-                        deadline_s=60.0, heartbeat_s=0.05, max_attempts=1)
-        started = time.perf_counter()
-        result = race({"sat": [spec]})
-        elapsed = time.perf_counter() - started
-        assert elapsed < 30.0  # did not wait out deadline or sleep
-        assert result.winner is None
-        assert result.stats["stalls"] == 1
-        outcome = result.outcomes[-1]
-        assert outcome.status == "stall"
-        assert isinstance(outcome.error, EngineTimeoutError)
-        assert "stalled" in str(outcome.error)
+def _thread_count():
+    return {"verdict": "n/a", "definitive": True,
+            "threads": threading.active_count()}
 
-    def test_inline_stall_fault_is_a_timeout(self):
-        faults.install("stall:seconds=7")
-        with pytest.raises(EngineTimeoutError):
-            faults.fire("s", "e", "m", 0, inline=True)
 
-    def test_heartbeat_zero_disables_the_detector(self):
-        stg = ALL_EXAMPLES["vme_read"]()
-        spec = TaskSpec(slot="sat", engine="sat", method="kinduction",
-                        fn=tasks.deadlock_kinduction,
-                        kwargs={"model": stg, "max_k": 10},
-                        heartbeat_s=0.0)
-        result = race({"sat": [spec]})
-        assert result.winner is not None
-        assert result.stats["stalls"] == 0
+#: A tag big enough that each span record is written to the pipe in more
+#: than one piece.
+BLOB = "x" * 20_000
+
+
+def _bulk_spans(n):
+    for i in range(n):
+        with obs.span("bulk", i=i, blob=BLOB):
+            pass
+    return {"verdict": "n/a", "definitive": True}
+
+
+class _SlimSink:
+    """Keeps merged records with the bulky tag replaced by its length."""
+
+    def __init__(self):
+        self.records = []
+
+    def handle(self, record):
+        tags = dict(record["tags"])
+        if "blob" in tags:
+            tags["blob"] = len(tags["blob"])
+        self.records.append(dict(record, tags=tags))
+
+
+class TestWorkerPipe:
+    def _run(self, fn, **kwargs):
+        faults.install([])  # an ambient REPRO_FAULTS plan would interfere
+        spec = TaskSpec(slot="s", engine="e", method="m", fn=fn,
+                        kwargs=kwargs, max_attempts=1)
+        result = race({"s": [spec]})
+        assert result.winner is not None, result.outcomes
+        return result.winner.payload
+
+    def test_untraced_worker_starts_no_thread(self):
+        assert self._run(_thread_count)["threads"] == 1
+
+    def test_traced_worker_runs_one_heartbeat_thread(self):
+        obs.enable()
+        assert self._run(_thread_count)["threads"] == 2
+
+    def test_large_spans_and_heartbeats_share_the_pipe(self, monkeypatch):
+        # the heartbeat thread beats while the task thread writes records
+        # larger than one pipe write; the sink's lock keeps every message
+        # whole
+        monkeypatch.setattr(remote, "HEARTBEAT_S", 0.0005)
+        obs.enable()
+        sink = obs.add_sink(_SlimSink())
+        with obs.span("portfolio.race"):
+            self._run(_bulk_spans, n=3000)
+        bulk = [r for r in sink.records if r["name"] == "bulk"]
+        assert sorted(r["tags"]["i"] for r in bulk) == list(range(3000))
+        assert all(r["tags"]["blob"] == len(BLOB) for r in bulk)
+        assert any(r["event"] == "heartbeat" for r in sink.records)
+        assert lint_records(sink.records) == []
 
 
 # ---------------------------------------------------------------------- #

@@ -60,7 +60,7 @@ class TestFaultRules:
 
     @pytest.mark.parametrize("bad", [
         "explode:engine=sat", "kill:color=red", "kill:attempt=x",
-        "delay:seconds"])
+        "delay:seconds", "stall:seconds=1"])
     def test_parse_rejects_typos_loudly(self, bad):
         with pytest.raises(FaultSyntaxError):
             parse(bad)
@@ -118,6 +118,11 @@ def _last_outcome(spec):
     return race({spec.slot: [spec]}).outcomes[-1]
 
 
+def _spin():
+    while True:
+        pass
+
+
 class TestWorkers:
     def test_run_task_returns_payload(self):
         stg = ALL_EXAMPLES["vme_read"]()
@@ -133,6 +138,20 @@ class TestWorkers:
         assert outcome.status == "timeout"
         assert isinstance(outcome.error, EngineTimeoutError)
         assert outcome.error.deadline_s == 0.5
+        assert_no_orphans()
+
+    def test_spinning_worker_is_stopped_by_its_deadline(self):
+        # the deadline is the only stop: a worker that never returns (and
+        # never blocks) is classified when its deadline passes
+        faults.install([])  # an ambient REPRO_FAULTS plan would interfere
+        spec = TaskSpec(slot="spin", engine="spin", method="spin", fn=_spin,
+                        deadline_s=1.0, max_attempts=1)
+        started = time.perf_counter()
+        result = race({"spin": [spec]})
+        assert time.perf_counter() - started < 5.0
+        assert [o.status for o in result.outcomes] == ["timeout"]
+        assert result.stats["timeouts"] == 1
+        assert "stalls" not in result.stats
         assert_no_orphans()
 
     def test_persistent_crash_is_classified_after_retries(self):
@@ -296,6 +315,16 @@ class TestVerdictAgreement:
         faults.install(fault)
         verdict = check_csc(stg, inline=True, bound=10)
         assert verdict.verdict == reference_verdict(name, "csc")
+
+    @pytest.mark.parametrize("inline", [False, True])
+    def test_malformed_env_plan_fails_before_any_rung(self, monkeypatch,
+                                                      inline):
+        # a typo in REPRO_FAULTS is the caller's error, not an engine
+        # error in every rung (which would concede "unknown")
+        monkeypatch.setenv(faults.ENV_VAR, "explode:x")
+        with pytest.raises(FaultSyntaxError):
+            check_deadlock(ALL_EXAMPLES["vme_read"](), inline=inline)
+        assert_no_orphans()
 
     def test_deadlock_is_found_and_witnessed(self):
         net = dining_philosophers(2)
@@ -473,6 +502,21 @@ class TestIntegration:
         assert doc["verdict"] == "no-conflict"
         assert doc["details"]["robustness"]["crashes"] >= 1
         assert faults.active_rules() == []  # plan removed after the run
+        assert_no_orphans()
+
+    @pytest.mark.parametrize("source", ["env", "flag"])
+    def test_cli_malformed_plan_is_a_usage_error(self, capsys, monkeypatch,
+                                                 source):
+        argv = ["check", "vme_read", "--portfolio"]
+        if source == "env":
+            monkeypatch.setenv(faults.ENV_VAR, "explode:x")
+        else:
+            monkeypatch.delenv(faults.ENV_VAR, raising=False)
+            argv += ["--faults", "explode:engine=sat"]
+        assert main(argv) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error: unknown fault action")
         assert_no_orphans()
 
     def test_cli_check_reach_requires_target(self, capsys):
