@@ -7,8 +7,6 @@ from .implementability import (
     USCConflict,
     check_implementability,
     csc_conflicts,
-    find_csc_conflict_bdd,
-    find_csc_conflict_sat,
     persistency_violations,
     usc_conflicts,
 )
@@ -22,7 +20,6 @@ from .stubborn import (
 __all__ = [
     "CSCConflict", "ImplementabilityReport", "PersistencyViolation",
     "USCConflict", "check_implementability", "csc_conflicts",
-    "find_csc_conflict_bdd", "find_csc_conflict_sat",
     "persistency_violations", "usc_conflicts",
     "deadlocks_reduced", "reduced_reachability", "reduction_statistics",
     "stubborn_set",

@@ -16,10 +16,10 @@ An STG is implementable as a speed-independent circuit iff:
 This module computes all of these on the explicit state graph and returns
 a structured report.  For nets whose state graph is too large to build,
 two query engines answer the CSC question alone without enumeration:
-:func:`find_csc_conflict_sat` through the bounded-model-checking path of
-:mod:`repro.sat` (a search, complete only up to its bound) and
-:func:`find_csc_conflict_bdd` through the symbolic fixpoint of
-:mod:`repro.bdd.queries` (an exact characteristic-function answer).
+:func:`repro.sat.queries.csc_conflict` through bounded model checking (a
+search, complete only up to its bound) and
+:class:`repro.bdd.queries.SymbolicCSC` through the symbolic fixpoint (an
+exact characteristic-function answer).
 """
 
 from __future__ import annotations
@@ -204,39 +204,6 @@ def persistency_violations(sg: StateGraph) -> List[PersistencyViolation]:
                 result.append(PersistencyViolation(
                     state, sig + direction, str(b), kind))
     return result
-
-
-def find_csc_conflict_sat(stg: STG, bound: int = 30):
-    """Search for a CSC conflict without building the state graph.
-
-    Delegates to :func:`repro.sat.queries.csc_conflict`: two bounded
-    unrollings of the token game, same binary code (equal signal
-    parities), different non-input excitation.  Returns the
-    :class:`repro.sat.queries.SatCSCConflict` witness (with replayed
-    traces to both states) or None if no conflict exists within the
-    bound.  Complements :func:`csc_conflicts`, which needs the full
-    :class:`~repro.ts.state_graph.StateGraph`.
-    """
-    from ..sat.queries import csc_conflict as _csc_conflict
-
-    return _csc_conflict(stg, bound=bound)
-
-
-def find_csc_conflict_bdd(stg: STG, place_order: str = "dfs"):
-    """Symbolic CSC check: conflicting codes without a state graph.
-
-    Delegates to :class:`repro.bdd.queries.SymbolicCSC`: the reachable
-    (marking, signal-parity) pairs are computed as a BDD fixpoint and the
-    characteristic function of the conflicting codes is extracted from
-    it.  Returns the :class:`~repro.bdd.queries.SymbolicCSC` object —
-    ``has_conflict()``, ``conflict_count()`` and ``conflict_parities()``
-    answer without enumerating a single state.  Complements
-    :func:`csc_conflicts` (explicit, needs the full state graph) and
-    :func:`find_csc_conflict_sat` (bounded search with witness traces).
-    """
-    from ..bdd.queries import SymbolicCSC
-
-    return SymbolicCSC(stg, place_order=place_order)
 
 
 def check_implementability(stg: STG,

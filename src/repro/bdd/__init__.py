@@ -8,7 +8,6 @@ The package backs ``engine="bdd"`` of the unified engine framework
 from .bdd import BDD, FALSE, TRUE
 from .queries import (
     SymbolicCSC,
-    csc_conflict_chf,
     find_deadlock,
     has_csc_conflict,
     has_deadlock,
@@ -25,7 +24,7 @@ from .symbolic import (
 __all__ = [
     "BDD", "FALSE", "TRUE",
     "DenseSymbolicReachability", "RELATION_STYLES", "SymbolicCSC",
-    "SymbolicReachability", "csc_conflict_chf", "find_deadlock",
+    "SymbolicReachability", "find_deadlock",
     "has_csc_conflict", "has_deadlock", "reachable_count",
     "structural_place_order", "symbolic_marking_count",
 ]

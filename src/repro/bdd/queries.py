@@ -7,7 +7,7 @@ bounded-model-checking query engine) with exact fixpoint semantics:
 
 * :func:`reachable_count` — how many markings are reachable;
 * :func:`find_deadlock` / :func:`has_deadlock` — reachable dead markings;
-* :class:`SymbolicCSC` / :func:`csc_conflict_chf` — a *characteristic
+* :class:`SymbolicCSC` / :func:`has_csc_conflict` — a *characteristic
   function* of the CSC-conflicting binary codes of an STG.
 
 The CSC encoding borrows the parity trick of
@@ -264,16 +264,6 @@ class SymbolicCSC:
             return []
         return sorted(tuple(a[n] for n in names)
                       for a in self.bdd.sat_over(chf, names))
-
-
-def csc_conflict_chf(stg: STG, place_order: str = "dfs") -> SymbolicCSC:
-    """Symbolic CSC analysis of an STG (see :class:`SymbolicCSC`).
-
-    Returns the analysis object so callers can inspect the characteristic
-    function (:meth:`SymbolicCSC.conflict_chf`), count conflicting codes
-    or enumerate them — all without building a state graph.
-    """
-    return SymbolicCSC(stg, place_order=place_order)
 
 
 def has_csc_conflict(stg: STG) -> bool:

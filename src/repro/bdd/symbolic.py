@@ -3,7 +3,7 @@ backend of the unified engine framework (paper, Section 2.2).
 
 This module is no longer a standalone demo: it is one of the engines
 behind :func:`repro.ts.builder.build_reachability_graph` (``auto`` /
-``compiled`` / ``naive`` / ``bdd`` / ``sat``).  It serves two roles:
+``compiled`` / ``naive`` / ``bdd``).  It serves two roles:
 
 * **query engine** — :class:`SymbolicReachability` answers questions
   about the state space (``count``, ``find_deadlock``,
@@ -11,11 +11,12 @@ behind :func:`repro.ts.builder.build_reachability_graph` (``auto`` /
   representation, without ever enumerating markings; the wrappers in
   :mod:`repro.bdd.queries` expose this per model.
 * **graph engine** — :meth:`SymbolicReachability.to_transition_system`
-  materialises the symbolic fixpoint into an explicit
-  :class:`~repro.ts.transition_system.TransitionSystem` that is
-  bit-identical (same states, same arcs, same insertion order) to the
-  ``naive`` and ``compiled`` engines, which is what
-  ``build_reachability_graph(engine="bdd")`` returns.
+  decides 1-safety and the state budget on the fixpoint, then
+  materialises the graph with the compiled engine's BFS, so the
+  :class:`~repro.ts.transition_system.TransitionSystem` that
+  ``build_reachability_graph(engine="bdd")`` returns is bit-identical
+  (same states, same arcs, same insertion order) to the ``naive`` and
+  ``compiled`` engines.
 
 Two state encodings are provided, mirroring the paper's discussion:
 
@@ -374,17 +375,6 @@ class SymbolicReachability:
             return None
         return self._marking_of(self.bdd.pick(dead, self.places))
 
-    def deadlock_markings(self) -> List[Marking]:
-        """All reachable dead markings (enumerated from the deadlock BDD).
-
-        Raises :class:`UnboundedError` for non-1-safe nets.
-        """
-        self.assert_safe()
-        dead = self.deadlocks()
-        return sorted((self._marking_of(a)
-                       for a in self.bdd.sat_over(dead, self.places)),
-                      key=lambda m: repr(m))
-
     def safety_violation(self) -> Optional[Tuple[str, Marking]]:
         """A 1-safeness violation witness, or None if the net is safe.
 
@@ -436,15 +426,14 @@ class SymbolicReachability:
         The symbolic phase decides the questions that make explicit
         enumeration safe to attempt — 1-safety (:class:`UnboundedError`
         with a witness otherwise) and the state budget
-        (:class:`StateExplosionError` *before* any enumeration) — and the
-        explicit phase then replays the token game in BFS order (states in
-        discovery order, transitions in sorted name order per state),
-        cross-checking every visited marking against the reachable BDD.
-        The result is bit-identical to the ``naive`` and ``compiled``
-        engines of :mod:`repro.ts.builder`.
+        (:class:`StateExplosionError` *before* any enumeration).  The
+        explicit phase is the compiled engine's BFS of
+        :mod:`repro.ts.builder`, so the result is bit-identical to the
+        ``naive`` and ``compiled`` engines; every marking it enumerates
+        is cross-checked against the reachable BDD.
         """
-        from ..petri.token_game import enabled_transitions, fire
-        from ..ts.transition_system import TransitionSystem
+        # deferred: repro.ts.builder imports this module at module level
+        from ..ts.builder import _build_compiled
 
         self.assert_safe()
         total = self.count()
@@ -452,28 +441,12 @@ class SymbolicReachability:
             raise StateExplosionError(
                 "reachability graph exceeded %d states (symbolic count: %d)"
                 % (max_states, total), bound=max_states, states=total)
-        reached = self.reachable()
-        bdd = self.bdd
-        net = self.net
-        ts = TransitionSystem(self.initial)
-        frontier = [self.initial]
-        seen = {self.initial}
-        while frontier:
-            next_frontier = []
-            for marking in frontier:
-                for t in enabled_transitions(net, marking):
-                    succ = fire(net, marking, t, check=False)
-                    ts.add_arc(marking, t, succ)
-                    if succ not in seen:
-                        env = {p: 1 if succ.get(p) else 0
-                               for p in self.places}
-                        if bdd.eval(reached, env) != TRUE:
-                            raise ModelError(
-                                "internal error: explicit replay reached"
-                                " %r outside the symbolic fixpoint" % succ)
-                        seen.add(succ)
-                        next_frontier.append(succ)
-            frontier = next_frontier
+        ts = _build_compiled(self.net, self.initial, max_states)
+        for marking in ts.states:
+            if not self.contains(marking):
+                raise ModelError(
+                    "internal error: explicit replay reached"
+                    " %r outside the symbolic fixpoint" % marking)
         return ts
 
 

@@ -9,9 +9,10 @@ place detection said 100 000, decomposition said 200 000) and the
 numbers drifted independently.  They now all derive from
 :data:`DEFAULT_STATE_BOUND` here:
 
-* :data:`DEFAULT_STATE_BOUND` — full reachability-graph construction
-  and whole-net property checks (``build_reachability_graph``,
-  ``explore``, ``check_implementability``);
+* :data:`DEFAULT_STATE_BOUND` — full reachability-graph construction,
+  the Karp–Miller coverability graph and whole-net property checks
+  (``build_reachability_graph``, ``build_coverability_graph``, the
+  checks of :mod:`repro.petri.properties`, ``check_implementability``);
 * :data:`REDUCTION_STATE_BOUND` — the behavioural implicit-place test
   of :mod:`repro.petri.reductions`, which re-explores after every
   removal and therefore budgets one tenth of the default per pass;

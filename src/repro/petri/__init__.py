@@ -16,7 +16,6 @@ from .token_game import (
 )
 from .properties import (
     bound,
-    explore,
     find_deadlocks,
     home_markings,
     is_bounded,
@@ -55,7 +54,6 @@ from .coverability import (
     CoverabilityGraph,
     OmegaMarking,
     build_coverability_graph,
-    is_bounded_km,
 )
 from .dot import net_to_dot, reachability_to_dot
 from .library import dining_philosophers
@@ -65,7 +63,7 @@ __all__ = [
     "Marking", "PetriNet", "Place", "Transition",
     "can_fire_sequence", "enabled_transitions", "fire", "fire_safe",
     "fire_sequence", "is_enabled", "language_prefixes", "random_walk",
-    "bound", "explore", "find_deadlocks", "home_markings", "is_bounded",
+    "bound", "find_deadlocks", "home_markings", "is_bounded",
     "is_deadlock_free", "is_live", "is_reversible", "is_safe",
     "reachable_markings", "unsafe_witness",
     "DenseEncoding", "SMComponent", "choice_places", "incidence_matrix",
@@ -75,7 +73,7 @@ __all__ = [
     "full_reduce", "implicit_places", "linear_reduce",
     "remove_implicit_places",
     "OMEGA", "CoverabilityGraph", "OmegaMarking",
-    "build_coverability_graph", "is_bounded_km",
+    "build_coverability_graph",
     "net_to_dot", "reachability_to_dot",
     "dining_philosophers",
 ]

@@ -1,10 +1,11 @@
 """Karp–Miller coverability analysis.
 
 The paper's implementability checklist starts with "boundedness of the PN
-to guarantee that the specified state space is finite" (Section 2.1).  For
-bounded nets the explicit exploration of :mod:`repro.petri.properties`
-decides this; the Karp–Miller coverability graph decides it for *arbitrary*
-nets by accelerating strictly-growing loops to the symbolic token count ω.
+to guarantee that the specified state space is finite" (Section 2.1).  The
+Karp–Miller coverability graph decides this for *arbitrary* nets by
+accelerating strictly-growing loops to the symbolic token count ω; it is
+the only boundedness decider of the library
+(:func:`repro.petri.properties.is_bounded`).
 
 The construction: explore markings over ``N ∪ {ω}``; whenever a new node
 strictly covers one of its ancestors, every strictly larger component is
@@ -16,6 +17,7 @@ from __future__ import annotations
 
 from typing import Dict, List, Optional, Set, Tuple
 
+from ..budgets import DEFAULT_STATE_BOUND
 from ..errors import StateExplosionError
 from .net import PetriNet
 
@@ -99,7 +101,8 @@ class CoverabilityGraph:
 
 
 def build_coverability_graph(net: PetriNet,
-                             max_nodes: int = 100_000) -> CoverabilityGraph:
+                             max_nodes: int = DEFAULT_STATE_BOUND
+                             ) -> CoverabilityGraph:
     """Karp–Miller coverability graph of an arbitrary Petri net."""
     graph = CoverabilityGraph(net)
     initial = OmegaMarking({p: float(net.places[p].tokens)
@@ -141,8 +144,3 @@ def build_coverability_graph(net: PetriNet,
                 graph.nodes.add(successor)
                 stack.append((successor, ancestors + (successor,)))
     return graph
-
-
-def is_bounded_km(net: PetriNet, max_nodes: int = 100_000) -> bool:
-    """Boundedness decided by the Karp–Miller construction."""
-    return build_coverability_graph(net, max_nodes).is_bounded()

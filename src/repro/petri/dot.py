@@ -6,10 +6,13 @@ any of the reproduced artifacts can be rendered with ``dot -Tpng``.
 
 from __future__ import annotations
 
-from typing import Dict, Optional
+from typing import TYPE_CHECKING, Dict, Optional
 
 from .marking import Marking
 from .net import PetriNet
+
+if TYPE_CHECKING:
+    from ..ts.transition_system import TransitionSystem
 
 
 def _quote(s: str) -> str:
@@ -35,27 +38,26 @@ def net_to_dot(net: PetriNet, title: Optional[str] = None) -> str:
     return "\n".join(lines)
 
 
-def reachability_to_dot(graph: Dict[Marking, list],
-                        initial: Optional[Marking] = None,
+def reachability_to_dot(graph: TransitionSystem,
                         codes: Optional[Dict[Marking, str]] = None,
                         title: str = "rg") -> str:
-    """Render a reachability graph (as produced by
-    :func:`repro.petri.properties.explore`) as DOT.
+    """Render a reachability graph (as built by
+    :func:`repro.ts.builder.build_reachability_graph`) as DOT, with the
+    initial marking drawn as a double circle.
 
     ``codes`` optionally maps markings to binary-code strings to display
     alongside the marking, as in the paper's Figure 4.
     """
-    ids = {m: "s%d" % i for i, m in enumerate(sorted(graph, key=repr))}
+    ids = {m: "s%d" % i for i, m in enumerate(sorted(graph.states, key=repr))}
     lines = ["digraph %s {" % _quote(title)]
     for m, node in ids.items():
         label = repr(m)
         if codes and m in codes:
             label += "\\n" + codes[m]
-        shape = "doublecircle" if initial is not None and m == initial else "ellipse"
+        shape = "doublecircle" if m == graph.initial else "ellipse"
         lines.append("  %s [shape=%s, label=%s];" % (node, shape, _quote(label)))
-    for m, succs in graph.items():
-        for t, succ in succs:
-            lines.append("  %s -> %s [label=%s];" %
-                         (ids[m], ids[succ], _quote(str(t))))
+    for m, t, succ in graph.arcs():
+        lines.append("  %s -> %s [label=%s];" %
+                     (ids[m], ids[succ], _quote(str(t))))
     lines.append("}")
     return "\n".join(lines)

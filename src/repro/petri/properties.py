@@ -9,85 +9,71 @@ underlying net (independent of the signal interpretation):
 * **liveness** (every transition can always eventually fire again) and
   *home markings*.
 
-Exploration is explicit with a configurable state bound; unboundedness is
-detected either by exceeding the bound with a witness (coverability) or by
-the Karp–Miller style covering test during exploration.
+Boundedness is decided by the Karp–Miller coverability graph of
+:mod:`repro.petri.coverability`.  Every other check reads the reachability
+graph of :func:`repro.ts.builder.build_reachability_graph`: the compiled
+engine's on 1-safe ordinary nets, the naive engine's on weighted ones
+and, with ``require_safe=False``, on k-bounded ones.  A net that is not
+1-safe is proved bounded first, so an unbounded net raises
+:class:`~repro.errors.UnboundedError` instead of exhausting the state
+budget.
 """
 
 from __future__ import annotations
 
-from typing import Dict, Iterable, List, Optional, Set, Tuple
+from typing import TYPE_CHECKING, Dict, Iterable, List, Optional, Set
 
 from ..budgets import DEFAULT_STATE_BOUND
-from ..errors import ModelError, StateExplosionError
+from ..errors import UnboundedError
+from .coverability import build_coverability_graph
 from .marking import Marking
 from .net import PetriNet
-from .token_game import enabled_transitions, fire
+from .token_game import enabled_transitions
+
+if TYPE_CHECKING:
+    from ..ts.transition_system import TransitionSystem
 
 
-def explore(net: PetriNet, max_states: int = DEFAULT_STATE_BOUND,
-            detect_unbounded: bool = True) -> Dict[Marking, List[Tuple[str, Marking]]]:
-    """Explicit reachability exploration.
+def _reachability_graph(net: PetriNet,
+                        max_states: int) -> TransitionSystem:
+    """The reachability graph every check below reads.
 
-    Returns an adjacency map ``marking -> [(transition, successor)]`` for all
-    reachable markings.  If ``detect_unbounded`` is set, the Karp–Miller
-    covering test is applied along each exploration path: reaching a marking
-    that strictly covers an ancestor proves unboundedness and raises
-    :class:`~repro.errors.UnboundedError` naming the offending pair.
-
-    Raises :class:`StateExplosionError` when ``max_states`` is exceeded.
+    The default build stops with :class:`UnboundedError` at the first
+    firing that breaks 1-safeness; such a net is then proved bounded by
+    the Karp–Miller graph before the naive engine explores its k-bounded
+    state space.
     """
-    from ..errors import UnboundedError
+    # deferred: repro.ts imports the Petri-net kernel at module level
+    from ..ts.builder import build_reachability_graph
 
-    initial = net.initial_marking
-    graph: Dict[Marking, List[Tuple[str, Marking]]] = {initial: []}
-    # stack entries: (marking, ancestor chain as tuple) for covering test
-    stack: List[Tuple[Marking, Tuple[Marking, ...]]] = [(initial, (initial,))]
-    while stack:
-        marking, ancestors = stack.pop()
-        successors = graph[marking]
-        for t in enabled_transitions(net, marking):
-            succ = fire(net, marking, t, check=False)
-            successors.append((t, succ))
-            if succ not in graph:
-                if detect_unbounded:
-                    for anc in ancestors:
-                        if succ.covers(anc) and succ != anc:
-                            raise UnboundedError(
-                                "net is unbounded: %r strictly covers ancestor %r"
-                                % (succ, anc)
-                            )
-                if len(graph) >= max_states:
-                    raise StateExplosionError(
-                        "reachability exceeded %d states" % max_states,
-                        bound=max_states, states=len(graph)
-                    )
-                graph[succ] = []
-                stack.append((succ, ancestors + (succ,)))
-    return graph
+    try:
+        return build_reachability_graph(net, max_states)
+    except UnboundedError:
+        pass
+    coverability = build_coverability_graph(net, max_states)
+    if not coverability.is_bounded():
+        raise UnboundedError("net is unbounded: places %r can hold"
+                             " arbitrarily many tokens"
+                             % coverability.unbounded_places())
+    return build_reachability_graph(net, max_states, require_safe=False)
 
 
 def reachable_markings(net: PetriNet,
                        max_states: int = DEFAULT_STATE_BOUND) -> Set[Marking]:
     """The set of reachable markings (explicit)."""
-    return set(explore(net, max_states))
+    return set(_reachability_graph(net, max_states).states)
 
 
 def is_bounded(net: PetriNet, max_states: int = DEFAULT_STATE_BOUND) -> bool:
-    """True iff the reachability set is finite."""
-    from ..errors import UnboundedError
-
-    try:
-        explore(net, max_states)
-        return True
-    except UnboundedError:
-        return False
+    """True iff the reachability set is finite (Karp–Miller graph of at
+    most ``max_states`` nodes)."""
+    return build_coverability_graph(net, max_states).is_bounded()
 
 
 def bound(net: PetriNet, max_states: int = DEFAULT_STATE_BOUND) -> int:
     """The bound of the net: max token count of any place in any reachable
     marking.  Raises ``UnboundedError`` for unbounded nets."""
-    markings = explore(net, max_states)
+    markings = _reachability_graph(net, max_states).states
     best = 0
     for m in markings:
         for _, n in m.items():
@@ -98,8 +84,6 @@ def bound(net: PetriNet, max_states: int = DEFAULT_STATE_BOUND) -> int:
 
 def is_safe(net: PetriNet, max_states: int = DEFAULT_STATE_BOUND) -> bool:
     """True iff the net is 1-bounded (safe)."""
-    from ..errors import UnboundedError
-
     try:
         return bound(net, max_states) <= 1
     except UnboundedError:
@@ -109,7 +93,7 @@ def is_safe(net: PetriNet, max_states: int = DEFAULT_STATE_BOUND) -> bool:
 def unsafe_witness(net: PetriNet,
                    max_states: int = DEFAULT_STATE_BOUND) -> Optional[Marking]:
     """A reachable marking with a place holding >1 token, or None."""
-    for m in explore(net, max_states):
+    for m in _reachability_graph(net, max_states).states:
         if not m.is_safe():
             return m
     return None
@@ -117,37 +101,21 @@ def unsafe_witness(net: PetriNet,
 
 def find_deadlocks(net: PetriNet,
                    max_states: int = DEFAULT_STATE_BOUND,
-                   markings: Optional[Iterable[Marking]] = None,
-                   engine: str = "explicit") -> List[Marking]:
+                   markings: Optional[Iterable[Marking]] = None
+                   ) -> List[Marking]:
     """All dead markings (no transition enabled), in one report format.
 
-    With the default ``markings=None`` the whole reachability set is
-    explored explicitly.  Passing a ``markings`` iterable instead filters
-    *those* markings for deadness — this is how query engines that do not
+    With the default ``markings=None`` every reachable marking is
+    checked.  Passing a ``markings`` iterable instead filters *those*
+    markings for deadness — this is how query engines that do not
     enumerate the state space (e.g. the SAT path:
     ``find_deadlocks(net, markings=[witness.final_marking])`` with a
     :class:`repro.sat.bmc.Witness`) report through the same interface as
     the explicit one.
-
-    ``engine="bdd"`` computes the dead set symbolically instead
-    (:meth:`repro.bdd.symbolic.SymbolicReachability.deadlock_markings`)
-    and enumerates only its members — the reachable set itself is never
-    enumerated, so the answer survives state budgets that kill the
-    explicit exploration.  Requires an ordinary, safely marked net.
     """
-    if engine == "bdd":
-        if markings is not None:
-            raise ModelError("engine='bdd' computes the dead set itself;"
-                             " drop the markings= filter")
-        from ..bdd.symbolic import SymbolicReachability
-
-        return SymbolicReachability(net).deadlock_markings()
-    if engine != "explicit":
-        raise ModelError("unknown engine %r (expected 'explicit' or 'bdd')"
-                         % engine)
     if markings is None:
-        graph = explore(net, max_states)
-        dead = (m for m, succs in graph.items() if not succs)
+        graph = _reachability_graph(net, max_states)
+        dead = (m for m in graph.states if not graph.successors(m))
     else:
         dead = (m for m in markings if not enabled_transitions(net, m))
     return sorted(dead, key=lambda m: repr(m))
@@ -159,7 +127,7 @@ def is_deadlock_free(net: PetriNet,
     return not find_deadlocks(net, max_states)
 
 
-def _strongly_connected_bottom(graph: Dict[Marking, List[Tuple[str, Marking]]]):
+def _strongly_connected_bottom(graph: TransitionSystem):
     """Tarjan SCC; returns (scc_index per marking, list of sccs, bottom flags)."""
     index: Dict[Marking, int] = {}
     low: Dict[Marking, int] = {}
@@ -171,7 +139,7 @@ def _strongly_connected_bottom(graph: Dict[Marking, List[Tuple[str, Marking]]]):
 
     def strongconnect(root: Marking) -> None:
         # iterative Tarjan to avoid recursion limits on big graphs
-        work = [(root, iter(graph[root]))]
+        work = [(root, iter(graph.successors(root)))]
         index[root] = low[root] = counter[0]
         counter[0] += 1
         stack.append(root)
@@ -185,7 +153,7 @@ def _strongly_connected_bottom(graph: Dict[Marking, List[Tuple[str, Marking]]]):
                     counter[0] += 1
                     stack.append(w)
                     on_stack.add(w)
-                    work.append((w, iter(graph[w])))
+                    work.append((w, iter(graph.successors(w))))
                     advanced = True
                     break
                 elif w in on_stack:
@@ -207,15 +175,14 @@ def _strongly_connected_bottom(graph: Dict[Marking, List[Tuple[str, Marking]]]):
                         break
                 sccs.append(component)
 
-    for m in graph:
+    for m in graph.states:
         if m not in index:
             strongconnect(m)
 
     bottom = [True] * len(sccs)
-    for m, succs in graph.items():
-        for _, w in succs:
-            if scc_of[w] != scc_of[m]:
-                bottom[scc_of[m]] = False
+    for m, _, w in graph.arcs():
+        if scc_of[w] != scc_of[m]:
+            bottom[scc_of[m]] = False
     return scc_of, sccs, bottom
 
 
@@ -226,7 +193,7 @@ def is_live(net: PetriNet, max_states: int = DEFAULT_STATE_BOUND) -> bool:
     Checked on the reachability graph: every bottom strongly connected
     component must contain an occurrence of every transition.
     """
-    graph = explore(net, max_states)
+    graph = _reachability_graph(net, max_states)
     scc_of, sccs, bottom = _strongly_connected_bottom(graph)
     all_transitions = set(net.transitions)
     for idx, component in enumerate(sccs):
@@ -234,7 +201,7 @@ def is_live(net: PetriNet, max_states: int = DEFAULT_STATE_BOUND) -> bool:
             continue
         fired = set()
         for m in component:
-            for t, succ in graph[m]:
+            for t, succ in graph.successors(m):
                 if scc_of[succ] == idx:
                     fired.add(t)
         if fired != all_transitions:
@@ -250,7 +217,7 @@ def home_markings(net: PetriNet,
     general it is the union of bottom SCCs if there is exactly one bottom
     SCC, and empty otherwise.
     """
-    graph = explore(net, max_states)
+    graph = _reachability_graph(net, max_states)
     scc_of, sccs, bottom = _strongly_connected_bottom(graph)
     bottoms = [i for i, b in enumerate(bottom) if b]
     if len(bottoms) != 1:

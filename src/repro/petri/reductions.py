@@ -26,7 +26,7 @@ from .. import obs
 from ..budgets import REDUCTION_STATE_BOUND
 from ..errors import ModelError
 from .net import PetriNet
-from .properties import explore
+from .properties import reachable_markings
 
 
 # ---------------------------------------------------------------------- #
@@ -150,11 +150,11 @@ def implicit_places(net: PetriNet,
     *other* input places of each consumer of ``p`` are sufficiently marked,
     ``p`` is sufficiently marked too — i.e. ``p`` never restricts enabling.
     Removing an implicit place preserves the reachability graph modulo the
-    place itself.  Checked on the explicit reachability graph, budgeted by
+    place itself.  Checked on every reachable marking, budgeted by
     :data:`repro.budgets.REDUCTION_STATE_BOUND` (pass ``max_states=`` to
     override).
     """
-    graph = explore(net, max_states)
+    markings = reachable_markings(net, max_states)
     result: List[str] = []
     for p in sorted(net.places):
         consumers = net.postset(p)
@@ -162,7 +162,7 @@ def implicit_places(net: PetriNet,
             result.append(p)
             continue
         implicit = True
-        for m in graph:
+        for m in markings:
             for t, w in consumers.items():
                 others_ok = all(
                     m.get(q) >= wq

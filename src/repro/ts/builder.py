@@ -16,8 +16,9 @@ for the user guide).  Three **graph-building** engines are provided:
 * ``"bdd"`` — the symbolic engine of :mod:`repro.bdd.symbolic`: a
   partitioned-relation frontier fixpoint first computes the reachable
   set as a characteristic function (deciding 1-safety and the state
-  budget *before* any enumeration), then materialises it explicitly.
-  Requires an ordinary net and a safe initial marking.
+  budget *before* any enumeration), then materialises it with the
+  compiled engine's BFS.  Requires an ordinary net and a safe initial
+  marking.
 * ``"naive"`` — the original dict-backed token game; works for any
   weighted net and, with ``require_safe=False``, for k-bounded ones.
 
@@ -31,7 +32,7 @@ synthesis, verification — is oblivious to the choice.
 
 The ``"bdd"`` engine has query variants too
 (:mod:`repro.bdd.queries`: ``reachable_count``, ``find_deadlock``,
-``csc_conflict_chf``) that answer without materialising anything —
+``SymbolicCSC``) that answer without materialising anything —
 prefer those over graph construction when only the answer is needed.
 """
 

@@ -254,10 +254,10 @@ def build_state_graph(stg: STG,
     contraction) and :class:`~repro.errors.ConsistencyError` for
     inconsistent ones.  ``engine`` selects the reachability engine —
     ``"auto"``, ``"compiled"``, ``"naive"`` or ``"bdd"`` all yield the
-    same graph, while the query-only ``"sat"`` and ``"portfolio"``
-    engines raise; see
+    same graph, and any other name raises
+    :class:`~repro.errors.ModelError`; see
     :func:`~repro.ts.builder.build_reachability_graph` (and
-    :mod:`repro.portfolio` for the racing layer).
+    :mod:`repro.portfolio` for the query layer).
     """
     ts = build_reachability_graph(stg, max_states=max_states,
                                   require_safe=require_safe, engine=engine)

@@ -15,7 +15,7 @@ Covers the three contracts of the symbolic engine:
 
 import pytest
 
-from repro.analysis import check_implementability, find_csc_conflict_bdd
+from repro.analysis import check_implementability
 from repro.bdd import (
     SymbolicCSC,
     SymbolicReachability,
@@ -102,6 +102,23 @@ class TestGraphEngine:
                                      max_states=50)
         assert "symbolic count" in str(err.value)
 
+    def test_explicit_phase_cross_checks_the_fixpoint(self, monkeypatch):
+        """Every enumerated marking is checked against the reachable BDD:
+        a fixpoint that misses one reachable marking is an internal error,
+        not a silently different graph."""
+        stg = vme_read()
+        dropped = build_reachability_graph(stg, engine="naive").states[1]
+        exact = SymbolicReachability.reachable
+
+        def lossy(self):
+            bdd = self.bdd
+            return bdd.apply_and(exact(self),
+                                 bdd.apply_not(self.marking_to_bdd(dropped)))
+
+        monkeypatch.setattr(SymbolicReachability, "reachable", lossy)
+        with pytest.raises(ModelError, match="outside the symbolic fixpoint"):
+            build_reachability_graph(stg, engine="bdd")
+
     def test_unsafe_net_raises_unbounded(self):
         net = unsafe_net()
         with pytest.raises(UnboundedError):
@@ -172,22 +189,6 @@ class TestQueries:
         assert dead in reachable_markings(net)
         assert dead in find_deadlocks(net)
 
-    def test_find_deadlocks_bdd_engine_agrees_with_explicit(self):
-        net = PetriNet("forks")
-        net.add_place("p", tokens=1)
-        for branch in ("a", "b"):
-            net.add_place(branch)
-            net.add_transition("t_" + branch)
-            net.add_arc("p", "t_" + branch)
-            net.add_arc("t_" + branch, branch)
-        assert find_deadlocks(net, engine="bdd") == find_deadlocks(net)
-        assert find_deadlocks(vme_read().net, engine="bdd") == []
-
-    def test_find_deadlocks_bdd_rejects_markings_filter(self):
-        net = vme_read().net
-        with pytest.raises(ModelError):
-            find_deadlocks(net, markings=[net.initial_marking], engine="bdd")
-
     def test_reachable_count_unknown_encoding(self):
         with pytest.raises(ModelError):
             reachable_count(vme_read(), encoding="magic")
@@ -200,8 +201,6 @@ class TestQueries:
             reachable_count(net)
         with pytest.raises(UnboundedError):
             find_deadlock(net)
-        with pytest.raises(UnboundedError):
-            find_deadlocks(net, engine="bdd")
 
 
 class TestSymbolicCSC:
@@ -228,9 +227,9 @@ class TestSymbolicCSC:
         assert analysis.conflict_count() == len(symbolic_codes)
 
     def test_wrapper_in_analysis_package(self):
-        analysis = find_csc_conflict_bdd(vme_read())
+        analysis = SymbolicCSC(vme_read())
         assert analysis.has_conflict()
-        assert not find_csc_conflict_bdd(vme_read_csc()).has_conflict()
+        assert not SymbolicCSC(vme_read_csc()).has_conflict()
 
     def test_no_conflict_means_empty_characteristic_function(self):
         from repro.bdd import FALSE

@@ -8,7 +8,6 @@ from repro.petri import (
     PetriNet,
     build_coverability_graph,
     is_bounded,
-    is_bounded_km,
     reachable_markings,
 )
 from repro.stg import ALL_EXAMPLES, vme_read
@@ -51,17 +50,12 @@ class TestCoverability:
         assert not graph.is_bounded()
         assert graph.unbounded_places() == ["sink"]
         assert graph.place_bound("p") == 1
-        assert not is_bounded_km(producer_net())
+        assert not is_bounded(producer_net())
 
     def test_bounded_nets_have_no_omega(self):
         for name in sorted(ALL_EXAMPLES):
             net = ALL_EXAMPLES[name]().net
-            assert is_bounded_km(net), name
-
-    def test_agrees_with_explicit_on_bounded(self):
-        for maker in (vme_read,):
-            net = maker().net
-            assert is_bounded_km(net) == is_bounded(net)
+            assert is_bounded(net), name
 
     def test_nodes_match_reachable_for_safe_nets(self):
         """Without accelerations the KM graph of a bounded net is exactly

@@ -1,8 +1,8 @@
 """Graphviz DOT export."""
 
-from repro.petri import explore, net_to_dot, reachability_to_dot
+from repro.petri import net_to_dot, reachability_to_dot
 from repro.stg import vme_read
-from repro.ts import build_state_graph
+from repro.ts import build_reachability_graph, build_state_graph
 
 
 class TestNetDot:
@@ -32,17 +32,16 @@ class TestNetDot:
 
 class TestReachabilityDot:
     def test_reachability_graph_export(self):
-        net = vme_read().net
-        graph = explore(net)
-        text = reachability_to_dot(graph, initial=net.initial_marking)
+        graph = build_reachability_graph(vme_read().net)
+        text = reachability_to_dot(graph)
         assert text.startswith("digraph")
         assert "doublecircle" in text  # initial state highlighted
-        assert text.count("->") == sum(len(v) for v in graph.values())
+        assert text.count("->") == graph.arc_count()
 
     def test_codes_annotation(self):
         stg = vme_read()
         sg = build_state_graph(stg)
-        graph = explore(stg.net)
+        graph = build_reachability_graph(stg.net)
         codes = {s: sg.code_str(s) for s in sg.states}
         text = reachability_to_dot(graph, codes=codes)
         assert "0*0" in text or "00" in text

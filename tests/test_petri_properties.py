@@ -7,7 +7,6 @@ from repro.petri import (
     Marking,
     PetriNet,
     bound,
-    explore,
     find_deadlocks,
     home_markings,
     is_bounded,
@@ -42,6 +41,32 @@ def two_bounded_net():
     return net
 
 
+def weighted_cycle_net():
+    """Two tokens move between p and q, both at once, over weight-2 arcs."""
+    net = PetriNet("weighted-cycle")
+    net.add_place("p", tokens=2)
+    net.add_place("q")
+    net.add_transition("t")
+    net.add_transition("u")
+    net.add_arc("p", "t", weight=2)
+    net.add_arc("t", "q", weight=2)
+    net.add_arc("q", "u", weight=2)
+    net.add_arc("u", "p", weight=2)
+    return net
+
+
+def stuck_two_token_net():
+    """Two tokens on p and nothing enabled: the initial marking is the only
+    reachable one, and no firing ever shows that it is unsafe."""
+    net = PetriNet("stuck")
+    net.add_place("p", tokens=2)
+    net.add_place("q")
+    net.add_transition("t")
+    net.add_arc("q", "t")
+    net.add_arc("t", "p")
+    return net
+
+
 def deadlocking_net():
     net = PetriNet("dead")
     net.add_place("p", tokens=1)
@@ -61,24 +86,32 @@ class TestBoundedness:
         assert not is_bounded(unbounded_net())
         assert not is_safe(unbounded_net())
 
-    def test_unbounded_raises_from_explore(self):
-        with pytest.raises(UnboundedError):
-            explore(unbounded_net())
+    def test_unbounded_raises_from_every_check(self):
+        """Unboundedness is proved before the state budget is spent."""
+        for check in (reachable_markings, find_deadlocks, is_live,
+                      home_markings, bound):
+            with pytest.raises(UnboundedError):
+                check(unbounded_net())
 
     def test_two_bounded(self):
-        net = two_bounded_net()
-        assert is_bounded(net)
-        assert bound(net) == 2
-        assert not is_safe(net)
-        assert unsafe_witness(net) is not None
+        for net in (two_bounded_net(), weighted_cycle_net(),
+                    stuck_two_token_net()):
+            assert is_bounded(net)
+            assert bound(net) == 2
+            assert not is_safe(net)
+            assert unsafe_witness(net) is not None
+        stuck = stuck_two_token_net()
+        assert unsafe_witness(stuck) == stuck.initial_marking
 
     def test_state_bound_enforced(self):
-        with pytest.raises(StateExplosionError):
-            explore(vme_read().net, max_states=3, detect_unbounded=False)
+        for check in (reachable_markings, is_bounded):
+            with pytest.raises(StateExplosionError):
+                check(vme_read().net, max_states=3)
 
     def test_reachable_markings_count(self):
         assert len(reachable_markings(vme_read().net)) == 14
         assert len(reachable_markings(vme_read_write().net)) == 24
+        assert len(reachable_markings(weighted_cycle_net())) == 2
 
 
 class TestDeadlockLiveness:
@@ -93,13 +126,17 @@ class TestDeadlockLiveness:
         assert deadlocks == [Marking({"q": 1})]
         assert not is_deadlock_free(net)
         assert not is_live(net)
+        stuck = stuck_two_token_net()
+        assert find_deadlocks(stuck) == [stuck.initial_marking]
+        assert not is_live(stuck)
 
     def test_home_markings_of_cyclic_net(self):
-        net = vme_read().net
-        homes = home_markings(net)
-        # the READ cycle is strongly connected: all 14 states are home
-        assert len(homes) == 14
-        assert is_reversible(net)
+        # the READ cycle is strongly connected: all 14 states are home;
+        # so are both markings of the weighted cycle
+        for net, states in ((vme_read().net, 14), (weighted_cycle_net(), 2)):
+            assert len(home_markings(net)) == states
+            assert is_reversible(net)
+            assert is_live(net) and is_deadlock_free(net)
 
     def test_home_markings_empty_when_two_bottoms(self):
         net = PetriNet("choice-dead")

@@ -164,6 +164,6 @@ def test_mirror_composition_closes_the_system(stg):
 @given(random_stg())
 @SETTINGS
 def test_coverability_agrees_on_boundedness(stg):
-    from repro.petri import is_bounded_km
+    from repro.petri import is_bounded
 
-    assert is_bounded_km(stg.net)
+    assert is_bounded(stg.net)

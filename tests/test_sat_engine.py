@@ -13,7 +13,7 @@ from hypothesis import HealthCheck, assume, given, settings, strategies as st
 
 from test_random_models import random_stg
 
-from repro.analysis import check_implementability, find_csc_conflict_sat
+from repro.analysis import check_implementability
 from repro.errors import ModelError, UnboundedError
 from repro.petri import (
     Marking,
@@ -297,10 +297,10 @@ def test_build_reachability_graph_rejects_sat_engine():
 
 
 def test_find_csc_conflict_sat_wrapper():
-    conflict = find_csc_conflict_sat(vme_read(), bound=12)
+    conflict = csc_conflict(vme_read(), bound=12)
     assert conflict is not None
     assert "CSC conflict" in str(conflict)
-    assert find_csc_conflict_sat(LIBRARY["latch_controller"], bound=10) is None
+    assert csc_conflict(LIBRARY["latch_controller"], bound=10) is None
 
 
 def test_encoding_rejects_weighted_and_unsafe_nets():
