@@ -75,7 +75,7 @@ def test_bdd_query_beyond_explicit_state_budget(benchmark):
     ``2**13 = 8192`` reachable markings.  Under a 4096-state budget every
     graph-building engine — including the bdd engine's own
     materialisation, which refuses *before* enumerating — raises
-    :class:`StateExplosionError`, while the frontier/partitioned symbolic
+    :class:`StateExplosionError`, while the chained symbolic fixpoint's
     count answers exactly.
     """
     stg = muller_pipeline(12)

@@ -61,17 +61,6 @@ def main(max_n=5):
         sym.reachable()
         print("  order=%-6s -> %5d BDD nodes" % (order, sym.bdd_size()))
 
-    print("\ntransition-relation ablation (n = 5):")
-    for style in ("partitioned", "monolithic"):
-        sym = SymbolicReachability(net, relation=style)
-        _, seconds = timed(sym.reachable)
-        relation_nodes = (
-            max(sym.bdd.size(r) for _, r, _, _ in sym.partitioned_relations())
-            if style == "partitioned"
-            else sym.bdd.size(sym.transition_relation()))
-        print("  relation=%-11s -> %6.4f s, largest relation %4d nodes"
-              % (style, seconds, relation_nodes))
-
     print("\nstructural invariants (n = 5, no state enumeration):")
     for inv in p_invariants(net):
         print("  ", " + ".join("M(%s)" % p for p in sorted(inv)), "= 1")

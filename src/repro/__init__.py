@@ -18,7 +18,7 @@ The library covers the whole flow of the paper:
 * :mod:`repro.analysis` — implementability properties (consistency, CSC,
   persistency) and stubborn-set reduction (Section 2);
 * :mod:`repro.bdd` — ROBDD engine, the symbolic ``engine="bdd"`` backend
-  (partitioned-relation frontier traversal with naive and dense
+  (chained cube-update frontier traversal with naive and dense
   SM-component encodings) and symbolic queries — counts, deadlocks,
   CSC characteristic functions — without state enumeration
   (Section 2.2);

@@ -14,7 +14,6 @@ from .queries import (
     reachable_count,
 )
 from .symbolic import (
-    RELATION_STYLES,
     structural_place_order,
     DenseSymbolicReachability,
     SymbolicReachability,
@@ -23,7 +22,7 @@ from .symbolic import (
 
 __all__ = [
     "BDD", "FALSE", "TRUE",
-    "DenseSymbolicReachability", "RELATION_STYLES", "SymbolicCSC",
+    "DenseSymbolicReachability", "SymbolicCSC",
     "SymbolicReachability", "find_deadlock",
     "has_csc_conflict", "has_deadlock", "reachable_count",
     "structural_place_order", "symbolic_marking_count",

@@ -4,8 +4,10 @@ Section 2.2 of the paper relies on "symbolic BDD-based traversal of a
 reachability graph [which] allows its implicit representation, generally
 much more compact than an explicit enumeration of states".  This module
 provides the substrate: hash-consed ROBDD nodes with the classic
-operations (ite/apply, restrict, existential quantification, renaming,
-satisfy-count/enumeration).
+operations (ite/apply, restrict, existential quantification,
+satisfy-count/enumeration) and the one image operator of the symbolic
+traversals, :meth:`BDD.image`, which applies a transition's cube update
+to a set of states in a single memoised pass.
 
 Node references are integers: 0 and 1 are the terminals; other ids index
 into the manager's node table.  Variables are ordered by their index in
@@ -20,6 +22,15 @@ from ..errors import ModelError
 
 FALSE = 0
 TRUE = 1
+
+#: New value of a cube-update entry that complements the variable.
+FLIP = 2
+
+#: A compiled cube update (see :meth:`BDD.cube_update`): one
+#: ``(level, required, new)`` entry per touched variable, sorted by
+#: level.  ``required`` is 0, 1 or -1 (no requirement); ``new`` is 0, 1
+#: or :data:`FLIP`.
+CubeUpdate = Tuple[Tuple[int, int, int], ...]
 
 
 class BDD:
@@ -232,30 +243,65 @@ class BDD:
 
         return walk(f)
 
-    def rename(self, f: int, mapping: Dict[str, str]) -> int:
-        """Substitute variables (must preserve relative order between the
-        renamed variables, as in the standard current/next interleaving)."""
-        pairs = {self.var_index[a]: self.var_index[b]
-                 for a, b in mapping.items()}
+    # ------------------------------------------------------------------ #
+    # the image operator
+    # ------------------------------------------------------------------ #
 
-        cache: Dict[int, int] = {}
+    def cube_update(self, entries: Dict[str, Tuple[Optional[int], int]]
+                    ) -> CubeUpdate:
+        """Compile ``{variable: (required, new)}`` for :meth:`image`.
 
-        def walk(u: int) -> int:
-            if u <= 1:
+        ``required`` is the value the variable must have before the
+        update (None: any value); ``new`` is its value after it: 0, 1 or
+        :data:`FLIP` (the complement of the old value).
+        """
+        return tuple(sorted(
+            (self.var_index[name], -1 if required is None else required, new)
+            for name, (required, new) in entries.items()))
+
+    def image(self, f: int, update: CubeUpdate) -> int:
+        """The set ``f`` after a cube update, in one memoised pass.
+
+        Each touched variable ``x`` is first cofactored to its required
+        value, then set to its new value: ``∃x . (f ∧ x=r) ∧ x=n`` for a
+        constant ``n``, a swap of the two cofactors for :data:`FLIP`.
+        Untouched variables pass through unchanged, so the result is the
+        set of successors of ``f`` under one transition whose enabling
+        and effect are cubes — a Petri-net firing, a dense-code move or a
+        parity toggle — without any next-state variable.
+        """
+        nodes = self._nodes
+        mk = self._mk
+        ite = self.ite
+        last = len(update)
+        memo: Dict[Tuple[int, int], int] = {}
+
+        def walk(u: int, i: int) -> int:
+            if u == FALSE or i == last:
                 return u
-            if u in cache:
-                return cache[u]
-            level = pairs.get(self.level(u), self.level(u))
-            result = self._mk(level, walk(self.low(u)), walk(self.high(u)))
-            cache[u] = result
+            key = (u, i)
+            hit = memo.get(key)
+            if hit is not None:
+                return hit
+            level, low, high = nodes[u]
+            target, required, new = update[i]
+            if level < target:
+                result = mk(level, walk(low, i), walk(high, i))
+            else:
+                if level > target:  # u does not test the touched variable
+                    low = high = u
+                low = FALSE if required == 1 else walk(low, i + 1)
+                high = FALSE if required == 0 else walk(high, i + 1)
+                if new == FLIP:
+                    result = mk(target, high, low)
+                elif new:
+                    result = mk(target, FALSE, ite(low, TRUE, high))
+                else:
+                    result = mk(target, ite(low, TRUE, high), FALSE)
+            memo[key] = result
             return result
 
-        return walk(f)
-
-    def and_exists(self, f: int, g: int, names: Sequence[str]) -> int:
-        """Relational product ``∃names . f ∧ g`` (no special optimisation —
-        correctness first, the nets here are small)."""
-        return self.exists(self.apply_and(f, g), names)
+        return walk(f, 0)
 
     # ------------------------------------------------------------------ #
     # evaluation and enumeration
@@ -277,20 +323,9 @@ class BDD:
             result = self.apply_and(lit, result)
         return result
 
-    def satcount(self, f: int, nvars: Optional[int] = None) -> int:
-        """Number of satisfying assignments over ``nvars`` variables
-        (defaults to all manager variables)."""
-        if nvars is None:
-            nvars = len(self.variables)
-
+    def satcount(self, f: int) -> int:
+        """Number of satisfying assignments over all manager variables."""
         cache: Dict[int, int] = {}
-
-        def walk(u: int) -> int:
-            if u == FALSE:
-                return 0
-            if u == TRUE:
-                return 1 << (nvars - 0)  # adjusted below by level weighting
-            raise AssertionError
 
         # weighted count: count(u) * 2^(level(u)) with terminals at nvars
         def count(u: int) -> int:
@@ -309,7 +344,7 @@ class BDD:
             return result
 
         return count(f) << self.level(f) if f > 1 else (
-            0 if f == FALSE else 1 << nvars)
+            0 if f == FALSE else 1 << len(self.variables))
 
     def pick(self, f: int, names: Optional[Sequence[str]] = None
              ) -> Dict[str, int]:

@@ -30,13 +30,12 @@ from ..petri.marking import Marking
 from ..petri.net import PetriNet
 from ..stg.signals import FALL, RISE
 from ..stg.stg import STG
-from .bdd import BDD, FALSE
+from .bdd import BDD, FALSE, FLIP, CubeUpdate
 from .symbolic import (
     DenseSymbolicReachability,
     SymbolicReachability,
-    _frontier_fixpoint,
     find_safety_clash,
-    marking_relation_parts,
+    marking_update,
     raise_unsafe,
     structural_place_order,
     traced_traversal,
@@ -61,9 +60,7 @@ def reachable_count(model: Model, encoding: str = "naive",
     """
     net = _net_of(model)
     if encoding == "naive":
-        sym = SymbolicReachability(net, place_order=place_order)
-        sym.assert_safe()  # capped semantics would miscount unsafe nets
-        return sym.count()
+        return SymbolicReachability(net, place_order=place_order).count()
     if encoding == "dense":
         return DenseSymbolicReachability(net).count()
     raise ModelError("unknown encoding %r (expected 'naive' or 'dense')"
@@ -92,8 +89,8 @@ class SymbolicCSC:
     The symbolic state is ``(marking, parity)``: one BDD variable per
     place plus one per signal (the signal's transition-count parity).
     Transitions update the marking exactly as in
-    :class:`~repro.bdd.symbolic.SymbolicReachability` and toggle the
-    parity bit of their signal (dummy events toggle nothing).
+    :class:`~repro.bdd.symbolic.SymbolicReachability` and complement the
+    parity bit of their signal (dummy events touch no parity).
 
     A CSC conflict exists iff some parity vector (equivalently: some
     binary code) is shared by two reachable states with different
@@ -124,41 +121,26 @@ class SymbolicCSC:
         self.parity_var: Dict[str, str] = {
             s: self.PARITY_PREFIX + s for s in self.signals
         }
-        variables: List[str] = []
-        for p in self.places:
-            variables.append(p)
-            variables.append(p + "'")
-        for s in self.signals:
-            v = self.parity_var[s]
-            variables.append(v)
-            variables.append(v + "'")
-        self.bdd = BDD(variables)
+        self.bdd = BDD(self.places + [self.parity_var[s]
+                                      for s in self.signals])
         self._reached: Optional[int] = None
         self._chf: Optional[int] = None
 
     # -- traversal ------------------------------------------------------ #
 
-    def _relations(self):
-        """Safe-guarded marking relations extended with parity toggles."""
-        bdd = self.bdd
-        result = []
-        for t in sorted(self.net.transitions):
-            parts, touched = marking_relation_parts(bdd, self.net, t,
-                                                    safe=True)
-            event = self.stg.event_of(t)
-            if not event.is_dummy:
-                v = self.parity_var[event.signal]
-                # toggle: parity' = NOT parity
-                parts.append(bdd.apply_xor(bdd.var(v), bdd.var(v + "'")))
-                touched.append(v)
-            rename_back = {n + "'": n for n in touched}
-            result.append((t, bdd.conj(parts), touched, rename_back))
-        return result
+    def transition_update(self, transition: str) -> CubeUpdate:
+        """The safe-guarded marking update of one transition, plus the
+        complement of its signal's parity bit (none for a dummy)."""
+        entries = marking_update(self.net, transition)
+        event = self.stg.event_of(transition)
+        if not event.is_dummy:
+            entries[self.parity_var[event.signal]] = (None, FLIP)
+        return self.bdd.cube_update(entries)
 
     def reachable(self) -> int:
-        """BDD of reachable ``(marking, parity)`` pairs (current vars).
+        """BDD of reachable ``(marking, parity)`` pairs.
 
-        The traversal uses the safe-guarded relations, so it doubles as
+        The traversal uses the safe-guarded updates, so it doubles as
         the safety decision procedure: a non-1-safe STG raises
         :class:`~repro.errors.UnboundedError` with a genuinely reachable
         witness (CSC is only defined on safe STGs).
@@ -170,11 +152,11 @@ class SymbolicCSC:
         for s in self.signals:
             init_cube[self.parity_var[s]] = 0
         init = self.bdd.from_cube(init_cube)
+        updates = [self.transition_update(t)
+                   for t in sorted(self.net.transitions)]
         reached = traced_traversal(
-            "bdd.fixpoint", self.bdd,
-            lambda: _frontier_fixpoint(self.bdd, init, self._relations()),
-            engine="bdd", net=self.net.name, query="csc",
-            signals=len(self.signals))
+            self.bdd, init, updates, engine="bdd", net=self.net.name,
+            query="csc", signals=len(self.signals))
         clash = find_safety_clash(self.bdd, self.net, reached, self.places)
         if clash is not None:
             t, assignment = clash

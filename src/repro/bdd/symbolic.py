@@ -28,30 +28,31 @@ Two state encodings are provided, mirroring the paper's discussion:
   characteristic function of the reachable markings becomes the constant 1
   — reproduced in the benchmark suite.
 
-The traversal is a least fixpoint on the *frontier set* (only newly
-reached markings are passed to the image computation).  The transition
-relation is **partitioned**: one small relation per transition over just
-the places it touches, so the image quantifies and renames only those
-variables and untouched places pass through unchanged.  The monolithic
-disjunction the paper describes ("iterative application of the transition
-function ... until the fixed point is reached") is kept as
-``relation="monolithic"`` for ablation studies.
+Every traversal is one least fixpoint over current-state variables
+only.  Each transition is a *cube update* (:meth:`repro.bdd.bdd.BDD.image`):
+its enabling cube is a cofactor and its effect sets the touched
+variables, so untouched places pass through and no next-state variables,
+renaming or relational product are needed.  Transitions fire in
+*chaining* order (Pastor, Cortadella and Roig, "Symbolic analysis of
+bounded Petri nets", IEEE Trans. Computers 50(5), 2001): within one
+iteration the states a transition reaches feed the transitions after it,
+so far fewer iterations than BFS layers are needed.  The naive update is
+safe-guarded — a firing that would put a second token on a place is
+disabled — so the fixpoint is exactly the 1-safe token game, and it
+doubles as the 1-safety decision procedure.
 """
 
 from __future__ import annotations
 
-from typing import Callable, Dict, List, Optional, Sequence, Set, Tuple
+from typing import Dict, List, Optional, Sequence, Tuple
 
 from .. import obs
 from ..budgets import DEFAULT_STATE_BOUND
 from ..errors import ModelError, StateExplosionError, UnboundedError
 from ..petri.marking import Marking
 from ..petri.net import PetriNet
-from ..petri.structure import DenseEncoding, SMComponent, sm_cover
-from .bdd import BDD, FALSE, TRUE
-
-#: Relation styles accepted by the symbolic engines.
-RELATION_STYLES = ("partitioned", "monolithic")
+from ..petri.structure import DenseEncoding, SMComponent
+from .bdd import BDD, FALSE, TRUE, CubeUpdate
 
 
 def structural_place_order(net: PetriNet) -> List[str]:
@@ -80,33 +81,21 @@ def structural_place_order(net: PetriNet) -> List[str]:
     return order
 
 
-#: A partitioned-relation entry: transition name, relation BDD over the
-#: touched current/next variables, the touched current variables to
-#: quantify, and the primed-to-current rename map.
-PartitionedRelation = Tuple[str, int, List[str], Dict[str, str]]
+def marking_update(net: PetriNet, transition: str
+                   ) -> Dict[str, Tuple[Optional[int], int]]:
+    """The safe-guarded cube update of one transition over place variables.
 
-
-def marking_relation_parts(bdd: BDD, net: PetriNet, transition: str,
-                           safe: bool = False) -> Tuple[List[int], List[str]]:
-    """The marking part of one transition's relation over place variables.
-
-    Returns ``(literals, touched_places)`` where the literals are the
-    enabling cube over current variables plus the post/consumed updates
-    over primed variables.  With ``safe=True`` the enabling cube also
-    requires every output place outside the preset to be empty — the
-    relation then models exactly the 1-safe token game (a would-be unsafe
-    firing is simply disabled), which is what the safety decision
-    procedure traverses.
+    Every input place must be marked and every output place outside the
+    preset must be empty; afterwards the output places are marked and
+    the other input places empty.  The update thus models exactly the
+    1-safe token game — a would-be unsafe firing is disabled, not capped
+    — which is what the safety decision procedure traverses.  Entries are
+    ``{place: (required, new)}`` for :meth:`repro.bdd.bdd.BDD.cube_update`.
     """
     pre = set(net.pre(transition))
     post = set(net.post(transition))
-    parts = [bdd.var(p) for p in sorted(pre)]
-    if safe:
-        parts.extend(bdd.nvar(p) for p in sorted(post - pre))
-    for p in sorted(pre | post):
-        nxt = p + "'"
-        parts.append(bdd.var(nxt) if p in post else bdd.nvar(nxt))
-    return parts, sorted(pre | post)
+    return {p: (1 if p in pre else 0, 1 if p in post else 0)
+            for p in pre | post}
 
 
 def find_safety_clash(bdd: BDD, net: PetriNet, reached: int,
@@ -114,15 +103,15 @@ def find_safety_clash(bdd: BDD, net: PetriNet, reached: int,
                       ) -> Optional[Tuple[str, Dict[str, int]]]:
     """First (transition, place-assignment) in ``reached`` whose firing
     would put a second token somewhere, or None.  ``reached`` must be the
-    *safe-guarded* fixpoint (see :func:`marking_relation_parts`), so the
+    *safe-guarded* fixpoint (see :func:`marking_update`), so the
     returned marking is genuinely reachable in the real token game."""
     for t in sorted(net.transitions):
         pre = set(net.pre(t))
         extra = sorted(set(net.post(t)) - pre)
         if not extra:
             continue
-        enabled = bdd.conj([bdd.var(p) for p in sorted(pre)])
-        clash = bdd.apply_and(bdd.apply_and(reached, enabled),
+        enabling = bdd.cube_update({p: (1, 1) for p in pre})
+        clash = bdd.apply_and(bdd.image(reached, enabling),
                               bdd.disj([bdd.var(p) for p in extra]))
         if clash != FALSE:
             return t, bdd.pick(clash, places)
@@ -138,40 +127,40 @@ def raise_unsafe(net: PetriNet, transition: str, marking: Marking) -> None:
         % (transition, marking, offenders))
 
 
-def _frontier_fixpoint(bdd: BDD, init: int,
-                       partitioned: Sequence[PartitionedRelation]) -> int:
-    """Least fixpoint of the reachable set by frontier-set image steps.
+def chained_fixpoint(bdd: BDD, init: int,
+                     updates: Sequence[CubeUpdate]) -> int:
+    """Least fixpoint of the reachable set, firing in chaining order.
 
-    Each iteration computes ``Img(frontier) = ∨_t ∃touched_t . frontier ∧
-    T_t`` (renamed back to current variables) and extends the reached set
-    with it; only the genuinely new part becomes the next frontier.
+    Each iteration applies every update, in order, to the frontier; the
+    states an update adds join the frontier at once, so the updates after
+    it fire from them within the same iteration.  Everything an iteration
+    added is the next frontier.
     """
     reached = init
     frontier = init
     iterations = 0
     while frontier != FALSE:
         iterations += 1
-        parts = []
-        for _name, relation, current, rename_back in partitioned:
-            part = bdd.and_exists(frontier, relation, current)
-            if rename_back:
-                part = bdd.rename(part, rename_back)
-            parts.append(part)
-        image = bdd.disj(parts)
-        frontier = bdd.apply_and(image, bdd.apply_not(reached))
-        reached = bdd.apply_or(reached, image)
+        before = reached
+        for update in updates:
+            new = bdd.ite(reached, FALSE, bdd.image(frontier, update))
+            if new != FALSE:
+                reached = bdd.apply_or(reached, new)
+                frontier = bdd.apply_or(frontier, new)
+        frontier = bdd.ite(before, FALSE, reached)
     # one call per fixpoint: attaches to the enclosing traversal span
     # (no-op when the obs layer is disabled or no span is active)
     obs.add("image_iterations", iterations)
     return reached
 
 
-def traced_traversal(name: str, bdd: BDD, compute: Callable[[], int],
+def traced_traversal(bdd: BDD, init: int, updates: Sequence[CubeUpdate],
                      **tags) -> int:
-    """Run one symbolic traversal under an observability span.
+    """Run :func:`chained_fixpoint` under the ``bdd.fixpoint`` span.
 
-    Wraps ``compute()`` in an :func:`repro.obs.span` named ``name`` and
-    snapshots the manager's work counters around it: the per-traversal
+    Every traversal of the package — naive, dense and CSC — runs through
+    here, so one span name covers them all.  The span snapshots the
+    manager's work counters around the fixpoint: the per-traversal
     ``ite_lookups`` / ``ite_hits`` deltas, the resulting
     ``cache_hit_rate``, and the ``peak_nodes`` gauge (the node table
     only grows, so its size is the peak).  The fixpoint's
@@ -180,16 +169,16 @@ def traced_traversal(name: str, bdd: BDD, compute: Callable[[], int],
     doubles as the heartbeat progress provider while the traversal runs
     (live node counts for portfolio workers, see
     :mod:`repro.obs.remote`).  Disabled, this is a single boolean check
-    plus the plain ``compute()`` call.
+    plus the plain fixpoint call.
     """
     if not obs.enabled():
-        return compute()
+        return chained_fixpoint(bdd, init, updates)
     lookups = bdd.ite_lookups
     hits = bdd.ite_hits
-    with obs.span(name, **tags) as span:
+    with obs.span("bdd.fixpoint", **tags) as span:
         obs.push_progress(bdd.stats)
         try:
-            result = compute()
+            result = chained_fixpoint(bdd, init, updates)
         finally:
             obs.pop_progress()
         d_lookups = bdd.ite_lookups - lookups
@@ -207,20 +196,16 @@ class SymbolicReachability:
     """Symbolic reachability with the naive one-variable-per-place encoding.
 
     ``initial`` overrides the net's initial marking (it must be 1-safe and
-    mark only known places); ``relation`` selects ``"partitioned"``
-    (default) or ``"monolithic"`` image computation.
+    mark only known places).  The one traversal is safe-guarded: on a
+    net that is not 1-safe every query raises :class:`UnboundedError`,
+    except :meth:`safety_violation`, which returns the witness.
     """
 
     def __init__(self, net: PetriNet, place_order: str = "dfs",
-                 initial: Optional[Marking] = None,
-                 relation: str = "partitioned"):
+                 initial: Optional[Marking] = None):
         if not net.has_ordinary_arcs():
             raise ModelError("symbolic traversal requires arc weights of 1")
-        if relation not in RELATION_STYLES:
-            raise ModelError("unknown relation style %r (expected one of %s)"
-                             % (relation, RELATION_STYLES))
         self.net = net
-        self.relation = relation
         if initial is None:
             initial = net.initial_marking
         for p in initial.places():
@@ -236,14 +221,8 @@ class SymbolicReachability:
             self.places = sorted(net.places)
         else:
             raise ModelError("unknown place_order %r" % place_order)
-        variables: List[str] = []
-        for p in self.places:
-            variables.append(p)          # current-state variable
-            variables.append(p + "'")    # next-state variable
-        self.bdd = BDD(variables)
+        self.bdd = BDD(self.places)
         self._reached: Optional[int] = None
-        self._partitioned: Optional[List[PartitionedRelation]] = None
-        self._monolithic: Optional[int] = None
         self._violation: Optional[Tuple[str, Marking]] = None
         self._violation_known = False
 
@@ -255,85 +234,38 @@ class SymbolicReachability:
             {p: 1 if marking.get(p) else 0 for p in self.places}
         )
 
-    def partitioned_relations(self) -> List[PartitionedRelation]:
-        """Per-transition relations over just the touched places.
-
-        Each entry is ``(name, T_t, touched_current, rename_back)`` where
-        ``T_t = ∧_{p∈pre} x_p ∧ ∧_{p∈post} x'_p ∧ ∧_{p∈pre∖post} ¬x'_p``.
-        Untouched places carry no frame constraint — the image computation
-        leaves them alone, which is what makes the partitioned traversal
-        cheap on nets whose transitions are local (the common case for
-        handshake circuits).
-        """
-        if self._partitioned is not None:
-            return self._partitioned
-        self._partitioned = self._relations(safe=False)
-        return self._partitioned
-
-    def _relations(self, safe: bool) -> List[PartitionedRelation]:
-        bdd = self.bdd
-        result: List[PartitionedRelation] = []
-        for t in sorted(self.net.transitions):
-            parts, touched = marking_relation_parts(bdd, self.net, t,
-                                                    safe=safe)
-            rename_back = {p + "'": p for p in touched}
-            result.append((t, bdd.conj(parts), touched, rename_back))
-        return result
-
-    def transition_relation(self) -> int:
-        """Monolithic relation T(x, x') = ∨_t enabled_t(x) ∧ update_t(x, x')
-        with explicit frame constraints for untouched places — the form the
-        paper describes; kept for the relation-style ablation."""
-        if self._monolithic is not None:
-            return self._monolithic
-        bdd = self.bdd
-        relations = []
-        for t, relation, touched, _rename in self.partitioned_relations():
-            parts = [relation]
-            touched_set = set(touched)
-            for p in self.places:
-                if p in touched_set:
-                    continue
-                # frame: x_p' == x_p
-                same = bdd.apply_not(bdd.apply_xor(bdd.var(p),
-                                                   bdd.var(p + "'")))
-                parts.append(same)
-            relations.append(bdd.conj(parts))
-        self._monolithic = bdd.disj(relations)
-        return self._monolithic
+    def transition_update(self, transition: str) -> CubeUpdate:
+        """One transition's safe-guarded cube update (see
+        :func:`marking_update`)."""
+        return self.bdd.cube_update(marking_update(self.net, transition))
 
     # -- traversal ------------------------------------------------------ #
 
-    def reachable(self) -> int:
-        """BDD over the current-state variables of all reachable markings."""
-        if self._reached is not None:
-            return self._reached
-
-        def compute() -> int:
+    def _fixpoint(self) -> int:
+        """The safe-guarded fixpoint: every marking of the 1-safe token
+        game (the whole reachable set when the net is 1-safe)."""
+        if self._reached is None:
             bdd = self.bdd
             init = self.marking_to_bdd(self.initial)
-            if self.relation == "partitioned":
-                return _frontier_fixpoint(bdd, init,
-                                          self.partitioned_relations())
-            relation = self.transition_relation()
-            rename_back = {p + "'": p for p in self.places}
-            monolithic = [("*", relation, list(self.places), rename_back)]
-            return _frontier_fixpoint(bdd, init, monolithic)
+            updates = [self.transition_update(t)
+                       for t in sorted(self.net.transitions)]
+            self._reached = traced_traversal(
+                bdd, init, updates, engine="bdd", net=self.net.name,
+                encoding="naive", places=len(self.places))
+        return self._reached
 
-        reached = traced_traversal(
-            "bdd.fixpoint", self.bdd, compute, engine="bdd",
-            net=self.net.name, encoding="naive", relation=self.relation,
-            places=len(self.places))
-        self._reached = reached
-        return reached
+    def reachable(self) -> int:
+        """BDD over the place variables of all reachable markings.
+
+        Raises :class:`UnboundedError` (the naive engine's witness
+        message) unless the net is 1-safe from ``initial``.
+        """
+        self.assert_safe()
+        return self._fixpoint()
 
     def count(self) -> int:
         """Number of reachable markings."""
-        reached = self.reachable()
-        # quantify away primed variables (they are unconstrained in R)
-        primed = [p + "'" for p in self.places]
-        core = self.bdd.exists(reached, primed)
-        return self.bdd.satcount(core) >> len(primed)
+        return self.bdd.satcount(self.reachable())
 
     #: Query-style alias: the reachable-marking count without enumeration.
     reachable_count = count
@@ -345,8 +277,6 @@ class SymbolicReachability:
     def contains(self, marking: Marking) -> bool:
         """True iff the marking is reachable (membership in the BDD)."""
         env = {p: 1 if marking.get(p) else 0 for p in self.places}
-        for p in self.places:
-            env[p + "'"] = 0
         return self.bdd.eval(self.reachable(), env) == TRUE
 
     def deadlocks(self) -> int:
@@ -366,10 +296,8 @@ class SymbolicReachability:
     def find_deadlock(self) -> Optional[Marking]:
         """One reachable dead marking, or None if the net is deadlock-free.
 
-        Raises :class:`UnboundedError` for non-1-safe nets (the capped
-        symbolic semantics would silently misreport them otherwise).
+        Raises :class:`UnboundedError` for non-1-safe nets.
         """
-        self.assert_safe()
         dead = self.deadlocks()
         if dead == FALSE:
             return None
@@ -382,32 +310,20 @@ class SymbolicReachability:
         *in the real token game* and enables ``transition`` while some
         output place outside its preset is already marked — firing would
         put a second token there.  The traversal behind the answer uses
-        the safe-guarded relations (unsafe firings are disabled instead
+        the safe-guarded updates (unsafe firings are disabled instead
         of capped), so every visited marking is genuinely reachable; and
         since the first unsafe firing of any run happens from exactly
         such a marking, the test is an exact safety decision procedure.
-        On a safe net the guarded fixpoint *is* the reachable set, so the
-        extra traversal is reused rather than recomputed.
+        On a safe net the guarded fixpoint *is* the reachable set, which
+        every other query reads.
         """
-        if self._violation_known:
-            return self._violation
-        bdd = self.bdd
-        init = self.marking_to_bdd(self.initial)
-        safe_reached = traced_traversal(
-            "bdd.safety", bdd,
-            lambda: _frontier_fixpoint(bdd, init,
-                                       self._relations(safe=True)),
-            engine="bdd", net=self.net.name)
-        clash = find_safety_clash(bdd, self.net, safe_reached, self.places)
-        if clash is None:
-            self._violation = None
-            if self._reached is None:
-                # safe net: the guarded and unguarded fixpoints coincide
-                self._reached = safe_reached
-        else:
-            t, assignment = clash
-            self._violation = (t, self._marking_of(assignment))
-        self._violation_known = True
+        if not self._violation_known:
+            clash = find_safety_clash(self.bdd, self.net, self._fixpoint(),
+                                      self.places)
+            if clash is not None:
+                t, assignment = clash
+                self._violation = (t, self._marking_of(assignment))
+            self._violation_known = True
         return self._violation
 
     def assert_safe(self) -> None:
@@ -435,7 +351,6 @@ class SymbolicReachability:
         # deferred: repro.ts.builder imports this module at module level
         from ..ts.builder import _build_compiled
 
-        self.assert_safe()
         total = self.count()
         if total > max_states:
             raise StateExplosionError(
@@ -454,139 +369,73 @@ class DenseSymbolicReachability:
     """Symbolic reachability with the SM-component dense encoding (§2.2)."""
 
     def __init__(self, net: PetriNet,
-                 cover: Optional[List[SMComponent]] = None,
-                 relation: str = "partitioned"):
-        if relation not in RELATION_STYLES:
-            raise ModelError("unknown relation style %r (expected one of %s)"
-                             % (relation, RELATION_STYLES))
+                 cover: Optional[List[SMComponent]] = None):
+        if not net.has_ordinary_arcs():
+            raise ModelError("symbolic traversal requires arc weights of 1")
         self.net = net
-        self.relation = relation
         self.encoding = DenseEncoding(net, cover)
-        variables: List[str] = []
-        for v in self.encoding.variables:
-            variables.append(v)
-            variables.append(v + "'")
-        self.bdd = BDD(variables)
+        self.bdd = BDD(self.encoding.variables)
         self._reached: Optional[int] = None
-        self._partitioned: Optional[List[PartitionedRelation]] = None
 
     # -- encodings ------------------------------------------------------ #
 
-    def _cube_to_bdd(self, cube: str, primed: bool) -> int:
-        assignment = {}
-        for bit, value in enumerate(cube):
-            if value == "-":
-                continue
-            name = self.encoding.variables[bit] + ("'" if primed else "")
-            assignment[name] = int(value)
-        return self.bdd.from_cube(assignment)
-
     def marking_to_bdd(self, marking: Marking) -> int:
         """Characteristic function of a marking in the dense encoding."""
-        return self._cube_to_bdd(self.encoding.encode(marking), primed=False)
+        cube = self.encoding.encode(marking)
+        return self.bdd.from_cube({self.encoding.variables[bit]: int(value)
+                                   for bit, value in enumerate(cube)
+                                   if value != "-"})
 
-    def partitioned_relations(self) -> List[PartitionedRelation]:
-        """Per-transition relations over the dense variables.
+    def transition_update(self, transition: str) -> CubeUpdate:
+        """One transition's cube update over the dense variables.
 
-        For each SM component the transition consumes from exactly one
-        place and produces into exactly one place of the component; bits of
-        untouched components are left unconstrained (the image computation
-        passes them through, replacing the frame terms of the monolithic
-        relation).
+        In each SM component it touches, the transition consumes from
+        exactly one place and produces into exactly one place: the
+        component's bits must hold the input place's code and are set to
+        the output place's code.  Bits of untouched components pass
+        through.
         """
-        if self._partitioned is not None:
-            return self._partitioned
-        result: List[PartitionedRelation] = []
-        for t in sorted(self.net.transitions):
-            pre = set(self.net.pre(t))
-            post = set(self.net.post(t))
-            parts: List[int] = []
-            touched_bits: Set[int] = set()
-            for component, bits, codes in self.encoding.groups:
-                pre_in = sorted(pre & component.places)
-                post_in = sorted(post & component.places)
-                if not pre_in and not post_in:
-                    continue
-                if len(pre_in) != 1 or len(post_in) != 1:
-                    raise ModelError(
-                        "transition %r does not cross component %r exactly"
-                        " once" % (t, sorted(component.places)))
-                touched_bits.update(bits)
-                parts.append(self._bits_equal(bits, codes[pre_in[0]],
-                                              primed=False))
-                parts.append(self._bits_equal(bits, codes[post_in[0]],
-                                              primed=True))
-            touched = [self.encoding.variables[b] for b in
-                       sorted(touched_bits)]
-            rename_back = {v + "'": v for v in touched}
-            result.append((t, self.bdd.conj(parts), touched, rename_back))
-        self._partitioned = result
-        return result
-
-    def transition_relation(self) -> int:
-        """Monolithic dense relation (per-transition disjuncts plus frame
-        constraints for the bits of untouched components)."""
-        bdd = self.bdd
-        relations = []
-        for t, relation, touched, _rename in self.partitioned_relations():
-            parts = [relation]
-            touched_set = set(touched)
-            for v in self.encoding.variables:
-                if v in touched_set:
-                    continue
-                same = bdd.apply_not(
-                    bdd.apply_xor(bdd.var(v), bdd.var(v + "'")))
-                parts.append(same)
-            relations.append(bdd.conj(parts))
-        return bdd.disj(relations)
-
-    def _bits_equal(self, bits: Sequence[int], code: int, primed: bool) -> int:
-        parts = []
-        for offset, bit in enumerate(reversed(list(bits))):
-            name = self.encoding.variables[bit] + ("'" if primed else "")
-            value = (code >> offset) & 1
-            parts.append(self.bdd.var(name) if value else self.bdd.nvar(name))
-        return self.bdd.conj(parts)
+        pre = set(self.net.pre(transition))
+        post = set(self.net.post(transition))
+        entries: Dict[str, Tuple[Optional[int], int]] = {}
+        for component, bits, codes in self.encoding.groups:
+            pre_in = sorted(pre & component.places)
+            post_in = sorted(post & component.places)
+            if not pre_in and not post_in:
+                continue
+            if len(pre_in) != 1 or len(post_in) != 1:
+                raise ModelError(
+                    "transition %r does not cross component %r exactly"
+                    " once" % (transition, sorted(component.places)))
+            source, target = codes[pre_in[0]], codes[post_in[0]]
+            for offset, bit in enumerate(reversed(bits)):
+                entries[self.encoding.variables[bit]] = (
+                    (source >> offset) & 1, (target >> offset) & 1)
+        return self.bdd.cube_update(entries)
 
     # -- traversal ------------------------------------------------------ #
 
     def reachable(self) -> int:
-        """BDD of reachable codes over the dense current-state variables."""
-        if self._reached is not None:
-            return self._reached
-
-        def compute() -> int:
+        """BDD of reachable codes over the dense variables."""
+        if self._reached is None:
             bdd = self.bdd
             init = self.marking_to_bdd(self.net.initial_marking)
-            if self.relation == "partitioned":
-                return _frontier_fixpoint(bdd, init,
-                                          self.partitioned_relations())
-            relation = self.transition_relation()
-            rename_back = {v + "'": v for v in self.encoding.variables}
-            monolithic = [("*", relation, list(self.encoding.variables),
-                           rename_back)]
-            return _frontier_fixpoint(bdd, init, monolithic)
-
-        reached = traced_traversal(
-            "bdd.fixpoint", self.bdd, compute, engine="bdd",
-            net=self.net.name, encoding="dense", relation=self.relation,
-            bits=self.encoding.width)
-        self._reached = reached
-        return reached
+            updates = [self.transition_update(t)
+                       for t in sorted(self.net.transitions)]
+            self._reached = traced_traversal(
+                bdd, init, updates, engine="bdd", net=self.net.name,
+                encoding="dense", bits=self.encoding.width)
+        return self._reached
 
     def characteristic_is_constant_true(self) -> bool:
         """The paper's punchline for the reduced READ/WRITE net: with the
         dense encoding the characteristic function of the reachability set
         reduces to the constant 1."""
-        primed = [v + "'" for v in self.encoding.variables]
-        core = self.bdd.exists(self.reachable(), primed)
-        return core == TRUE
+        return self.reachable() == TRUE
 
     def count(self) -> int:
         """Number of reachable dense codes."""
-        primed = [v + "'" for v in self.encoding.variables]
-        core = self.bdd.exists(self.reachable(), primed)
-        return self.bdd.satcount(core) >> len(primed)
+        return self.bdd.satcount(self.reachable())
 
     #: Query-style alias: the reachable-code count without enumeration.
     reachable_count = count

@@ -14,7 +14,7 @@ for the user guide).  Three **graph-building** engines are provided:
   firings.  Requires an ordinary (weight-1) net and a safe initial
   marking.
 * ``"bdd"`` — the symbolic engine of :mod:`repro.bdd.symbolic`: a
-  partitioned-relation frontier fixpoint first computes the reachable
+  chained cube-update frontier fixpoint first computes the reachable
   set as a characteristic function (deciding 1-safety and the state
   budget *before* any enumeration), then materialises it with the
   compiled engine's BFS.  Requires an ordinary net and a safe initial

@@ -65,11 +65,6 @@ class TestCore:
         assert bdd.exists(f, ["a"]) == bdd.var("b")
         assert bdd.exists(f, ["a", "b"]) == TRUE
 
-    def test_rename(self):
-        bdd = BDD(["a", "b"])
-        f = bdd.var("a")
-        assert bdd.rename(f, {"a": "b"}) == bdd.var("b")
-
     def test_satcount(self):
         bdd = BDD(NAMES)
         assert bdd.satcount(TRUE) == 8

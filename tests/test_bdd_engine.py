@@ -30,6 +30,7 @@ from repro.stg import (
     latch_controller,
     muller_pipeline,
     parallel_handshakes,
+    pipeline_ring,
     sequencer,
     vme_read,
     vme_read_csc,
@@ -194,13 +195,22 @@ class TestQueries:
             reachable_count(vme_read(), encoding="magic")
 
     def test_queries_reject_unsafe_nets(self):
-        """The capped symbolic semantics would silently misreport a
-        non-1-safe net; the query layer must refuse instead."""
-        net = unsafe_net()
-        with pytest.raises(UnboundedError):
-            reachable_count(net)
-        with pytest.raises(UnboundedError):
-            find_deadlock(net)
+        """The one traversal is safe-guarded: on a net that is not 1-safe
+        every query raises instead of answering for a capped token game.
+        ``pipeline_ring(6, 2)`` is 2-bounded; a capped count happens to
+        match its number of markings, which is not a proof of anything."""
+        for net in (unsafe_net(), pipeline_ring(6, 2).net):
+            with pytest.raises(UnboundedError):
+                reachable_count(net)
+            with pytest.raises(UnboundedError):
+                find_deadlock(net)
+            sym = SymbolicReachability(net)
+            with pytest.raises(UnboundedError, match="violates 1-safeness"):
+                sym.count()
+            with pytest.raises(UnboundedError):
+                sym.reachable()
+            with pytest.raises(UnboundedError):
+                sym.contains(net.initial_marking)
 
 
 class TestSymbolicCSC:

@@ -382,7 +382,7 @@ class TestTelemetry:
         assert obs.validate_trace_file(path) == []
         names = [json.loads(line)["name"]
                  for line in open(path).read().splitlines()]
-        assert "bdd.safety" in names
+        assert "bdd.fixpoint" in names
 
     def test_analyze_stats(self, spec_file, capsys):
         assert main(["analyze", spec_file, "--stats"]) == 1

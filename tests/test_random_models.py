@@ -6,6 +6,7 @@ chords, filtered to safe + live nets.  On every sample we check that the
 independent implementations of the paper's machinery agree:
 
 * explicit, symbolic and unfolding state spaces coincide;
+* the BDD image operator moves each marking as the token game does;
 * the state-graph code assignment is internally consistent;
 * region-based resynthesis is behaviour-preserving;
 * synthesis + verification closes the loop on implementable specs.
@@ -24,6 +25,11 @@ from repro.synth import resolve_csc, synthesize_complex_gates
 from repro.ts import build_reachability_graph, build_state_graph
 from repro.unfold import unfold
 from repro.verify import verify_circuit
+
+from test_symbolic import (
+    assert_csc_images_flip_parity,
+    assert_images_match_token_game,
+)
 
 SETTINGS = settings(max_examples=40, deadline=None,
                     suppress_health_check=[HealthCheck.too_slow,
@@ -79,6 +85,13 @@ def test_state_space_representations_agree(stg):
     explicit = reachable_markings(stg.net)
     assert SymbolicReachability(stg.net).count() == len(explicit)
     assert unfold(stg.net).represented_markings() == explicit
+
+
+@given(random_stg())
+@SETTINGS
+def test_image_operator_matches_token_game(stg):
+    assert_images_match_token_game(stg.net)
+    assert_csc_images_flip_parity(stg)
 
 
 @given(random_stg())

@@ -2,11 +2,26 @@
 
 import pytest
 
-from repro.bdd import DenseSymbolicReachability, SymbolicReachability, symbolic_marking_count
+from repro.bdd import (
+    FALSE,
+    DenseSymbolicReachability,
+    SymbolicCSC,
+    SymbolicReachability,
+    symbolic_marking_count,
+)
 from repro.errors import ModelError
-from repro.petri import linear_reduce, reachable_markings
+from repro.petri import (
+    PetriNet,
+    enabled_transitions,
+    fire,
+    is_enabled,
+    linear_reduce,
+    reachable_markings,
+)
 from repro.stg import (
+    ALL_EXAMPLES,
     latch_controller,
+    muller_pipeline,
     parallel_handshakes,
     pipeline_ring,
     sequencer,
@@ -15,6 +30,8 @@ from repro.stg import (
     vme_read_write,
 )
 
+from test_bdd_engine import unsafe_net
+
 
 ALL_NETS = [
     ("vme_read", lambda: vme_read().net),
@@ -22,7 +39,7 @@ ALL_NETS = [
     ("vme_read_write", lambda: vme_read_write().net),
     ("latch", lambda: latch_controller().net),
     ("ph3", lambda: parallel_handshakes(3).net),
-    ("ring", lambda: pipeline_ring(6, 2).net),
+    ("ring", lambda: pipeline_ring(6, 1).net),
     ("seq", lambda: sequencer(3).net),
 ]
 
@@ -93,6 +110,28 @@ class TestDense:
         with pytest.raises(ModelError):
             DenseSymbolicReachability(net)
 
+    def test_dense_rejects_weighted_arcs(self):
+        """The dense update ignores arc weights, so a net with an SM cover
+        and a weighted arc must be refused, not miscounted: ``t`` needs two
+        tokens on ``p`` and can never fire (2 reachable markings), but a
+        weight-blind traversal fires it and finds 3."""
+        net = PetriNet("weighted")
+        net.add_place("p", tokens=1)
+        net.add_place("q")
+        net.add_place("r")
+        for t in "tuvw":
+            net.add_transition(t)
+        net.add_arc("p", "t", weight=2)
+        net.add_arc("t", "q", weight=2)
+        for src, dst in (("p", "u"), ("u", "r"), ("r", "v"), ("v", "p"),
+                         ("q", "w"), ("w", "p")):
+            net.add_arc(src, dst)
+        assert len(reachable_markings(net)) == 2
+        with pytest.raises(ModelError, match="arc weights of 1"):
+            DenseSymbolicReachability(net)
+        with pytest.raises(ModelError, match="arc weights of 1"):
+            symbolic_marking_count(net, "dense")
+
     def test_dense_fewer_variables_than_naive(self):
         red = linear_reduce(vme_read_write().net)
         naive = SymbolicReachability(red)
@@ -105,26 +144,6 @@ def test_symbolic_marking_count_dispatch():
     assert symbolic_marking_count(net, "naive") == 4
     with pytest.raises(ModelError):
         symbolic_marking_count(net, "magic")
-
-
-class TestRelationStyles:
-    """Partitioned frontier image vs the paper's monolithic relation."""
-
-    @pytest.mark.parametrize("name,maker", ALL_NETS)
-    def test_partitioned_and_monolithic_fixpoints_agree(self, name, maker):
-        net = maker()
-        partitioned = SymbolicReachability(net, relation="partitioned")
-        monolithic = SymbolicReachability(net, relation="monolithic")
-        assert partitioned.count() == monolithic.count()
-
-    def test_dense_styles_agree(self):
-        red = linear_reduce(vme_read_write().net)
-        assert DenseSymbolicReachability(red, relation="partitioned").count() \
-            == DenseSymbolicReachability(red, relation="monolithic").count()
-
-    def test_unknown_style_rejected(self):
-        with pytest.raises(ModelError):
-            SymbolicReachability(vme_read().net, relation="magic")
 
 
 class TestMaterialisation:
@@ -190,3 +209,122 @@ class TestMaterialisation:
         with pytest.raises(ModelError):
             p = sorted(net.places)[0]
             SymbolicReachability(net, initial=Marking({p: 2}))
+
+
+# -- the image operator against the token game ------------------------- #
+
+def safe_markings(net):
+    """Every marking the token game reaches through 1-safe markings only:
+    the reachable set of a 1-safe net, and the part a BDD can hold of an
+    unsafe one."""
+    seen = {net.initial_marking}
+    stack = [net.initial_marking]
+    while stack:
+        marking = stack.pop()
+        for t in enabled_transitions(net, marking):
+            succ = fire(net, marking, t)
+            if succ.is_safe() and succ not in seen:
+                seen.add(succ)
+                stack.append(succ)
+    return sorted(seen, key=repr)
+
+
+def safe_successor(net, marking, transition):
+    """``fire(marking, transition)`` if the transition is enabled and the
+    firing keeps the net 1-safe, else None."""
+    if not is_enabled(net, marking, transition):
+        return None
+    succ = fire(net, marking, transition)
+    return succ if succ.is_safe() else None
+
+
+def assert_images_match_token_game(net):
+    """The safe-guarded update of every transition maps each single
+    marking to its 1-safe successor (or to FALSE), and the whole set to
+    the union of the successors."""
+    sym = SymbolicReachability(net)
+    bdd = sym.bdd
+    markings = safe_markings(net)
+    everything = bdd.disj([sym.marking_to_bdd(m) for m in markings])
+    for t in sorted(net.transitions):
+        update = sym.transition_update(t)
+        successors = []
+        for m in markings:
+            succ = safe_successor(net, m, t)
+            expected = FALSE if succ is None else sym.marking_to_bdd(succ)
+            assert bdd.image(sym.marking_to_bdd(m), update) == expected, \
+                (t, m)
+            if succ is not None:
+                successors.append(sym.marking_to_bdd(succ))
+        assert bdd.image(everything, update) == bdd.disj(successors), t
+
+
+def assert_csc_images_flip_parity(stg):
+    """SymbolicCSC's update moves the marking like the naive one and
+    complements exactly the fired signal's parity (none for a dummy)."""
+    analysis = SymbolicCSC(stg)
+    bdd = analysis.bdd
+    net = stg.net
+
+    def state(marking, parity):
+        cube = {p: 1 if marking.get(p) else 0 for p in analysis.places}
+        for s in analysis.signals:
+            cube[analysis.parity_var[s]] = parity[s]
+        return bdd.from_cube(cube)
+
+    vectors = [{s: 0 for s in analysis.signals},
+               {s: i % 2 for i, s in enumerate(analysis.signals)}]
+    for t in sorted(net.transitions):
+        update = analysis.transition_update(t)
+        event = stg.event_of(t)
+        for m in safe_markings(net):
+            succ = safe_successor(net, m, t)
+            for parity in vectors:
+                if succ is None:
+                    expected = FALSE
+                else:
+                    flipped = dict(parity)
+                    if not event.is_dummy:
+                        flipped[event.signal] ^= 1
+                    expected = state(succ, flipped)
+                assert bdd.image(state(m, parity), update) == expected, \
+                    (t, m, parity)
+
+
+IMAGE_NETS = [(name, lambda maker=maker: maker().net)
+              for name, maker in sorted(ALL_EXAMPLES.items())] + [
+    ("ph3", lambda: parallel_handshakes(3).net),
+    ("muller4", lambda: muller_pipeline(4).net),
+    ("unsafe", unsafe_net),
+]
+
+IMAGE_STGS = [(name, maker) for name, maker in sorted(ALL_EXAMPLES.items())
+              ] + [("ph3", lambda: parallel_handshakes(3)),
+                   ("muller4", lambda: muller_pipeline(4))]
+
+
+class TestImage:
+    """A wrong image can still converge to the right reachable set, so
+    the operator is checked against the token game directly."""
+
+    @pytest.mark.parametrize("name,maker", IMAGE_NETS)
+    def test_naive_update_matches_token_game(self, name, maker):
+        assert_images_match_token_game(maker())
+
+    @pytest.mark.parametrize("name,maker", IMAGE_STGS)
+    def test_csc_update_flips_the_signal_parity(self, name, maker):
+        assert_csc_images_flip_parity(maker())
+
+    def test_dense_update_maps_codes(self):
+        red = linear_reduce(vme_read_write().net)
+        dense = DenseSymbolicReachability(red)
+        bdd = dense.bdd
+        for m in reachable_markings(red):
+            for t in sorted(red.transitions):
+                image = bdd.image(dense.marking_to_bdd(m),
+                                  dense.transition_update(t))
+                if is_enabled(red, m, t):
+                    succ = fire(red, m, t)
+                    assert image == dense.marking_to_bdd(succ), (t, m)
+                else:
+                    assert image == FALSE, (t, m)
