@@ -33,6 +33,7 @@ def synthesize_complex_gates(sg_or_stg, name: Optional[str] = None) -> Netlist:
     netlist = Netlist(name or (stg.name + "_cg"), inputs=stg.inputs)
     for signal, fn in sorted(derive_all_next_state_functions(sg).items()):
         netlist.add(Gate.comb(signal, fn.minimized_expr()))
+        netlist.initial[signal] = sg.initial_values[signal]
     netlist.validate()
     return netlist
 

@@ -75,6 +75,7 @@ def synthesize_gc(sg_or_stg, name: Optional[str] = None) -> Netlist:
             from_cubes(set_cubes, sg.signal_order),
             from_cubes(reset_cubes, sg.signal_order),
         ))
+        netlist.initial[signal] = sg.initial_values[signal]
     netlist.validate()
     return netlist
 
@@ -93,6 +94,7 @@ def synthesize_sr(sg_or_stg, name: Optional[str] = None,
             from_cubes(reset_cubes, sg.signal_order),
             dominance=dominance,
         ))
+        netlist.initial[signal] = sg.initial_values[signal]
     netlist.validate()
     return netlist
 

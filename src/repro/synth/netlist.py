@@ -181,12 +181,20 @@ class Gate:
 
 
 class Netlist:
-    """A collection of gates implementing an STG's non-input signals."""
+    """A collection of gates implementing an STG's non-input signals.
+
+    ``initial`` maps gate outputs to their reset values.  The synthesis
+    functions, and :func:`repro.tech.decompose` for all but its
+    temporaries, record each gate's value in the initial state of the
+    state graph they synthesised from; :func:`repro.verify.verify_circuit`
+    starts internal signals there instead of settling them.
+    """
 
     def __init__(self, name: str, inputs: Iterable[str] = ()):
         self.name = name
         self.inputs: List[str] = sorted(inputs)
         self.gates: Dict[str, Gate] = {}
+        self.initial: Dict[str, int] = {}
 
     def add(self, gate: Gate) -> Gate:
         """Add a gate; one driver per signal."""

@@ -218,6 +218,7 @@ def decompose(stg: STG, max_fanin: int = 2,
                 netlist.add(Gate.comb(temp, divisor_expr))
                 for z, expr in zip(gate_names, combo):
                     netlist.add(Gate.comb(z, expr))
+                    netlist.initial[z] = sg.initial_values[z]
                 try:
                     netlist.validate()
                 except SynthesisError:

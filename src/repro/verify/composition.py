@@ -28,14 +28,15 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Dict, List, Mapping, Optional, Sequence, Set, Tuple
 
+from ..boolmin.expr import BoolExpr, Const, Not, Or, Var
 from ..budgets import COMPOSE_STATE_BOUND
 from ..errors import StateExplosionError, VerificationError
 from ..petri.compiled import compile_net, supports_compilation
 from ..petri.marking import Marking
 from ..petri.token_game import enabled_unchecked, fire
-from ..stg.signals import FALL, RISE, SignalEvent
+from ..stg.signals import FALL, RISE
 from ..stg.stg import STG
-from ..synth.netlist import Netlist
+from ..synth.netlist import Gate, GateKind, Netlist
 from ..ts.state_graph import build_state_graph
 from ..ts.transition_system import TransitionSystem
 
@@ -140,6 +141,67 @@ def stable_internal_values(netlist: Netlist, values: Dict[str, int],
         % list(internal))
 
 
+def _sop(expr: BoolExpr, bit: Mapping[str, int],
+         positive: bool = True) -> List[Tuple[int, int]]:
+    """``expr`` (its complement unless ``positive``) as a sum of
+    ``(mask, value)`` cubes over a packed value vector: a cube holds for
+    ``values`` iff ``values & mask == value``.
+
+    The cover follows the expression's structure: negations are pushed to
+    the variables and products are distributed over sums, dropping
+    contradictory products.  No truth table is enumerated.
+    """
+    if isinstance(expr, Const):
+        return [(0, 0)] if bool(expr.value) == positive else []
+    if isinstance(expr, Var):
+        b = bit[expr.name]
+        return [(b, b if positive else 0)]
+    if isinstance(expr, Not):
+        return _sop(expr.arg, bit, not positive)
+    parts = [_sop(arg, bit, positive) for arg in expr.args]
+    if isinstance(expr, Or) == positive:  # a sum, or a complemented product
+        return [cube for part in parts for cube in part]
+    product = [(0, 0)]
+    for part in parts:
+        product = [(m1 | m2, v1 | v2) for m1, v1 in product for m2, v2 in part
+                   if not (v1 ^ v2) & m1 & m2]
+    return product
+
+
+def _gate_covers(gate: Gate, bit: Mapping[str, int]):
+    """``(set cover, reset cover, reset dominant)`` of a gate over the
+    packed value vector.
+
+    A gate with output 0 is excited iff its set cover holds (and, if reset
+    dominant, its reset cover does not); with output 1 iff its reset cover
+    holds (and, if set dominant, its set cover does not) — the semantics of
+    :meth:`Gate.next_value`.  A ``COMB`` gate ``next = f`` is the
+    set-dominant latch with set ``f`` and reset 1.
+    """
+    if gate.kind == GateKind.COMB:
+        return _sop(gate.expr, bit), [(0, 0)], False
+    return (_sop(gate.set_expr, bit), _sop(gate.reset_expr, bit),
+            gate.kind == GateKind.SR_LATCH and gate.dominance == "reset")
+
+
+def _excitation(values: int, gates) -> int:
+    """Mask of the gates excited under a packed value vector: those whose
+    next value differs from their output.  ``gates`` holds ``(bit,) +``
+    :func:`_gate_covers` per gate."""
+    mask = 0
+    for b, set_cover, reset_cover, reset_dominant in gates:
+        if values & b:
+            if any(values & m == v for m, v in reset_cover) and (
+                    reset_dominant
+                    or not any(values & m == v for m, v in set_cover)):
+                mask |= b
+        elif any(values & m == v for m, v in set_cover) and not (
+                reset_dominant
+                and any(values & m == v for m, v in reset_cover)):
+            mask |= b
+    return mask
+
+
 def verify_circuit(netlist: Netlist, spec: STG,
                    priorities: Sequence[Tuple[str, str]] = (),
                    initial_internal: Optional[Mapping[str, int]] = None,
@@ -152,11 +214,32 @@ def verify_circuit(netlist: Netlist, spec: STG,
     ``priorities`` lists relative-timing assumptions ``(early, late)`` as
     event strings (e.g. ``("LDTACK-", "DSr+")``): whenever both are
     firable, the late one is pruned.
+
+    A composed state is two ints: the specification marking as the
+    compiled engine's code, and a value vector whose bit ``i`` is the
+    ``i``-th signal in sorted order.  When the spec net is outside the
+    compiled domain (:func:`~repro.petri.compiled.supports_compilation`),
+    the dict token game plays the marking half instead.  Each gate is
+    compiled once per call into ``(mask, value)`` cubes over the vector:
+    a ``COMB`` expression is expanded structurally into a sum of products,
+    latch gates get their set and reset covers.  The mask of excited gates
+    is computed once per distinct value vector and shared by the move
+    generator and the hazard check: the hazards of a move are
+    ``before & ~after & ~fired & ~arbiters``, reported in signal order.
+    Deadlocked states and ``keep_ts`` nodes are decoded to ``(Marking,
+    values)`` pairs, with the values in sorted signal order.
+
+    Reset values: interface signals start from the specification's
+    initial state.  Internal signals take the values the synthesis
+    recorded in ``netlist.initial``, overridden by ``initial_internal``.
+    An internal signal left without a value is settled by
+    :func:`stable_internal_values` (hand-built netlists, decomposition
+    temporaries), or raises :class:`VerificationError` when
+    ``initial_internal`` was given.
     """
     netlist.validate()
     spec_sg = build_state_graph(spec)
     spec_signals = set(spec.signals)
-    interface_outputs = [s for s in netlist.gates if s in spec_signals]
     internal = [s for s in netlist.gates if s not in spec_signals]
     for s in spec.noninput_signals:
         if s not in netlist.gates:
@@ -166,120 +249,132 @@ def verify_circuit(netlist: Netlist, spec: STG,
     initial_values: Dict[str, int] = {
         s: spec_sg.initial_values[s] for s in spec_signals
     }
+    initial_values.update((s, netlist.initial[s]) for s in internal
+                          if s in netlist.initial)
     if initial_internal is not None:
         initial_values.update(initial_internal)
         missing = [s for s in internal if s not in initial_values]
         if missing:
             raise VerificationError("missing initial values for %r" % missing)
     else:
-        initial_values.update(
-            stable_internal_values(netlist, initial_values, internal))
+        initial_values.update(stable_internal_values(
+            netlist, initial_values,
+            [s for s in internal if s not in initial_values]))
 
-    all_signals = sorted(set(netlist.signals()) | spec_signals)
-    index = {s: i for i, s in enumerate(all_signals)}
-    initial: CompositionState = (
-        spec.initial_marking,
-        tuple(initial_values[s] for s in all_signals),
-    )
+    signals = sorted(set(netlist.signals()) | spec_signals)
+    bit = {s: 1 << i for i, s in enumerate(signals)}
+    name_of = {b: s for s, b in bit.items()}
+    initial_vector = 0
+    for s in signals:
+        if initial_values[s]:
+            initial_vector |= bit[s]
+    gates = [(bit[s],) + _gate_covers(netlist.gates[s], bit)
+             for s in sorted(netlist.gates)]
+    arbiters = 0
+    for s, gate in netlist.gates.items():
+        if gate.arbiter:
+            # mutual-exclusion element halves resolve their conflict
+            # internally (paper, Section 2.1): exempt from the hazard check
+            arbiters |= bit[s]
 
-    report = VerificationReport(netlist.name, spec.name)
-    parent: Dict[CompositionState, Tuple[Optional[CompositionState], str]] = {
-        initial: (None, "")
-    }
+    # the marking half: compiled codes, or the dict token game outside the
+    # compiled domain.  step() returns the successor, None when disabled.
+    spec_net = spec.net
+    if supports_compilation(spec_net, spec.initial_marking):
+        compiled = compile_net(spec_net)
+        root = compiled.encode(spec.initial_marking)
+        transition_key = compiled.transition_bit.__getitem__
+        decode_marking = compiled.decode
+        pre_masks = compiled.pre_masks
 
-    def trace_of(state: CompositionState) -> Tuple[str, ...]:
-        events: List[str] = []
-        cursor: Optional[CompositionState] = state
-        while cursor is not None:
-            prev, ev = parent[cursor]
-            if prev is not None:
-                events.append(ev)
-            cursor = prev
-        return tuple(reversed(events))
+        def step(code: int, index: int):
+            pre = pre_masks[index]
+            if code & pre != pre:
+                return None
+            successor, conflict = compiled.fire_index(code, index)
+            if conflict:
+                # cannot happen for a spec whose state graph was built with
+                # require_safe=True (every composition marking is
+                # spec-reachable); fail loudly rather than truncate
+                raise compiled.unbounded_error(code, index, conflict)
+            return successor
+    else:
+        root = spec.initial_marking
 
-    def env(state: CompositionState) -> Dict[str, int]:
-        return {s: state[1][i] for s, i in index.items()}
+        def transition_key(t):
+            return t
+
+        def decode_marking(marking):
+            return marking
+
+        def step(marking: Marking, t: str):
+            if not enabled_unchecked(spec_net, marking, t):
+                return None
+            return fire(spec_net, marking, t, check=False)
 
     # spec-net move tables, resolved once instead of per composed state:
-    # input transitions (net insertion order) and, per (signal, direction),
-    # the matching spec transitions for gate firings.
-    spec_net = spec.net
+    # input transitions (net insertion order) and, per gate and direction,
+    # the matching spec transitions (None for internal gates).
     spec_events = [(t, spec.event_of(t)) for t in spec_net.transitions]
     input_moves = [
-        (t, ev.signal, 1 if ev.is_rising else 0,
-         str(ev.base()[0] + ev.base()[1]))
+        (transition_key(t), bit[ev.signal], ev.is_rising,
+         ev.signal + ev.direction)
         for t, ev in spec_events
         if not ev.is_dummy and not spec.type_of(ev.signal).is_noninput
     ]
-    match_table: Dict[Tuple[str, str], List[str]] = {}
+    match_table: Dict[Tuple[str, str], List] = {}
     for t, ev in spec_events:
         if not ev.is_dummy:
-            match_table.setdefault(ev.base(), []).append(t)
-    # the compiled bitvector engine answers enabled/fire queries in a few
-    # int ops; fall back to the dict token game outside its domain.
-    compiled = compile_net(spec_net) \
-        if supports_compilation(spec_net, spec.initial_marking) else None
-
-    def moves(state: CompositionState):
-        """Yield (event_str, successor or None-for-failure, is_gate)."""
-        marking, values = state
-        valuemap = env(state)
-        result = []
-        if compiled is not None:
-            code = compiled.encode(marking)
-            t_bit = compiled.transition_bit
-            pre_masks = compiled.pre_masks
-
-            def t_enabled(t):
-                pre = pre_masks[t_bit[t]]
-                return code & pre == pre
-
-            def t_fire(t):
-                index = t_bit[t]
-                succ, conflict = compiled.fire_index(code, index)
-                if conflict:
-                    # cannot happen for a spec whose state graph was built
-                    # with require_safe=True (every composition marking is
-                    # spec-reachable); fail loudly rather than truncate
-                    raise compiled.unbounded_error(code, index, conflict)
-                return compiled.decode(succ)
+            match_table.setdefault(ev.base(), []).append(transition_key(t))
+    gate_moves = {}
+    for s in netlist.gates:
+        if s in spec_signals:
+            rise = match_table.get((s, RISE), [])
+            fall = match_table.get((s, FALL), [])
         else:
-            def t_enabled(t):
-                return enabled_unchecked(spec_net, marking, t)
+            rise = fall = None
+        gate_moves[bit[s]] = (s + RISE, rise, s + FALL, fall)
 
-            def t_fire(t):
-                return fire(spec_net, marking, t, check=False)
+    excitations: Dict[int, int] = {}
+
+    def excited(values: int) -> int:
+        mask = excitations.get(values)
+        if mask is None:
+            mask = excitations[values] = _excitation(values, gates)
+        return mask
+
+    def moves(state, excited_now: int):
+        """(event, successor or None for a failure, fired signal's bit)."""
+        marking, values = state
+        result = []
         # environment moves: enabled input transitions of the spec
-        for t, signal, value, event_str in input_moves:
-            if not t_enabled(t):
+        for key, b, rising, event in input_moves:
+            successor = step(marking, key)
+            if successor is not None:
+                result.append((event, (successor, values | b if rising
+                                       else values & ~b), b))
+        # gate moves, in signal order
+        bits = excited_now
+        while bits:
+            b = bits & -bits
+            bits ^= b
+            rise, rise_matches, fall, fall_matches = gate_moves[b]
+            event, matches = (fall, fall_matches) if values & b \
+                else (rise, rise_matches)
+            flipped = values ^ b
+            if matches is None:
+                result.append((event, (marking, flipped), b))
                 continue
-            new_values = list(values)
-            new_values[index[signal]] = value
-            result.append((event_str, (t_fire(t), tuple(new_values)), t))
-        # gate moves
-        for signal in sorted(netlist.gates):
-            gate = netlist.gates[signal]
-            current = valuemap[signal]
-            if gate.next_value(valuemap) == current:
-                continue
-            direction = RISE if current == 0 else FALL
-            event_str = signal + direction
-            new_values = list(values)
-            new_values[index[signal]] = 1 - current
-            if signal in spec_signals:
-                # must be matched by an enabled spec transition
-                matches = [
-                    t for t in match_table.get((signal, direction), ())
-                    if t_enabled(t)
-                ]
-                if not matches:
-                    result.append((event_str, None, None))
-                    continue
-                for t in matches:
-                    result.append((event_str,
-                                   (t_fire(t), tuple(new_values)), t))
-            else:
-                result.append((event_str, (marking, tuple(new_values)), None))
+            # an interface gate must be matched by an enabled spec
+            # transition
+            matched = False
+            for key in matches:
+                successor = step(marking, key)
+                if successor is not None:
+                    result.append((event, (successor, flipped), b))
+                    matched = True
+            if not matched:
+                result.append((event, None, b))
         # apply relative-timing priorities
         if priorities:
             present = {ev for ev, _, _ in result}
@@ -288,66 +383,65 @@ def verify_circuit(netlist: Netlist, spec: STG,
             result = [m for m in result if m[0] not in pruned]
         return result
 
-    def excited_gates(state: CompositionState) -> Set[str]:
-        valuemap = env(state)
-        return {
-            s for s, g in netlist.gates.items()
-            if g.next_value(valuemap) != valuemap[s]
-        }
+    def decode(state) -> CompositionState:
+        marking, values = state
+        return (decode_marking(marking),
+                tuple((values >> i) & 1 for i in range(len(signals))))
 
-    ts = TransitionSystem(initial) if keep_ts else None
-    stack: List[CompositionState] = [initial]
-    visited: Set[CompositionState] = {initial}
-    seen_hazards: Set[Tuple[str, str, CompositionState]] = set()
+    initial = (root, initial_vector)
+    parent: Dict[Tuple, Tuple[Optional[Tuple], str]] = {initial: (None, "")}
+
+    def trace_of(state) -> Tuple[str, ...]:
+        events: List[str] = []
+        cursor = state
+        while cursor is not None:
+            prev, ev = parent[cursor]
+            if prev is not None:
+                events.append(ev)
+            cursor = prev
+        return tuple(reversed(events))
+
+    report = VerificationReport(netlist.name, spec.name)
+    report.ts = TransitionSystem(decode(initial)) if keep_ts else None
+    stack = [initial]
+    seen_hazards: Set[Tuple[int, str, Tuple]] = set()
     while stack:
         state = stack.pop()
-        state_moves = moves(state)
-        excited_before = excited_gates(state)
+        before = excited(state[1])
+        state_moves = moves(state, before)
         if not state_moves:
-            report.deadlocks.append(state)
+            report.deadlocks.append(decode(state))
             continue
-        for event_str, successor, _ in state_moves:
+        for event, successor, fired in state_moves:
             if successor is None:
                 report.failures.append(ConformanceFailure(
-                    event_str, trace_of(state)))
+                    event, trace_of(state)))
                 if stop_at_first:
-                    report.states = len(visited)
-                    report.ts = ts
+                    report.states = len(parent)
                     return report
                 continue
             # hazard check: every gate excited before must stay excited
             # after, unless it is the one that fired
-            fired_signal = event_str[:-1]
-            excited_after = excited_gates(successor)
-            for z in excited_before:
-                if z == fired_signal:
-                    continue
-                if netlist.gates[z].arbiter:
-                    # mutual-exclusion element halves resolve their
-                    # conflict internally (paper, Section 2.1)
-                    continue
-                zvalue_before = state[1][index[z]]
-                zvalue_after = successor[1][index[z]]
-                if z not in excited_after and zvalue_before == zvalue_after:
-                    key = (z, event_str, state)
-                    if key not in seen_hazards:
-                        seen_hazards.add(key)
-                        report.hazards.append(Hazard(
-                            z, event_str, trace_of(state)))
-                        if stop_at_first:
-                            report.states = len(visited)
-                            report.ts = ts
-                            return report
-            if ts is not None:
-                ts.add_arc(state, event_str, successor)
-            if successor not in visited:
-                if len(visited) >= max_states:
+            withdrawn = before & ~excited(successor[1]) & ~fired & ~arbiters
+            while withdrawn:
+                b = withdrawn & -withdrawn
+                withdrawn ^= b
+                key = (b, event, state)
+                if key not in seen_hazards:
+                    seen_hazards.add(key)
+                    report.hazards.append(Hazard(
+                        name_of[b], event, trace_of(state)))
+                    if stop_at_first:
+                        report.states = len(parent)
+                        return report
+            if report.ts is not None:
+                report.ts.add_arc(decode(state), event, decode(successor))
+            if successor not in parent:
+                if len(parent) >= max_states:
                     raise StateExplosionError(
                         "composition exceeded %d states" % max_states,
-                        bound=max_states, states=len(visited))
-                visited.add(successor)
-                parent[successor] = (state, event_str)
+                        bound=max_states, states=len(parent))
+                parent[successor] = (state, event)
                 stack.append(successor)
-    report.states = len(visited)
-    report.ts = ts
+    report.states = len(parent)
     return report

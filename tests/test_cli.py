@@ -94,6 +94,15 @@ class TestFlow:
         assert main(["synthesize", spec_file, "--arch", arch,
                      "--verify"]) == 0
 
+    def test_latch_circuit_verifies_from_its_reset_state(self, capsys):
+        """The SR circuit's inserted state signals start where the resolved
+        spec does, not where settling from 0 would put them."""
+        assert main(["synthesize", "concurrent_latch_controller", "--arch",
+                     "sr", "--verify"]) == 0
+        out = capsys.readouterr().out
+        assert "composed states: 27" in out
+        assert "speed-independent implementation: True" in out
+
     def test_synthesize_decomposed(self, spec_file, capsys):
         assert main(["synthesize", spec_file, "--decompose",
                      "--verify"]) == 0

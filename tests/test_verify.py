@@ -1,10 +1,20 @@
 """Speed-independence verification — the Figures 8 and 9 experiments."""
 
+import os
+import subprocess
+import sys
+
 import pytest
 
+import repro
+from repro import stg as stglib
 from repro.errors import VerificationError
 from repro.stg import vme_read, vme_read_csc, latch_controller
-from repro.synth import Gate, Netlist, synthesize_complex_gates
+from repro.synth import (Gate, Netlist, resolve_csc, synthesize_complex_gates,
+                         synthesize_gc, synthesize_sr)
+from repro.tech import decompose
+from repro.timing import apply_timing_assumption
+from repro.ts import build_state_graph
 from repro.verify import stable_internal_values, verify_circuit
 
 
@@ -137,3 +147,338 @@ class TestComposedTS:
         assert report.ok
         # the closed system has exactly the 8 specification states
         assert report.states == 8
+
+
+ARCHS = {"cg": synthesize_complex_gates, "gc": synthesize_gc,
+         "sr": synthesize_sr}
+
+
+def mutex_element(spec):
+    """The mutual-exclusion element for a two-client arbiter spec."""
+    netlist = Netlist(spec.name + "_me", inputs=spec.inputs)
+    for gate in Gate.mutex_pair(spec.outputs[0], spec.outputs[1],
+                                spec.inputs[0], spec.inputs[1]):
+        netlist.add(gate)
+    return netlist
+
+
+def stuck():
+    """A READ-cycle circuit whose D never rises: the composition
+    deadlocks once LDTACK+ has fired."""
+    n = Netlist("stuck", inputs=["DSr", "LDTACK"])
+    n.add(Gate.comb("LDS", "DSr"))
+    n.add(Gate.comb("D", "0"))
+    n.add(Gate.buffer("DTACK", "D"))
+    return n
+
+
+def golden_case(case):
+    """``(netlist, spec, priorities)`` of a golden case id.
+
+    ``synth/<spec>/<arch>`` and ``decompose/<spec>`` verify a bundled spec's
+    circuit against the CSC-resolved spec it was synthesised from;
+    ``<family>/<n>/<arch>`` a scalable family against itself.
+    """
+    family, *args = case.split("/")
+    if family in ("synth", "decompose"):
+        resolved = resolve_csc(stglib.ALL_EXAMPLES[args[0]]())
+        if family == "decompose":
+            return decompose(resolved), resolved, ()
+        return ARCHS[args[1]](resolved), resolved, ()
+    if family == "me":
+        spec = stglib.mutex_controller()
+        return mutex_element(spec), spec, ()
+    if family == "fig":
+        return {"8a": fig8a, "8b": fig8b, "9a": fig9a, "9b": fig9b,
+                "stuck": stuck}[args[0]](), vme_read(), ()
+    spec = vme_read()
+    if family == "fig11a":
+        timed = apply_timing_assumption(spec, "LDTACK-", "DSr+")
+        netlist = synthesize_complex_gates(timed, name="fig11a")
+        if args[0] == "timed":
+            return netlist, timed, ()
+        return netlist, spec, (("LDTACK-", "DSr+"),)
+    if family == "fig11b":
+        spec_b = spec.retarget_trigger("LDS-", "D-", "DSr-")
+        netlist = synthesize_complex_gates(resolve_csc(spec_b), name="fig11b")
+        return netlist, spec, (("D-", "LDS-"),)
+    spec = getattr(stglib, family)(int(args[0]))
+    return ARCHS[args[1]](spec), spec, ()
+
+
+#: case -> (states, failures (event, trace) in order, deadlock count,
+#: sorted hazards (signal, by, trace), hazards + failures under
+#: stop_at_first), recorded with the expression-tree explorer that the
+#: packed one replaced.
+GOLDEN_REPORTS = {
+    "synth/concurrent_latch_controller/cg": (27, [], 0, [], 0),
+    "synth/concurrent_latch_controller/gc": (27, [], 0, [], 0),
+    "synth/concurrent_latch_controller/sr": (27, [], 0, [], 0),
+    "synth/handshake_arbiter_free_choice/cg": (7, [], 0, [], 0),
+    "synth/handshake_arbiter_free_choice/gc": (7, [], 0, [], 0),
+    "synth/handshake_arbiter_free_choice/sr": (7, [], 0, [], 0),
+    "synth/latch_controller/cg": (8, [], 0, [], 0),
+    "synth/latch_controller/gc": (8, [], 0, [], 0),
+    "synth/latch_controller/sr": (8, [], 0, [], 0),
+    "synth/mutex_controller/cg": (
+        12,
+        [],
+        0,
+        [
+            ("a1", "a2+", "r2+ r1+"),
+            ("a2", "a1+", "r2+ r1+"),
+        ],
+        1),
+    "synth/mutex_controller/gc": (
+        12,
+        [],
+        0,
+        [
+            ("a1", "a2+", "r2+ r1+"),
+            ("a2", "a1+", "r2+ r1+"),
+        ],
+        1),
+    "synth/mutex_controller/sr": (
+        12,
+        [],
+        0,
+        [
+            ("a1", "a2+", "r2+ r1+"),
+            ("a2", "a1+", "r2+ r1+"),
+        ],
+        1),
+    "synth/vme_read/cg": (16, [], 0, [], 0),
+    "synth/vme_read/gc": (16, [], 0, [], 0),
+    "synth/vme_read/sr": (16, [], 0, [], 0),
+    "synth/vme_read_csc/cg": (16, [], 0, [], 0),
+    "synth/vme_read_csc/gc": (16, [], 0, [], 0),
+    "synth/vme_read_csc/sr": (16, [], 0, [], 0),
+    "synth/vme_read_write/cg": (29, [], 0, [], 0),
+    "synth/vme_read_write/gc": (29, [], 0, [], 0),
+    "synth/vme_read_write/sr": (29, [], 0, [], 0),
+    "decompose/handshake_arbiter_free_choice": (7, [], 0, [], 0),
+    "decompose/latch_controller": (8, [], 0, [], 0),
+    "decompose/vme_read": (20, [], 0, [], 0),
+    "decompose/vme_read_csc": (20, [], 0, [], 0),
+    "me/mutex_controller": (12, [], 0, [], 0),
+    "fig/8a": (16, [], 0, [], 0),
+    "fig/8b": (16, [], 0, [], 0),
+    "fig/9a": (20, [], 0, [], 0),
+    "fig/9b": (
+        28,
+        [
+            ("D+", "DSr+ csc0+ LDS+ LDTACK+ D+ DTACK+ DSr- csc0- D- LDS- "
+                   "DTACK- DSr+ csc0+"),
+            ("LDS+", "DSr+ csc0+ LDS+ LDTACK+ D+ DTACK+ DSr- csc0- D- LDS- "
+                     "DTACK- DSr+ csc0+"),
+            ("D+", "DSr+ csc0+ LDS+ LDTACK+ D+ DTACK+ DSr- csc0- D- DTACK- "
+                   "DSr+ csc0+"),
+        ],
+        0,
+        [
+            ("D", "LDTACK-", "DSr+ csc0+ LDS+ LDTACK+ D+ DTACK+ DSr- csc0- "
+                             "D- LDS- DTACK- DSr+ csc0+"),
+            ("LDS", "csc0+", "DSr+ csc0+ LDS+ LDTACK+ D+ DTACK+ DSr- csc0- "
+                             "D- DTACK- DSr+"),
+            ("csc0", "map0-", "DSr+ csc0+ LDS+ LDTACK+ D+ DTACK+ DSr- csc0- "
+                              "D- DTACK- DSr+"),
+            ("csc0", "map0-", "DSr+ csc0+ LDS+ LDTACK+ D+ DTACK+ DSr- csc0- "
+                              "D- LDS- DTACK- DSr+"),
+            ("map0", "LDTACK-", "DSr+ csc0+ LDS+ LDTACK+ D+ DTACK+ DSr- "
+                                "csc0- D- LDS-"),
+            ("map0", "LDTACK-", "DSr+ csc0+ LDS+ LDTACK+ D+ DTACK+ DSr- "
+                                "csc0- D- LDS- DTACK-"),
+            ("map0", "LDTACK-", "DSr+ csc0+ LDS+ LDTACK+ D+ DTACK+ DSr- "
+                                "csc0- D- LDS- DTACK- DSr+"),
+            ("map0", "csc0+", "DSr+ csc0+ LDS+ LDTACK+ D+ DTACK+ DSr- csc0- "
+                              "D- DTACK- DSr+"),
+            ("map0", "csc0+", "DSr+ csc0+ LDS+ LDTACK+ D+ DTACK+ DSr- csc0- "
+                              "D- LDS- DTACK- DSr+"),
+        ],
+        1),
+    "fig/stuck": (4, [], 1, [], 0),
+    "fig11a/timed": (12, [], 0, [], 0),
+    "fig11a/priority": (
+        13,
+        [
+            ("D+", "DSr+ LDS+ LDTACK+ D+ DTACK+ DSr- D- DTACK- DSr+"),
+        ],
+        0,
+        [
+            ("LDS", "DSr+", "DSr+ LDS+ LDTACK+ D+ DTACK+ DSr- D- DTACK-"),
+        ],
+        1),
+    "fig11b/priority": (16, [], 0, [], 0),
+    "muller_pipeline/4/cg": (32, [], 0, [], 0),
+    "muller_pipeline/4/gc": (32, [], 0, [], 0),
+    "muller_pipeline/8/cg": (512, [], 0, [], 0),
+    "muller_pipeline/8/gc": (512, [], 0, [], 0),
+    "muller_pipeline/10/cg": (2048, [], 0, [], 0),
+    "muller_pipeline/10/gc": (2048, [], 0, [], 0),
+    "parallel_handshakes/5/cg": (1024, [], 0, [], 0),
+    "parallel_handshakes/5/gc": (1024, [], 0, [], 0),
+    "sequencer/8/cg": (16, [], 0, [], 0),
+    "sequencer/8/gc": (16, [], 0, [], 0),
+}
+
+
+class TestGoldenReports:
+    @pytest.mark.parametrize("case", list(GOLDEN_REPORTS))
+    def test_report_matches_recorded_values(self, case):
+        netlist, spec, priorities = golden_case(case)
+        report = verify_circuit(netlist, spec, priorities=priorities)
+        first = verify_circuit(netlist, spec, priorities=priorities,
+                               stop_at_first=True)
+        got = (report.states,
+               [(f.event, " ".join(f.trace)) for f in report.failures],
+               len(report.deadlocks),
+               sorted((h.signal, h.by, " ".join(h.trace))
+                      for h in report.hazards),
+               len(first.hazards) + len(first.failures))
+        assert got == GOLDEN_REPORTS[case]
+
+
+class TestDeterminism:
+    def test_hazard_order_does_not_depend_on_hash_seed(self):
+        """Hazards of one move come out in signal order, not in the
+        iteration order of a set of names."""
+        script = (
+            "from test_verify import fig9b\n"
+            "from repro.stg import vme_read\n"
+            "from repro.verify import verify_circuit\n"
+            "for h in verify_circuit(fig9b(), vme_read()).hazards:\n"
+            "    print(h)\n")
+        path = os.pathsep.join(
+            [os.path.dirname(os.path.dirname(repro.__file__)),
+             os.path.dirname(os.path.abspath(__file__))])
+        outputs = []
+        for seed in ("1", "4"):
+            env = dict(os.environ, PYTHONHASHSEED=seed, PYTHONPATH=path)
+            outputs.append(subprocess.run(
+                [sys.executable, "-c", script], env=env, check=True,
+                capture_output=True, text=True).stdout)
+        assert outputs[0].count("hazard on") == 9
+        assert outputs[0] == outputs[1]
+
+
+class TestTokenGameBackEnd:
+    """Specs outside the compiled domain play the marking half of the
+    composed state on the dict token game; the explorer is the same."""
+
+    @pytest.mark.parametrize("case", [
+        *("synth/%s/cg" % name for name in sorted(stglib.ALL_EXAMPLES)),
+        "muller_pipeline/4/cg", "fig/stuck"])
+    def test_matches_compiled_back_end(self, case, monkeypatch):
+        from repro.verify import composition
+
+        netlist, spec, _ = golden_case(case)
+        compiled = verify_circuit(netlist, spec, keep_ts=True)
+        asked = []
+        monkeypatch.setattr(composition, "supports_compilation",
+                            lambda *args: asked.append(args) or False)
+        dict_based = verify_circuit(netlist, spec, keep_ts=True)
+        assert asked
+        assert set(dict_based.ts.arcs()) == set(compiled.ts.arcs())
+        compiled.ts = dict_based.ts = None
+        assert dict_based == compiled
+
+
+class TestRecordedResetValues:
+    """Synthesised netlists carry each gate's reset value from the state
+    graph they were synthesised from, and verification starts there."""
+
+    @pytest.mark.parametrize("arch", sorted(ARCHS))
+    @pytest.mark.parametrize("name", sorted(stglib.ALL_EXAMPLES))
+    def test_bundled_specs_verify_against_original_spec(self, name, arch):
+        spec = stglib.ALL_EXAMPLES[name]()
+        resolved = resolve_csc(spec)
+        netlist = ARCHS[arch](resolved)
+        reset = build_state_graph(resolved).initial_values
+        assert netlist.initial == {s: reset[s] for s in netlist.gates}
+        report = verify_circuit(netlist, spec)
+        # the mutex spec is not persistent: its grants must be arbitrated
+        assert report.ok == (name != "mutex_controller"), report.summary()
+
+    def test_sr_latches_start_from_resolved_reset_state(self):
+        """The inserted latches hold any value when set and reset are both
+        off; settling from 0 picked (csc0, csc1) = (0, 0), while the
+        resolved spec starts at (1, 1)."""
+        spec = stglib.concurrent_latch_controller()
+        netlist = synthesize_sr(resolve_csc(spec))
+        assert (netlist.initial["csc0"], netlist.initial["csc1"]) == (1, 1)
+        report = verify_circuit(netlist, spec)
+        assert report.ok and report.states == 27
+        settled = verify_circuit(netlist, spec,
+                                 initial_internal={"csc0": 0, "csc1": 0})
+        assert [str(f) for f in settled.failures] == [
+            "conformance failure: circuit fired Rout+ unexpectedly"
+            " (trace: <initial>)"]
+
+    def test_explicit_values_override_the_record(self):
+        netlist = fig9a()
+        netlist.initial["csc0"] = 1  # a wrong record is used...
+        assert not verify_circuit(netlist, vme_read()).ok
+        # ...unless initial_internal overrides it
+        assert verify_circuit(netlist, vme_read(),
+                              initial_internal={"csc0": 0, "map0": 1}).ok
+        # with explicit values, unrecorded signals are not settled
+        with pytest.raises(VerificationError):
+            verify_circuit(netlist, vme_read(), initial_internal={"csc0": 0})
+
+    def test_unrecorded_signals_settle_around_recorded_ones(self):
+        netlist = fig9a()
+        netlist.add(Gate.buffer("copy", "csc0"))
+        netlist.initial["csc0"] = 1
+        report = verify_circuit(netlist, vme_read(), keep_ts=True)
+        _, values = report.ts.initial
+        start = dict(zip(sorted(netlist.signals()), values))
+        assert (start["csc0"], start["copy"], start["map0"]) == (1, 1, 1)
+
+    def test_decomposition_records_graph_gates_only(self):
+        resolved = resolve_csc(vme_read())
+        netlist = decompose(resolved)
+        graph = build_state_graph(resolved)
+        assert netlist.initial == {s: graph.initial_values[s]
+                                   for s in resolved.noninput_signals}
+        assert "map0" in netlist.gates and "map0" not in netlist.initial
+
+
+class TestGateCovers:
+    """The cubes the explorer compiles gates into agree with
+    ``BoolExpr.eval`` and ``Gate.next_value`` on every assignment."""
+
+    NAMES = ["a", "b", "q"]
+
+    def assignments(self):
+        for values in range(1 << len(self.NAMES)):
+            yield values, {n: (values >> i) & 1
+                           for i, n in enumerate(self.NAMES)}
+
+    @pytest.mark.parametrize("text", [
+        "0", "1", "a", "~a", "a & ~a", "a | ~a", "~(a & b) | q",
+        "~(a | ~b) & (q | a)", "(a | b) & (~a | q)", "~((a | b) & ~(b & q))",
+        "a b' + q (a + b')"])
+    def test_sum_of_products(self, text):
+        from repro.boolmin import parse_expr
+        from repro.verify.composition import _sop
+
+        expr = parse_expr(text)
+        cubes = _sop(expr, {n: 1 << i for i, n in enumerate(self.NAMES)})
+        for values, env in self.assignments():
+            assert any(values & m == v for m, v in cubes) == expr.eval(env)
+
+    @pytest.mark.parametrize("gate", [
+        Gate.comb("q", "a & (q | ~b)"),
+        Gate.c_element("q", "a & b", "~a & ~b"),
+        Gate.c_element("q", "a", "b"),
+        Gate.sr_latch("q", "a", "b", dominance="reset"),
+        Gate.sr_latch("q", "a", "b", dominance="set"),
+    ], ids=lambda gate: gate.describe())
+    def test_excitation_matches_next_value(self, gate):
+        from repro.verify.composition import _excitation, _gate_covers
+
+        bit = {n: 1 << i for i, n in enumerate(self.NAMES)}
+        gates = [(bit["q"],) + _gate_covers(gate, bit)]
+        for values, env in self.assignments():
+            excited = gate.next_value(env) != env["q"]
+            assert _excitation(values, gates) == (bit["q"] if excited else 0)
