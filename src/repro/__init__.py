@@ -13,15 +13,15 @@ The library covers the whole flow of the paper:
   structural properties, linear reductions (Sections 1, 2.2);
 * :mod:`repro.stg` — Signal Transition Graphs, ``.g`` format, the VME bus
   controller examples, waveform rendering (Section 1, Figures 1-3, 5);
-* :mod:`repro.ts` — reachability graphs and binary-coded state graphs
-  (Section 1.4, Figure 4);
+* :mod:`repro.ts` — reachability graphs (one builder; the net picks the
+  compiled bitvector BFS or the dict token game) and binary-coded state
+  graphs (Section 1.4, Figure 4);
 * :mod:`repro.analysis` — implementability properties (consistency, CSC,
   persistency) and stubborn-set reduction (Section 2);
-* :mod:`repro.bdd` — ROBDD engine, the symbolic ``engine="bdd"`` backend
+* :mod:`repro.bdd` — ROBDD engine and the symbolic query engine
   (chained cube-update frontier traversal with naive and dense
-  SM-component encodings) and symbolic queries — counts, deadlocks,
-  CSC characteristic functions — without state enumeration
-  (Section 2.2);
+  SM-component encodings): counts, deadlocks, CSC characteristic
+  functions without state enumeration (Section 2.2);
 * :mod:`repro.sat` — CDCL SAT solver, net-to-CNF encodings, bounded model
   checking and k-induction for reachability/deadlock/CSC queries without
   state-graph construction (Section 2.2's state-explosion escape hatch);

@@ -207,20 +207,13 @@ def persistency_violations(sg: StateGraph) -> List[PersistencyViolation]:
 
 
 def check_implementability(stg: STG,
-                           max_states: int = DEFAULT_STATE_BOUND,
-                           engine: str = "auto") -> ImplementabilityReport:
-    """Run the full battery of Section 2.1 checks and return a report.
-
-    ``engine`` selects the reachability engine used to build the state
-    graph — any member of :data:`repro.ts.builder.ENGINES` (``"auto"``,
-    ``"compiled"``, ``"naive"``, ``"bdd"``).
-    """
+                           max_states: int = DEFAULT_STATE_BOUND
+                           ) -> ImplementabilityReport:
+    """Run the full battery of Section 2.1 checks and return a report."""
     report = ImplementabilityReport(stg_name=stg.name)
-    with obs.span("analysis.implementability", stg=stg.name,
-                  engine=engine) as span:
+    with obs.span("analysis.implementability", stg=stg.name) as span:
         try:
-            sg = build_state_graph(stg, max_states=max_states,
-                                   engine=engine)
+            sg = build_state_graph(stg, max_states=max_states)
         except UnboundedError as exc:
             report.bounded = False
             report.consistency_error = str(exc)

@@ -1,8 +1,9 @@
 """ROBDD engine, symbolic traversal and symbolic queries (Section 2.2).
 
-The package backs ``engine="bdd"`` of the unified engine framework
-(:mod:`repro.ts.builder`) and the query layer of :mod:`repro.bdd.queries`
-(``repro bdd-check`` on the command line).
+A query engine only: :mod:`repro.bdd.queries` answers counts, deadlocks
+and CSC conflicts on the characteristic function of the reachable set,
+without enumerating it (``repro bdd-check`` on the command line, and the
+``bdd`` slot of :mod:`repro.portfolio`).
 """
 
 from .bdd import BDD, FALSE, TRUE
@@ -17,7 +18,6 @@ from .symbolic import (
     structural_place_order,
     DenseSymbolicReachability,
     SymbolicReachability,
-    symbolic_marking_count,
 )
 
 __all__ = [
@@ -25,5 +25,5 @@ __all__ = [
     "DenseSymbolicReachability", "SymbolicCSC",
     "SymbolicReachability", "find_deadlock",
     "has_csc_conflict", "has_deadlock", "reachable_count",
-    "structural_place_order", "symbolic_marking_count",
+    "structural_place_order",
 ]

@@ -1,7 +1,7 @@
 """Symbolic queries: answers about the state space without materialising it.
 
-The graph-building engines of :mod:`repro.ts.builder` pay for every
-marking; the functions here answer the common questions on the BDD
+The graph builder of :mod:`repro.ts.builder` pays for every marking;
+the functions here answer the common questions on the BDD
 characteristic function instead, mirroring :mod:`repro.sat.queries` (the
 bounded-model-checking query engine) with exact fixpoint semantics:
 

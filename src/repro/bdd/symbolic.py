@@ -1,22 +1,13 @@
-"""Symbolic (BDD-based) reachability of safe Petri nets — the ``"bdd"``
-backend of the unified engine framework (paper, Section 2.2).
+"""Symbolic (BDD-based) reachability of safe Petri nets (paper,
+Section 2.2).
 
-This module is no longer a standalone demo: it is one of the engines
-behind :func:`repro.ts.builder.build_reachability_graph` (``auto`` /
-``compiled`` / ``naive`` / ``bdd``).  It serves two roles:
-
-* **query engine** — :class:`SymbolicReachability` answers questions
-  about the state space (``count``, ``find_deadlock``,
-  ``safety_violation``, membership) on the characteristic-function
-  representation, without ever enumerating markings; the wrappers in
-  :mod:`repro.bdd.queries` expose this per model.
-* **graph engine** — :meth:`SymbolicReachability.to_transition_system`
-  decides 1-safety and the state budget on the fixpoint, then
-  materialises the graph with the compiled engine's BFS, so the
-  :class:`~repro.ts.transition_system.TransitionSystem` that
-  ``build_reachability_graph(engine="bdd")`` returns is bit-identical
-  (same states, same arcs, same insertion order) to the ``naive`` and
-  ``compiled`` engines.
+The package's query engine: :class:`SymbolicReachability` answers
+questions about the state space (``count``, ``find_deadlock``,
+``safety_violation``, membership) on the characteristic-function
+representation, without ever enumerating markings; the wrappers in
+:mod:`repro.bdd.queries` expose this per model.  When the graph itself is
+needed, :func:`repro.ts.builder.build_reachability_graph` enumerates it
+explicitly.
 
 Two state encodings are provided, mirroring the paper's discussion:
 
@@ -47,8 +38,7 @@ from __future__ import annotations
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from .. import obs
-from ..budgets import DEFAULT_STATE_BOUND
-from ..errors import ModelError, StateExplosionError, UnboundedError
+from ..errors import ModelError, UnboundedError
 from ..petri.marking import Marking
 from ..petri.net import PetriNet
 from ..petri.structure import DenseEncoding, SMComponent
@@ -195,26 +185,19 @@ def traced_traversal(bdd: BDD, init: int, updates: Sequence[CubeUpdate],
 class SymbolicReachability:
     """Symbolic reachability with the naive one-variable-per-place encoding.
 
-    ``initial`` overrides the net's initial marking (it must be 1-safe and
-    mark only known places).  The one traversal is safe-guarded: on a
-    net that is not 1-safe every query raises :class:`UnboundedError`,
-    except :meth:`safety_violation`, which returns the witness.
+    The traversal starts from the net's initial marking, which must be
+    1-safe.  It is safe-guarded: on a net that is not 1-safe every query
+    raises :class:`UnboundedError`, except :meth:`safety_violation`,
+    which returns the witness.
     """
 
-    def __init__(self, net: PetriNet, place_order: str = "dfs",
-                 initial: Optional[Marking] = None):
+    def __init__(self, net: PetriNet, place_order: str = "dfs"):
         if not net.has_ordinary_arcs():
             raise ModelError("symbolic traversal requires arc weights of 1")
-        self.net = net
-        if initial is None:
-            initial = net.initial_marking
-        for p in initial.places():
-            if p not in net.places:
-                raise ModelError("unknown place %r in initial marking" % p)
-        if not initial.is_safe():
+        if not net.initial_marking.is_safe():
             raise ModelError("symbolic traversal requires a 1-safe initial"
                              " marking")
-        self.initial = initial
+        self.net = net
         if place_order == "dfs":
             self.places = structural_place_order(net)
         elif place_order == "sorted":
@@ -246,7 +229,7 @@ class SymbolicReachability:
         game (the whole reachable set when the net is 1-safe)."""
         if self._reached is None:
             bdd = self.bdd
-            init = self.marking_to_bdd(self.initial)
+            init = self.marking_to_bdd(self.net.initial_marking)
             updates = [self.transition_update(t)
                        for t in sorted(self.net.transitions)]
             self._reached = traced_traversal(
@@ -258,7 +241,7 @@ class SymbolicReachability:
         """BDD over the place variables of all reachable markings.
 
         Raises :class:`UnboundedError` (the naive engine's witness
-        message) unless the net is 1-safe from ``initial``.
+        message) unless the net is 1-safe.
         """
         self.assert_safe()
         return self._fixpoint()
@@ -266,9 +249,6 @@ class SymbolicReachability:
     def count(self) -> int:
         """Number of reachable markings."""
         return self.bdd.satcount(self.reachable())
-
-    #: Query-style alias: the reachable-marking count without enumeration.
-    reachable_count = count
 
     def bdd_size(self) -> int:
         """Node count of the reachable-set BDD."""
@@ -328,41 +308,10 @@ class SymbolicReachability:
 
     def assert_safe(self) -> None:
         """Raise :class:`UnboundedError` (with the same witness message as
-        the naive engine) unless the net is 1-safe from ``initial``."""
+        the naive engine) unless the net is 1-safe."""
         violation = self.safety_violation()
         if violation is not None:
             raise_unsafe(self.net, *violation)
-
-    # -- materialisation ------------------------------------------------ #
-
-    def to_transition_system(self, max_states: int = DEFAULT_STATE_BOUND):
-        """Materialise the symbolic fixpoint as an explicit
-        :class:`~repro.ts.transition_system.TransitionSystem`.
-
-        The symbolic phase decides the questions that make explicit
-        enumeration safe to attempt — 1-safety (:class:`UnboundedError`
-        with a witness otherwise) and the state budget
-        (:class:`StateExplosionError` *before* any enumeration).  The
-        explicit phase is the compiled engine's BFS of
-        :mod:`repro.ts.builder`, so the result is bit-identical to the
-        ``naive`` and ``compiled`` engines; every marking it enumerates
-        is cross-checked against the reachable BDD.
-        """
-        # deferred: repro.ts.builder imports this module at module level
-        from ..ts.builder import _build_compiled
-
-        total = self.count()
-        if total > max_states:
-            raise StateExplosionError(
-                "reachability graph exceeded %d states (symbolic count: %d)"
-                % (max_states, total), bound=max_states, states=total)
-        ts = _build_compiled(self.net, self.initial, max_states)
-        for marking in ts.states:
-            if not self.contains(marking):
-                raise ModelError(
-                    "internal error: explicit replay reached"
-                    " %r outside the symbolic fixpoint" % marking)
-        return ts
 
 
 class DenseSymbolicReachability:
@@ -437,23 +386,7 @@ class DenseSymbolicReachability:
         """Number of reachable dense codes."""
         return self.bdd.satcount(self.reachable())
 
-    #: Query-style alias: the reachable-code count without enumeration.
-    reachable_count = count
-
     def bdd_size(self) -> int:
         """Node count of the dense reachable-set BDD."""
         return self.bdd.size(self.reachable())
 
-
-def symbolic_marking_count(net: PetriNet, encoding: str = "naive") -> int:
-    """Convenience: number of reachable markings via symbolic traversal.
-
-    Delegates to :func:`repro.bdd.queries.reachable_count` (so non-1-safe
-    nets raise :class:`UnboundedError` rather than being silently
-    miscounted).  Note that with the dense encoding the count is over
-    *codes*; places sharing code bits may alias if the SM cover's
-    components overlap.
-    """
-    from .queries import reachable_count
-
-    return reachable_count(net, encoding=encoding)

@@ -34,7 +34,7 @@ consumers without paying dict/sort costs per state.
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, List, Tuple
 
 from .. import obs
 from ..errors import ModelError, UnboundedError
@@ -45,14 +45,15 @@ from .net import PetriNet
 class CompiledNet:
     """A safe Petri net preprocessed into integer bitmasks.
 
-    Raises :class:`ModelError` if the net has non-unit arc weights or an
-    initial marking that is not 1-safe — the bitvector representation only
-    covers safe nets (use the naive engine otherwise).
+    Raises :class:`ModelError` if the net has non-unit arc weights, and
+    :meth:`encode` raises it for a marking that is not 1-safe — the
+    bitvector representation only covers safe nets (the naive token game
+    explores the others).
     """
 
     __slots__ = (
         "net", "places", "place_bit", "transitions", "transition_bit",
-        "pre_masks", "post_masks", "deltas", "affected", "_initial",
+        "pre_masks", "post_masks", "affected",
         "_marking_of", "_code_of", "_version",
     )
 
@@ -73,9 +74,6 @@ class CompiledNet:
         }
         self.pre_masks: List[int] = []
         self.post_masks: List[int] = []
-        # deltas[i] = pre_masks[i] ^ post_masks[i]: for a conflict-free
-        # firing the successor is exactly ``marking ^ deltas[i]``.
-        self.deltas: List[int] = []
         for t in self.transitions:
             pre = 0
             for p in net.pre(t):
@@ -85,7 +83,6 @@ class CompiledNet:
                 post |= 1 << self.place_bit[p]
             self.pre_masks.append(pre)
             self.post_masks.append(post)
-            self.deltas.append(pre ^ post)
         # affected[i]: bitmask of transitions whose enabledness may change
         # after firing transition i (consumers of i's pre/post places).
         self.affected: List[int] = []
@@ -102,23 +99,6 @@ class CompiledNet:
             self.affected.append(mask)
         self._marking_of: Dict[int, Marking] = {}
         self._code_of: Dict[Marking, int] = {}
-        self._initial: Optional[int] = None
-
-    @property
-    def initial(self) -> int:
-        """Integer code of the root marking (the net's own initial marking
-        unless re-rooted via :func:`compile_net`).
-
-        Encoded lazily so that a net whose *stored* marking is unsafe can
-        still be compiled and explored from a safe override.
-        """
-        if self._initial is None:
-            self._initial = self.encode(self.net.initial_marking)
-        return self._initial
-
-    @initial.setter
-    def initial(self, code: int) -> None:
-        self._initial = code
 
     def clear_state_pools(self) -> None:
         """Drop the interned integer<->Marking pools.
@@ -130,7 +110,6 @@ class CompiledNet:
         """
         self._marking_of = {}
         self._code_of = {}
-        self._initial = None
 
     # ------------------------------------------------------------------ #
     # state codecs
@@ -282,11 +261,9 @@ class CompiledNet:
             self.net.name, len(self.places), len(self.transitions))
 
 
-def compile_net(net: PetriNet,
-                initial: Optional[Marking] = None) -> CompiledNet:
-    """Compile ``net`` (optionally re-rooted at ``initial``) or raise
-    :class:`ModelError` if the net is outside the compiled engine's domain
-    (non-unit arc weights / non-safe marking).
+def compile_net(net: PetriNet) -> CompiledNet:
+    """Compile ``net`` or raise :class:`ModelError` if it is outside the
+    compiled engine's domain (non-unit arc weights).
 
     Compilations are cached on the net and reused as long as its structure
     is unchanged (tracked by the net's structure version), so repeated
@@ -306,18 +283,10 @@ def compile_net(net: PetriNet,
         net._compiled_cache = compiled
     else:
         obs.add("compile_cache_hits")
-    # always re-root: the cache is shared, so a previous caller's initial
-    # (or a set_initial_marking since compilation) must not leak through
-    if initial is None:
-        initial = net.initial_marking
-    compiled.initial = compiled.encode(initial)
     return compiled
 
 
-def supports_compilation(net: PetriNet,
-                         initial: Optional[Marking] = None) -> bool:
+def supports_compilation(net: PetriNet) -> bool:
     """True iff the compiled engine can represent this net exactly:
-    ordinary (weight-1) arcs and a 1-safe (initial) marking."""
-    if initial is None:
-        initial = net.initial_marking
-    return net.has_ordinary_arcs() and initial.is_safe()
+    ordinary (weight-1) arcs and a 1-safe initial marking."""
+    return net.has_ordinary_arcs() and net.initial_marking.is_safe()

@@ -14,10 +14,7 @@
 from __future__ import annotations
 
 import math
-from fractions import Fraction
 from typing import Dict, List, Optional, Sequence, Set, Tuple
-
-import numpy as np
 
 from ..errors import ModelError
 from .marking import Marking
@@ -33,51 +30,41 @@ def node_orders(net: PetriNet) -> Tuple[List[str], List[str]]:
     return sorted(net.places), sorted(net.transitions)
 
 
-def incidence_matrix(net: PetriNet) -> Tuple[np.ndarray, List[str], List[str]]:
-    """Incidence matrix ``C`` with ``C[p, t] = post(t)[p] - pre(t)[p]``.
+def incidence_matrix(net: PetriNet
+                     ) -> Tuple[List[List[int]], List[str], List[str]]:
+    """Incidence matrix ``C`` with ``C[p][t] = post(t)[p] - pre(t)[p]``,
+    one list of ints per place.
 
     Returns ``(C, place_order, transition_order)``.
     """
     places, transitions = node_orders(net)
     p_index = {p: i for i, p in enumerate(places)}
-    C = np.zeros((len(places), len(transitions)), dtype=np.int64)
+    C = [[0] * len(transitions) for _ in places]
     for j, t in enumerate(transitions):
         for p, w in net.pre(t).items():
-            C[p_index[p], j] -= w
+            C[p_index[p]][j] -= w
         for p, w in net.post(t).items():
-            C[p_index[p], j] += w
+            C[p_index[p]][j] += w
     return C, places, transitions
-
-
-def input_output_matrices(net: PetriNet):
-    """Pre and post matrices (same orientation as :func:`incidence_matrix`)."""
-    places, transitions = node_orders(net)
-    p_index = {p: i for i, p in enumerate(places)}
-    pre = np.zeros((len(places), len(transitions)), dtype=np.int64)
-    post = np.zeros_like(pre)
-    for j, t in enumerate(transitions):
-        for p, w in net.pre(t).items():
-            pre[p_index[p], j] = w
-        for p, w in net.post(t).items():
-            post[p_index[p], j] = w
-    return pre, post, places, transitions
 
 
 # ---------------------------------------------------------------------- #
 # invariants (Farkas' algorithm)
 # ---------------------------------------------------------------------- #
 
-def _farkas(matrix: np.ndarray) -> List[np.ndarray]:
+def _farkas(matrix: List[List[int]]) -> List[List[int]]:
     """Minimal semi-positive integer solutions of ``y @ matrix == 0``.
 
-    Classic Farkas / Fourier–Motzkin style algorithm: maintain the table
-    ``[D | B]`` initialised to ``[matrix | I]`` and eliminate columns of D by
-    taking positive combinations of rows with opposite signs.  Rows of B
-    whose D-part is zero are semi-positive invariants; minimal ones have
-    minimal support.
+    ``matrix`` is a list of equally long rows of ints.  Classic Farkas /
+    Fourier–Motzkin style algorithm: maintain the table ``[D | B]``
+    initialised to ``[matrix | I]`` and eliminate columns of D by taking
+    positive combinations of rows with opposite signs.  Rows of B whose
+    D-part is zero are semi-positive invariants; minimal ones have minimal
+    support.
     """
-    rows, cols = matrix.shape
-    D = [list(map(int, matrix[i])) for i in range(rows)]
+    rows = len(matrix)
+    cols = len(matrix[0]) if matrix else 0
+    D = [list(row) for row in matrix]
     B = [[1 if j == i else 0 for j in range(rows)] for i in range(rows)]
 
     for col in range(cols):
@@ -110,19 +97,16 @@ def _farkas(matrix: np.ndarray) -> List[np.ndarray]:
         # prune non-minimal-support rows to keep the table small
         D, B = _prune_non_minimal(D, B)
 
-    invariants = [np.array(B[i], dtype=np.int64) for i in range(len(D))
-                  if all(v == 0 for v in D[i])]
+    invariants = [B[i] for i in range(len(D)) if not any(D[i])]
     # final minimality filter on supports
-    result: List[np.ndarray] = []
+    result: List[List[int]] = []
     supports: List[Set[int]] = []
-    order = sorted(range(len(invariants)),
-                   key=lambda i: int(np.count_nonzero(invariants[i])))
-    for i in order:
-        support = set(np.nonzero(invariants[i])[0].tolist())
+    for invariant in sorted(invariants, key=lambda row: sum(map(bool, row))):
+        support = {j for j, v in enumerate(invariant) if v}
         if any(s <= support for s in supports):
             continue
         supports.append(support)
-        result.append(invariants[i])
+        result.append(invariant)
     return result
 
 
@@ -155,7 +139,7 @@ def p_invariants(net: PetriNet) -> List[Dict[str, int]]:
     rows = _farkas(C)
     result = []
     for y in rows:
-        result.append({places[i]: int(v) for i, v in enumerate(y) if v})
+        result.append({places[i]: v for i, v in enumerate(y) if v})
     result.sort(key=lambda d: (len(d), sorted(d)))
     return result
 
@@ -166,11 +150,15 @@ def t_invariants(net: PetriNet) -> List[Dict[str, int]]:
     Firing each transition ``x[t]`` times (in some fireable order)
     reproduces the marking.
     """
-    C, _, transitions = incidence_matrix(net)
-    rows = _farkas(C.T)
+    C, places, transitions = incidence_matrix(net)
+    # transpose with explicit dimensions: a net without places still has
+    # one (empty) row per transition
+    transposed = [[C[i][j] for i in range(len(places))]
+                  for j in range(len(transitions))]
+    rows = _farkas(transposed)
     result = []
     for x in rows:
-        result.append({transitions[i]: int(v) for i, v in enumerate(x) if v})
+        result.append({transitions[i]: v for i, v in enumerate(x) if v})
     result.sort(key=lambda d: (len(d), sorted(d)))
     return result
 

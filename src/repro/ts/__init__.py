@@ -1,12 +1,11 @@
 """Transition systems, reachability graphs and binary-coded state graphs
 (paper Section 1.4)."""
 
-from .builder import ENGINES, build_reachability_graph, choose_engine
+from .builder import build_reachability_graph, choose_engine
 from .state_graph import StateGraph, build_state_graph
 from .transition_system import TransitionSystem
 
 __all__ = [
-    "ENGINES",
     "TransitionSystem",
     "build_reachability_graph",
     "choose_engine",

@@ -5,121 +5,83 @@ are markings and whose arcs are labelled with transition names.  For safe
 nets a violation of 1-safeness raises
 :class:`~repro.errors.UnboundedError`.
 
-This is the hub of the unified engine framework (see ``docs/engines.md``
-for the user guide).  Three **graph-building** engines are provided:
+There is one builder, :func:`build_reachability_graph`, and the net picks
+its explorer (see ``docs/engines.md`` for the user guide).
+:func:`choose_engine` is the only place the rule lives:
 
-* ``"compiled"`` — the bitvector engine of
-  :mod:`repro.petri.compiled`: markings are machine ints, enabling is two
-  bitwise ops, and the enabled set is maintained incrementally across
-  firings.  Requires an ordinary (weight-1) net and a safe initial
-  marking.
-* ``"bdd"`` — the symbolic engine of :mod:`repro.bdd.symbolic`: a
-  chained cube-update frontier fixpoint first computes the reachable
-  set as a characteristic function (deciding 1-safety and the state
-  budget *before* any enumeration), then materialises it with the
-  compiled engine's BFS.  Requires an ordinary net and a safe initial
-  marking.
-* ``"naive"`` — the original dict-backed token game; works for any
-  weighted net and, with ``require_safe=False``, for k-bounded ones.
+* ``"compiled"`` — the bitvector BFS of :mod:`repro.petri.compiled`:
+  markings are machine ints, enabling is two bitwise ops, and the enabled
+  set is maintained incrementally across firings.  Runs whenever the net
+  is ordinary (weight-1) with a 1-safe initial marking and
+  ``require_safe`` holds.
+* ``"naive"`` — the dict-backed token game, for everything else: weighted
+  arcs and, with ``require_safe=False``, k-bounded nets.
 
-``engine="auto"`` (the default) delegates to :func:`choose_engine`, which
-picks the compiled engine whenever it is applicable and falls back to the
-naive one otherwise.  All graph-building engines produce **bit-identical**
-transition systems: the same states, the same arcs in the same insertion
-order (BFS level order, transitions fired in sorted name order per
-state), so every downstream consumer — state-graph codes, regions, CSC,
-synthesis, verification — is oblivious to the choice.
+Both explorers produce **bit-identical** transition systems: the same
+states, the same arcs in the same insertion order (BFS level order,
+transitions fired in sorted name order per state), so every downstream
+consumer — state-graph codes, regions, CSC, synthesis, verification — is
+oblivious to the choice.
 
-The ``"bdd"`` engine has query variants too
-(:mod:`repro.bdd.queries`: ``reachable_count``, ``find_deadlock``,
-``SymbolicCSC``) that answer without materialising anything —
-prefer those over graph construction when only the answer is needed.
+Questions that need only an answer — a count, a deadlock, a CSC
+conflict — go to the query engines instead (:mod:`repro.bdd.queries`,
+:mod:`repro.sat.queries`, or :mod:`repro.portfolio` to pick and race
+them), which never enumerate the state space.
 """
 
 from __future__ import annotations
 
-from typing import Optional, Union
+from typing import Union
 
 from .. import obs
-from ..bdd.symbolic import SymbolicReachability
 from ..budgets import DEFAULT_STATE_BOUND
-from ..errors import ModelError, StateExplosionError, UnboundedError
+from ..errors import StateExplosionError, UnboundedError
 from ..petri.compiled import compile_net, supports_compilation
-from ..petri.marking import Marking
 from ..petri.net import PetriNet
 from ..petri.token_game import enabled_transitions, fire
 from ..stg.stg import STG
 from .transition_system import TransitionSystem
 
-ENGINES = ("auto", "compiled", "naive", "bdd")
-
 
 def choose_engine(model: Union[PetriNet, STG],
-                  initial: Optional[Marking] = None,
                   require_safe: bool = True) -> str:
-    """The ``engine="auto"`` selection heuristic, exposed for callers.
+    """The explorer :func:`build_reachability_graph` runs for ``model``.
 
-    Answers "which engine should *build* the transition system":
-    ``"compiled"`` whenever the net is ordinary with a safe initial
-    marking (markings fit machine ints; ~5-8x faster than the dict token
-    game), else ``"naive"`` (the only engine covering weighted arcs and
-    k-bounded exploration).
+    ``"compiled"`` whenever the net is ordinary with a 1-safe initial
+    marking and ``require_safe`` holds (markings fit machine ints; ~5-8x
+    faster than the dict token game), else ``"naive"`` (the only explorer
+    of weighted arcs and k-bounded nets).
     """
     net = model.net if isinstance(model, STG) else model
-    if initial is None:
-        initial = net.initial_marking
-    if require_safe and supports_compilation(net, initial):
+    if require_safe and supports_compilation(net):
         return "compiled"
     return "naive"
 
 
 def build_reachability_graph(model: Union[PetriNet, STG],
                              max_states: int = DEFAULT_STATE_BOUND,
-                             require_safe: bool = True,
-                             initial: Optional[Marking] = None,
-                             engine: str = "auto") -> TransitionSystem:
-    """Breadth-first reachability graph of a Petri net or STG.
+                             require_safe: bool = True) -> TransitionSystem:
+    """Breadth-first reachability graph of a Petri net or STG from its
+    initial marking.
 
     Arc labels are transition names (for an STG these are the canonical
-    event strings such as ``"LDS+"`` or ``"LDS+/2"``).
-
-    ``engine`` selects the exploration engine: ``"auto"``, ``"compiled"``,
-    ``"naive"`` or ``"bdd"`` build the graph (bit-identically).
-    See the module docstring and ``docs/engines.md``.  Requesting the
-    compiled or bdd engine for a model outside its domain raises
-    :class:`ModelError`.
+    event strings such as ``"LDS+"`` or ``"LDS+/2"``).  The explorer is the
+    one :func:`choose_engine` picks for the net; both give the same graph.
+    ``require_safe=False`` explores k-bounded nets instead of raising
+    :class:`UnboundedError`; more than ``max_states`` markings raise
+    :class:`StateExplosionError`.
 
     When :func:`repro.obs.enabled`, every build runs under an
-    ``engine.build`` span tagged with the resolved engine and net,
-    counting ``states`` / ``arcs`` and gauging ``states_per_sec``
+    ``engine.build`` span tagged with the explorer and net, counting
+    ``states`` / ``arcs`` and gauging ``states_per_sec``
     (see ``docs/observability.md``).
     """
     net = model.net if isinstance(model, STG) else model
-    if initial is None:
-        initial = net.initial_marking
-    if engine == "auto":
-        engine = choose_engine(net, initial, require_safe=require_safe)
-    if engine == "compiled":
-        if not require_safe:
-            raise ModelError(
-                "compiled engine only explores safe state spaces"
-                " (require_safe=False needs engine='naive')")
+    if choose_engine(net, require_safe) == "compiled":
         return _traced_build(
-            "compiled", net,
-            lambda: _build_compiled(net, initial, max_states))
-    if engine == "naive":
-        return _traced_build(
-            "naive", net,
-            lambda: _build_naive(net, initial, max_states, require_safe))
-    if engine == "bdd":
-        if not require_safe:
-            raise ModelError(
-                "bdd engine only explores safe state spaces"
-                " (require_safe=False needs engine='naive')")
-        return _traced_build(
-            "bdd", net, lambda: _build_bdd(net, initial, max_states))
-    raise ModelError(
-        "unknown engine %r (expected one of %s)" % (engine, ENGINES))
+            "compiled", net, lambda: _build_compiled(net, max_states))
+    return _traced_build(
+        "naive", net, lambda: _build_naive(net, max_states, require_safe))
 
 
 def _traced_build(engine: str, net: PetriNet, build) -> TransitionSystem:
@@ -142,11 +104,10 @@ def _traced_build(engine: str, net: PetriNet, build) -> TransitionSystem:
     return ts
 
 
-def _build_compiled(net: PetriNet, initial: Marking,
-                    max_states: int) -> TransitionSystem:
+def _build_compiled(net: PetriNet, max_states: int) -> TransitionSystem:
     """Bitvector BFS with incremental enabled-set maintenance."""
-    compiled = compile_net(net, initial)
-    root = compiled.initial
+    compiled = compile_net(net)
+    root = compiled.encode(net.initial_marking)
     pre_masks = compiled.pre_masks
     post_masks = compiled.post_masks
     names = compiled.transitions
@@ -206,16 +167,10 @@ def _build_compiled(net: PetriNet, initial: Marking,
     return TransitionSystem.from_adjacency(marking_of[root], adjacency)
 
 
-def _build_bdd(net: PetriNet, initial: Marking,
-               max_states: int) -> TransitionSystem:
-    """Symbolic fixpoint first, explicit materialisation second."""
-    sym = SymbolicReachability(net, initial=initial)
-    return sym.to_transition_system(max_states)
-
-
-def _build_naive(net: PetriNet, initial: Marking, max_states: int,
+def _build_naive(net: PetriNet, max_states: int,
                  require_safe: bool) -> TransitionSystem:
     """The original dict-backed token game (any weights, k-bounded nets)."""
+    initial = net.initial_marking
     ts = TransitionSystem(initial)
     frontier = [initial]
     seen = {initial}

@@ -245,20 +245,16 @@ class StateGraph:
 def build_state_graph(stg: STG,
                       max_states: int = DEFAULT_STATE_BOUND,
                       signal_order: Optional[Sequence[str]] = None,
-                      require_safe: bool = True,
-                      engine: str = "auto") -> StateGraph:
+                      require_safe: bool = True) -> StateGraph:
     """Build the binary-coded state graph of an STG.
 
     Raises :class:`~repro.errors.UnboundedError` for non-safe STGs
     (pass ``require_safe=False`` for k-bounded nets, e.g. after dummy
     contraction) and :class:`~repro.errors.ConsistencyError` for
-    inconsistent ones.  ``engine`` selects the reachability engine —
-    ``"auto"``, ``"compiled"``, ``"naive"`` or ``"bdd"`` all yield the
-    same graph, and any other name raises
-    :class:`~repro.errors.ModelError`; see
-    :func:`~repro.ts.builder.build_reachability_graph` (and
+    inconsistent ones.  The reachability graph comes from
+    :func:`~repro.ts.builder.build_reachability_graph` (see
     :mod:`repro.portfolio` for the query layer).
     """
     ts = build_reachability_graph(stg, max_states=max_states,
-                                  require_safe=require_safe, engine=engine)
+                                  require_safe=require_safe)
     return StateGraph(stg, ts, signal_order=signal_order)

@@ -280,7 +280,7 @@ def verify_circuit(netlist: Netlist, spec: STG,
     # the marking half: compiled codes, or the dict token game outside the
     # compiled domain.  step() returns the successor, None when disabled.
     spec_net = spec.net
-    if supports_compilation(spec_net, spec.initial_marking):
+    if supports_compilation(spec_net):
         compiled = compile_net(spec_net)
         root = compiled.encode(spec.initial_marking)
         transition_key = compiled.transition_bit.__getitem__

@@ -1,16 +1,15 @@
-"""The ``engine="bdd"`` backend of the unified engine framework.
+"""The ``bdd`` query engine.
 
-Covers the three contracts of the symbolic engine:
+Covers the two contracts of the symbolic engine:
 
-* **graph building** — ``build_reachability_graph(engine="bdd")`` and
-  ``build_state_graph(engine="bdd")`` are bit-identical to the naive and
-  compiled engines (same states, same arcs, same insertion order);
-* **domain errors** — unsafe nets, weighted arcs, ``require_safe=False``
-  and blown state budgets fail with the same exception types as the
-  explicit engines;
 * **queries** — ``reachable_count`` / ``find_deadlock`` /
   :class:`~repro.bdd.queries.SymbolicCSC` agree with the explicit
-  answers while never materialising the state space.
+  answers while never materialising the state space, and the fixpoint
+  holds exactly the states of the built graph;
+* **domain errors** — unsafe nets raise :class:`UnboundedError` from
+  every query instead of answering for a capped token game; weighted
+  arcs raise :class:`ModelError`, where the graph builder falls back to
+  the token game.
 """
 
 import pytest
@@ -24,8 +23,8 @@ from repro.bdd import (
     has_deadlock,
     reachable_count,
 )
-from repro.errors import ModelError, StateExplosionError, UnboundedError
-from repro.petri import PetriNet, find_deadlocks, reachable_markings
+from repro.errors import ModelError, UnboundedError
+from repro.petri import Marking, PetriNet, find_deadlocks, reachable_markings
 from repro.stg import (
     latch_controller,
     muller_pipeline,
@@ -36,12 +35,7 @@ from repro.stg import (
     vme_read_csc,
     vme_read_write,
 )
-from repro.ts import (
-    ENGINES,
-    build_reachability_graph,
-    build_state_graph,
-    choose_engine,
-)
+from repro.ts import build_reachability_graph, build_state_graph, choose_engine
 
 LIBRARY = {
     "vme_read": vme_read,
@@ -66,88 +60,13 @@ def unsafe_net() -> PetriNet:
     return net
 
 
-class TestGraphEngine:
-    @pytest.mark.parametrize("name", sorted(LIBRARY))
-    def test_bit_identical_to_naive(self, name):
-        stg = LIBRARY[name]()
-        reference = build_reachability_graph(stg, engine="naive")
-        ts = build_reachability_graph(stg, engine="bdd")
-        assert ts.initial == reference.initial
-        assert ts.states == reference.states
-        assert list(ts.arcs()) == list(reference.arcs())
-
-    @pytest.mark.parametrize("name", ["vme_read", "muller4"])
-    def test_state_graph_identical(self, name):
-        stg = LIBRARY[name]()
-        reference = build_state_graph(stg, engine="compiled")
-        sg = build_state_graph(stg, engine="bdd")
-        assert sg.codes == reference.codes
-        assert sg.initial_values == reference.initial_values
-
-    def test_custom_initial_marking(self):
-        stg = vme_read()
-        reference = build_reachability_graph(stg, engine="naive")
-        # restart the exploration from the third discovered marking
-        other = reference.states[2]
-        for engine in ("naive", "bdd"):
-            ts = build_reachability_graph(stg, engine=engine, initial=other)
-            assert ts.initial == other
-        naive = build_reachability_graph(stg, engine="naive", initial=other)
-        bdd = build_reachability_graph(stg, engine="bdd", initial=other)
-        assert naive.states == bdd.states
-        assert list(naive.arcs()) == list(bdd.arcs())
-
-    def test_state_budget_checked_before_enumeration(self):
-        with pytest.raises(StateExplosionError) as err:
-            build_reachability_graph(muller_pipeline(6), engine="bdd",
-                                     max_states=50)
-        assert "symbolic count" in str(err.value)
-
-    def test_explicit_phase_cross_checks_the_fixpoint(self, monkeypatch):
-        """Every enumerated marking is checked against the reachable BDD:
-        a fixpoint that misses one reachable marking is an internal error,
-        not a silently different graph."""
-        stg = vme_read()
-        dropped = build_reachability_graph(stg, engine="naive").states[1]
-        exact = SymbolicReachability.reachable
-
-        def lossy(self):
-            bdd = self.bdd
-            return bdd.apply_and(exact(self),
-                                 bdd.apply_not(self.marking_to_bdd(dropped)))
-
-        monkeypatch.setattr(SymbolicReachability, "reachable", lossy)
-        with pytest.raises(ModelError, match="outside the symbolic fixpoint"):
-            build_reachability_graph(stg, engine="bdd")
-
-    def test_unsafe_net_raises_unbounded(self):
-        net = unsafe_net()
-        with pytest.raises(UnboundedError):
-            build_reachability_graph(net, engine="naive")
-        with pytest.raises(UnboundedError) as err:
-            build_reachability_graph(net, engine="bdd")
-        assert "1-safeness" in str(err.value)
-
-    def test_require_safe_false_rejected(self):
-        with pytest.raises(ModelError):
-            build_reachability_graph(vme_read(), engine="bdd",
-                                     require_safe=False)
-
-    def test_weighted_net_outside_domain(self):
-        net = PetriNet("weighted")
-        net.add_place("p", tokens=1)
-        net.add_transition("t")
-        net.add_arc("p", "t", weight=2)
-        with pytest.raises(ModelError):
-            build_reachability_graph(net, engine="bdd")
-        # auto falls back to an engine that covers the model
-        assert len(build_reachability_graph(net, require_safe=False)) == 1
-
-    def test_unknown_engine_lists_all(self):
-        with pytest.raises(ModelError) as err:
-            build_reachability_graph(vme_read(), engine="magic")
-        for engine in ENGINES:
-            assert engine in str(err.value)
+def weighted_net() -> PetriNet:
+    """t needs two tokens on p, which holds one: a single dead marking."""
+    net = PetriNet("weighted")
+    net.add_place("p", tokens=1)
+    net.add_transition("t")
+    net.add_arc("p", "t", weight=2)
+    return net
 
 
 class TestChooseEngine:
@@ -160,11 +79,7 @@ class TestChooseEngine:
         # the portfolio schedule races bdd only inside its domain
         from repro.portfolio.tasks import schedule
 
-        net = PetriNet("weighted")
-        net.add_place("p", tokens=1)
-        net.add_transition("t")
-        net.add_arc("p", "t", weight=2)
-        assert schedule(net) == ("sat", "naive")
+        assert schedule(weighted_net()) == ("sat", "naive")
         assert schedule(vme_read()) == ("sat", "bdd", "compiled")
 
 
@@ -173,6 +88,38 @@ class TestQueries:
     def test_reachable_count_matches_explicit(self, name):
         stg = LIBRARY[name]()
         assert reachable_count(stg) == len(reachable_markings(stg.net))
+
+    @pytest.mark.parametrize("name", sorted(LIBRARY))
+    def test_fixpoint_holds_exactly_the_built_states(self, name):
+        stg = LIBRARY[name]()
+        ts = build_reachability_graph(stg)
+        sym = SymbolicReachability(stg.net)
+        assert all(sym.contains(m) for m in ts.states)
+        assert sym.count() == len(ts)
+
+    def test_counts_from_the_current_initial_marking(self):
+        net = PetriNet("chain")
+        net.add_place("p0", tokens=1)
+        net.add_place("p1")
+        net.add_transition("t0")
+        net.add_arc("p0", "t0")
+        net.add_arc("t0", "p1")
+        assert reachable_count(net) == 2
+        net.set_initial_marking(["p1"])
+        assert reachable_count(net) == 1
+        sym = SymbolicReachability(net)
+        assert sym.contains(Marking({"p1": 1}))
+        assert not sym.contains(Marking({"p0": 1}))
+
+    def test_weighted_net_outside_domain(self):
+        net = weighted_net()
+        with pytest.raises(ModelError, match="arc weights of 1"):
+            reachable_count(net)
+        with pytest.raises(ModelError, match="arc weights of 1"):
+            find_deadlock(net)
+        # the graph builder covers the model with the token game
+        assert choose_engine(net) == "naive"
+        assert len(build_reachability_graph(net)) == 1
 
     def test_find_deadlock_on_live_net(self):
         assert find_deadlock(vme_read()) is None

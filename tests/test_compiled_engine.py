@@ -1,7 +1,10 @@
 """Parity of the compiled bitvector reachability engine with the naive
 token game: identical transition systems on the whole STG library,
 step-by-step firing agreement on random walks, and identical error
-behaviour at the 1-safeness and state-count bounds."""
+behaviour at the 1-safeness and state-count bounds.
+
+The builder picks its explorer from the net; :func:`token_game` rules the
+compiled one out, so the same call plays the dict token game instead."""
 
 import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
@@ -28,7 +31,8 @@ from repro.stg import (
     vme_read_csc,
     vme_read_write,
 )
-from repro.ts import build_reachability_graph, build_state_graph
+from repro import obs
+from repro.ts import build_reachability_graph, build_state_graph, choose_engine
 from repro.ts.state_graph import StateGraph
 
 LIBRARY = {
@@ -46,6 +50,23 @@ LIBRARY = {
 }
 
 
+def token_game(build, *args, **kwargs):
+    """``build(*args, **kwargs)`` with the compiled explorer ruled out."""
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr("repro.ts.builder.supports_compilation",
+                      lambda net: False)
+        return build(*args, **kwargs)
+
+
+def by_net(build, *args, **kwargs):
+    """``build(*args, **kwargs)`` with the explorer the net picks."""
+    return build(*args, **kwargs)
+
+
+#: Every test model is ordinary and safe, so ``by_net`` runs compiled.
+EXPLORERS = {"naive": token_game, "compiled": by_net}
+
+
 # --------------------------------------------------------------------- #
 # bit-identical transition systems
 # --------------------------------------------------------------------- #
@@ -53,8 +74,8 @@ LIBRARY = {
 @pytest.mark.parametrize("name", sorted(LIBRARY))
 def test_engines_produce_identical_transition_systems(name):
     stg = LIBRARY[name]()
-    naive = build_reachability_graph(stg, engine="naive")
-    compiled = build_reachability_graph(stg, engine="compiled")
+    naive = token_game(build_reachability_graph, stg)
+    compiled = build_reachability_graph(stg)
     assert naive.initial == compiled.initial
     # same states in the same insertion order
     assert naive.states == compiled.states
@@ -70,18 +91,19 @@ def test_engines_produce_identical_transition_systems(name):
                                   "muller_pipeline_5"])
 def test_engines_produce_identical_state_graph_codes(name):
     stg = LIBRARY[name]()
-    sg_naive = StateGraph(stg, build_reachability_graph(stg, engine="naive"))
-    sg_comp = StateGraph(stg,
-                         build_reachability_graph(stg, engine="compiled"))
+    sg_naive = StateGraph(stg, token_game(build_reachability_graph, stg))
+    sg_comp = StateGraph(stg, build_reachability_graph(stg))
     assert sg_naive.initial_values == sg_comp.initial_values
     assert sg_naive.codes == sg_comp.codes
 
 
-def test_auto_engine_matches_explicit_compiled():
+def test_build_span_names_the_explorer():
     stg = muller_pipeline(4)
-    auto = build_reachability_graph(stg)
-    compiled = build_reachability_graph(stg, engine="compiled")
-    assert list(auto.arcs()) == list(compiled.arcs())
+    with obs.tracing() as sink:
+        build_reachability_graph(stg)
+        token_game(build_reachability_graph, stg)
+    assert [span["tags"]["engine"] for span in sink.spans("engine.build")] \
+        == ["compiled", "naive"]
 
 
 # --------------------------------------------------------------------- #
@@ -120,7 +142,7 @@ def test_incremental_enabled_set_matches_full_scan(name, choices):
     adjacent to the fired one) must agree with a from-scratch scan."""
     net = LIBRARY[name]().net
     compiled = CompiledNet(net)
-    code = compiled.initial
+    code = compiled.encode(net.initial_marking)
     enabled = compiled.enabled_mask(code)
     for choice in choices:
         if not enabled:
@@ -130,8 +152,9 @@ def test_incremental_enabled_set_matches_full_scan(name, choices):
         index = bits[choice % len(bits)]
         successor, conflict = compiled.fire_index(code, index)
         assert not conflict
-        # conflict-free firing is a pure xor with the transition's delta
-        assert successor == code ^ compiled.deltas[index]
+        # a conflict-free firing flips exactly the pre/post difference
+        assert successor == code ^ (compiled.pre_masks[index]
+                                    ^ compiled.post_masks[index])
         code = successor
         enabled = compiled.enabled_after(enabled, index, code)
         assert enabled == compiled.enabled_mask(code)
@@ -157,9 +180,9 @@ def test_unbounded_error_parity():
     net = unsafe_net()
     assert supports_compilation(net)
     errors = {}
-    for engine in ("naive", "compiled"):
+    for engine, build in EXPLORERS.items():
         with pytest.raises(UnboundedError) as exc:
-            build_reachability_graph(net, engine=engine)
+            build(build_reachability_graph, net)
         errors[engine] = str(exc.value)
     assert errors["naive"] == errors["compiled"]
     assert "violates 1-safeness" in errors["naive"]
@@ -169,18 +192,17 @@ def test_unbounded_error_parity():
 def test_state_explosion_parity(max_states):
     stg = muller_pipeline(4)  # 32 states
     errors = {}
-    for engine in ("naive", "compiled"):
+    for engine, build in EXPLORERS.items():
         with pytest.raises(StateExplosionError) as exc:
-            build_reachability_graph(stg, max_states=max_states,
-                                     engine=engine)
+            build(build_reachability_graph, stg, max_states=max_states)
         errors[engine] = str(exc.value)
     assert errors["naive"] == errors["compiled"]
 
 
 def test_max_states_exactly_sufficient_on_both_engines():
     stg = muller_pipeline(4)
-    for engine in ("naive", "compiled"):
-        ts = build_reachability_graph(stg, max_states=32, engine=engine)
+    for build in EXPLORERS.values():
+        ts = build(build_reachability_graph, stg, max_states=32)
         assert len(ts) == 32
 
 
@@ -189,10 +211,11 @@ def test_compiled_fire_raises_like_the_naive_game():
     compiled = CompiledNet(net)
     with pytest.raises(ModelError):
         compiled.fire(0, "t0")  # not enabled in the empty marking
+    initial = compiled.encode(net.initial_marking)
     with pytest.raises(ModelError):
-        compiled.fire(compiled.initial, "nonexistent")
+        compiled.fire(initial, "nonexistent")
     with pytest.raises(UnboundedError):
-        compiled.fire(compiled.initial, "t0")
+        compiled.fire(initial, "t0")
 
 
 # --------------------------------------------------------------------- #
@@ -209,55 +232,25 @@ def weighted_net():
     return net
 
 
-def test_unknown_engine_rejected():
-    with pytest.raises(ModelError):
-        build_reachability_graph(muller_pipeline(2), engine="quantum")
-
-
-def test_compiled_engine_requires_safe_semantics():
-    with pytest.raises(ModelError):
-        build_reachability_graph(muller_pipeline(2), engine="compiled",
-                                 require_safe=False)
-
-
 def test_weighted_net_falls_back_to_naive():
     net = weighted_net()
     assert not supports_compilation(net)
-    ts = build_reachability_graph(net)  # auto -> naive: t0 never enabled
+    assert choose_engine(net) == "naive"
+    ts = build_reachability_graph(net)  # naive: t0 never enabled
     assert len(ts) == 1 and ts.arc_count() == 0
     with pytest.raises(ModelError):
-        build_reachability_graph(net, engine="compiled")
-
-
-def test_safe_override_on_net_with_unsafe_stored_marking():
-    """An explicit safe ``initial`` must reach the compiled engine even
-    when the marking stored on the net is unsafe."""
-    from repro.petri import Marking
-
-    net = PetriNet("override")
-    net.add_place("p0", tokens=2)
-    net.add_place("p1")
-    net.add_transition("t0")
-    net.add_arc("p0", "t0")
-    net.add_arc("t0", "p1")
-    override = Marking({"p0": 1})
-    assert supports_compilation(net, override)
-    compiled = build_reachability_graph(net, initial=override,
-                                        engine="compiled")
-    naive = build_reachability_graph(net, initial=override, engine="naive")
-    assert len(compiled) == len(naive) == 2
-    assert list(compiled.arcs()) == list(naive.arcs())
+        CompiledNet(net)
 
 
 def test_clear_state_pools_releases_interned_markings():
     net = muller_pipeline(3).net
     compiled = compile_net(net)
-    build_reachability_graph(net, engine="compiled")
+    build_reachability_graph(net)
     assert compiled._marking_of
     compiled.clear_state_pools()
     assert not compiled._marking_of and not compiled._code_of
     # still fully functional afterwards
-    ts = build_reachability_graph(net, engine="compiled")
+    ts = build_reachability_graph(net)
     assert len(ts) == 16
 
 
@@ -267,11 +260,12 @@ def test_unsafe_initial_marking_falls_back_to_naive():
     net.add_transition("t0")
     net.add_arc("p0", "t0")
     assert not supports_compilation(net)
+    assert choose_engine(net) == "naive"
     # naive multiset semantics: p0 goes 2 -> 1 -> 0
     ts = build_reachability_graph(net)
     assert len(ts) == 3
     with pytest.raises(ModelError):
-        build_reachability_graph(net, engine="compiled")
+        compile_net(net).encode(net.initial_marking)
 
 
 # --------------------------------------------------------------------- #
@@ -288,28 +282,26 @@ def test_compile_net_is_cached_until_structure_changes():
     assert "extra" in second.place_bit
 
 
-def test_compile_net_rerooting_does_not_leak_into_cache():
-    from repro.petri import Marking
-
+def test_build_follows_set_initial_marking():
+    """The compilation is cached on the net, but every build encodes the
+    net's current initial marking."""
     net = PetriNet("chain")
     net.add_place("p0", tokens=1)
     net.add_place("p1")
     net.add_transition("t0")
     net.add_arc("p0", "t0")
     net.add_arc("t0", "p1")
-    rerooted = compile_net(net, Marking({"p1": 1}))
-    assert rerooted.initial == rerooted.encode(Marking({"p1": 1}))
-    # a later compile without an explicit initial gets the net's own
-    # marking back, not the previous caller's re-root
-    fresh = compile_net(net)
-    assert fresh is rerooted
-    assert fresh.initial == fresh.encode(net.initial_marking)
+    assert len(build_reachability_graph(net)) == 2
+    net.set_initial_marking(["p1"])
+    ts = build_reachability_graph(net)
+    assert ts.states == [net.initial_marking]
+    assert ts.states == token_game(build_reachability_graph, net).states
 
 
-def test_state_graph_helper_uses_selected_engine():
+def test_state_graph_helper_matches_token_game():
     stg = muller_pipeline(3)
     sg = build_state_graph(stg)
-    sg_naive = build_state_graph(stg, engine="naive")
+    sg_naive = token_game(build_state_graph, stg)
     assert sg.codes == sg_naive.codes
     assert sg.initial_values == sg_naive.initial_values
 

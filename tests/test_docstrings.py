@@ -1,7 +1,6 @@
 """API and documentation hygiene.
 
 * every public module, class, function and method is documented;
-* every public engine entry point names all members of ``ENGINES``;
 * the code blocks in ``README.md`` and ``docs/engines.md`` execute
   verbatim (doctest-style, so the documentation cannot rot);
 * relative markdown links in the documentation resolve.
@@ -62,33 +61,6 @@ def test_every_package_reexports_all():
             assert hasattr(mod, "__all__"), modinfo.name
             for name in mod.__all__:
                 assert hasattr(mod, name), (modinfo.name, name)
-
-
-# ---------------------------------------------------------------------- #
-# the unified engine framework is fully documented
-# ---------------------------------------------------------------------- #
-
-def engine_entry_points():
-    from repro.analysis import check_implementability
-    from repro.ts import build_reachability_graph, build_state_graph
-
-    return [build_reachability_graph, build_state_graph,
-            check_implementability]
-
-
-def test_engine_entry_points_name_every_engine():
-    """Every public entry point taking ``engine=`` documents all members
-    of ``ENGINES`` — either in its own docstring or its module's (the
-    regression this guards: the builder docstring once said "two engines
-    are provided" while dispatching four)."""
-    from repro.ts.builder import ENGINES
-
-    for fn in engine_entry_points():
-        doc = (inspect.getdoc(fn) or "") + "\n" + \
-            (inspect.getdoc(inspect.getmodule(fn)) or "")
-        missing = ['"%s"' % e for e in ENGINES if '"%s"' % e not in doc]
-        assert not missing, (
-            "%s does not name engines %s" % (fn.__qualname__, missing))
 
 
 # ---------------------------------------------------------------------- #

@@ -135,7 +135,7 @@ class TestEngineCounters:
         assert sink.counter_total("arcs", span="engine.build") \
             == graph.arc_count()
         build = sink.spans("engine.build")[0]
-        assert build["tags"]["engine"] in ("compiled", "naive", "bdd")
+        assert build["tags"]["engine"] in ("compiled", "naive")
 
     def test_sat_counters_match_solver_stats(self):
         from repro.sat import CNF, Solver

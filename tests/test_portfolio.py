@@ -16,8 +16,8 @@ import time
 import pytest
 
 from repro.cli import main
-from repro.errors import (EngineTimeoutError, ReproError,
-                          StateExplosionError, WorkerCrashError)
+from repro.errors import (EngineTimeoutError, StateExplosionError,
+                          WorkerCrashError)
 from repro.petri.library import dining_philosophers
 from repro.portfolio import (TaskSpec, check_consistency, check_csc,
                              check_deadlock, check_reach, race)
@@ -470,12 +470,6 @@ class TestIntegration:
         assert tasks.schedule(stg) == ("sat", "bdd", "compiled")
         assert tasks.schedule(dining_philosophers(2))[-1] in ("compiled",
                                                               "naive")
-
-    def test_build_graph_rejects_portfolio_engine(self):
-        from repro.ts import build_reachability_graph
-        stg = ALL_EXAMPLES["vme_read"]()
-        with pytest.raises(ReproError, match="portfolio"):
-            build_reachability_graph(stg, engine="portfolio")
 
     def test_cli_check_single_slot(self, capsys):
         assert main(["check", "vme_read", "--query", "deadlock"]) == 0

@@ -6,6 +6,7 @@ chords, filtered to safe + live nets.  On every sample we check that the
 independent implementations of the paper's machinery agree:
 
 * explicit, symbolic and unfolding state spaces coincide;
+* the compiled explorer and the dict token game build the same graph;
 * the BDD image operator moves each marking as the token game does;
 * the state-graph code assignment is internally consistent;
 * region-based resynthesis is behaviour-preserving;
@@ -22,7 +23,7 @@ from repro.petri import is_live, is_safe, reachable_markings
 from repro.regions import synthesize_net
 from repro.stg import STG, SignalType
 from repro.synth import resolve_csc, synthesize_complex_gates
-from repro.ts import build_reachability_graph, build_state_graph
+from repro.ts import build_reachability_graph, build_state_graph, choose_engine
 from repro.unfold import unfold
 from repro.verify import verify_circuit
 
@@ -85,6 +86,24 @@ def test_state_space_representations_agree(stg):
     explicit = reachable_markings(stg.net)
     assert SymbolicReachability(stg.net).count() == len(explicit)
     assert unfold(stg.net).represented_markings() == explicit
+
+
+@given(random_stg())
+@SETTINGS
+def test_explorers_build_identical_graphs(stg):
+    """The default build (compiled) against the dict token game, forced by
+    ruling the compiled explorer out: same states and arcs in insertion
+    order, same state-graph codes and initial values."""
+    assert choose_engine(stg) == "compiled"
+    compiled = build_state_graph(stg)
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr("repro.ts.builder.supports_compilation",
+                      lambda net: False)
+        naive = build_state_graph(stg)
+    assert compiled.ts.states == naive.ts.states
+    assert list(compiled.ts.arcs()) == list(naive.ts.arcs())
+    assert compiled.codes == naive.codes
+    assert compiled.initial_values == naive.initial_values
 
 
 @given(random_stg())

@@ -289,13 +289,6 @@ def test_consistency_violation_found_and_replays():
 # encoding edges and layer integration
 # ---------------------------------------------------------------------- #
 
-def test_build_reachability_graph_rejects_sat_engine():
-    # SAT answers queries (repro.portfolio, repro.sat.queries); it is
-    # not a graph builder
-    with pytest.raises(ModelError, match="unknown engine 'sat'"):
-        build_reachability_graph(vme_read(), engine="sat")
-
-
 def test_find_csc_conflict_sat_wrapper():
     conflict = csc_conflict(vme_read(), bound=12)
     assert conflict is not None

@@ -1,7 +1,6 @@
 """Structural theory: incidence, invariants, net classes, SM components,
 dense encoding (paper Section 2.2)."""
 
-import numpy as np
 import pytest
 
 from repro.errors import ModelError
@@ -26,7 +25,15 @@ from repro.petri import (
     sm_cover,
     t_invariants,
 )
-from repro.stg import vme_read, vme_read_write
+from repro.stg import (
+    ALL_EXAMPLES,
+    muller_pipeline,
+    parallel_handshakes,
+    pipeline_ring,
+    sequencer,
+    vme_read,
+    vme_read_write,
+)
 
 
 def ring(n=3, tokens=1):
@@ -43,13 +50,13 @@ def ring(n=3, tokens=1):
 class TestIncidence:
     def test_ring_incidence(self):
         C, places, transitions = incidence_matrix(ring())
-        assert C.shape == (3, 3)
+        assert [len(row) for row in C] == [3, 3, 3]
         # every column sums to zero (token conservation)
-        assert (C.sum(axis=0) == 0).all()
+        assert all(sum(column) == 0 for column in zip(*C))
 
     def test_flow_conservation_on_vme(self):
         C, _, _ = incidence_matrix(vme_read().net)
-        assert (np.abs(C) <= 1).all()
+        assert all(abs(v) <= 1 for row in C for v in row)
 
 
 class TestInvariants:
@@ -83,6 +90,62 @@ class TestInvariants:
         assert reachable <= approx
         # for a simple ring the approximation is exact
         assert reachable == approx
+
+    def test_net_without_places(self):
+        net = PetriNet("transitions only")
+        net.add_transition("a")
+        net.add_transition("b")
+        assert p_invariants(net) == []
+        # C x = 0 holds for every x: each transition alone is minimal
+        assert t_invariants(net) == [{"a": 1}, {"b": 1}]
+
+    def test_net_without_transitions(self):
+        net = PetriNet("places only")
+        net.add_place("p", tokens=1)
+        net.add_place("q")
+        assert p_invariants(net) == [{"p": 1}, {"q": 1}]
+        assert t_invariants(net) == []
+
+
+#: The bundled examples and one instance of each scalable model.  All are
+#: live and safe; linear reduction shrinks six of them to a single
+#: transition without places.
+MODELS = {
+    **ALL_EXAMPLES,
+    "muller_pipeline_4": lambda: muller_pipeline(4),
+    "parallel_handshakes_3": lambda: parallel_handshakes(3),
+    "pipeline_ring_6": lambda: pipeline_ring(6),
+    "sequencer_3": lambda: sequencer(3),
+}
+
+
+@pytest.mark.parametrize("reduced", [False, True],
+                         ids=["original", "reduced"])
+@pytest.mark.parametrize("name", sorted(MODELS))
+def test_invariants_solve_the_incidence_equations(name, reduced):
+    """Every P-invariant ``y`` has ``y C = 0`` and is conserved on every
+    reachable marking; every T-invariant ``x`` has ``C x = 0``.  The
+    T-invariant supports cover all transitions, as they must on a live
+    bounded net, also when reduction has removed every place."""
+    net = MODELS[name]().net
+    if reduced:
+        net = linear_reduce(net)
+    C, places, transitions = incidence_matrix(net)
+    assert [len(row) for row in C] == [len(transitions)] * len(places)
+    p_invs, t_invs = p_invariants(net), t_invariants(net)
+    for y in p_invs:
+        assert y and all(v > 0 for v in y.values())
+        weights = [y.get(p, 0) for p in places]
+        for j in range(len(transitions)):
+            assert sum(w * row[j] for w, row in zip(weights, C)) == 0
+    for m in reachable_markings(net):
+        assert satisfies_invariants(net, p_invs, m)
+    for x in t_invs:
+        assert x and all(v > 0 for v in x.values())
+        counts = [x.get(t, 0) for t in transitions]
+        for row in C:
+            assert sum(c * v for c, v in zip(counts, row)) == 0
+    assert set().union(*t_invs) == set(transitions)
 
 
 class TestNetClasses:

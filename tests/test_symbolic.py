@@ -7,7 +7,7 @@ from repro.bdd import (
     DenseSymbolicReachability,
     SymbolicCSC,
     SymbolicReachability,
-    symbolic_marking_count,
+    reachable_count,
 )
 from repro.errors import ModelError
 from repro.petri import (
@@ -130,7 +130,7 @@ class TestDense:
         with pytest.raises(ModelError, match="arc weights of 1"):
             DenseSymbolicReachability(net)
         with pytest.raises(ModelError, match="arc weights of 1"):
-            symbolic_marking_count(net, "dense")
+            reachable_count(net, encoding="dense")
 
     def test_dense_fewer_variables_than_naive(self):
         red = linear_reduce(vme_read_write().net)
@@ -139,30 +139,15 @@ class TestDense:
         assert dense.encoding.width < len(naive.places)
 
 
-def test_symbolic_marking_count_dispatch():
+def test_reachable_count_dispatch():
     net = sequencer(2).net
-    assert symbolic_marking_count(net, "naive") == 4
+    assert reachable_count(net, encoding="naive") == 4
+    assert reachable_count(net, encoding="dense") == 4
     with pytest.raises(ModelError):
-        symbolic_marking_count(net, "magic")
+        reachable_count(net, encoding="magic")
 
 
-class TestMaterialisation:
-    def test_to_transition_system_matches_naive_engine(self):
-        from repro.ts import build_reachability_graph
-
-        stg = vme_read()
-        reference = build_reachability_graph(stg, engine="naive")
-        ts = SymbolicReachability(stg.net).to_transition_system()
-        assert ts.states == reference.states
-        assert list(ts.arcs()) == list(reference.arcs())
-
-    def test_budget_raises_before_enumeration(self):
-        from repro.errors import StateExplosionError
-
-        sym = SymbolicReachability(parallel_handshakes(4).net)
-        with pytest.raises(StateExplosionError):
-            sym.to_transition_system(max_states=10)
-
+class TestSafety:
     def test_safety_violation_witness(self):
         from repro.petri import PetriNet
 
@@ -201,14 +186,10 @@ class TestMaterialisation:
         assert violation == ("z", Marking({"x": 1, "m": 1}))
 
     def test_initial_marking_validation(self):
-        from repro.petri import Marking
-
         net = vme_read().net
-        with pytest.raises(ModelError):
-            SymbolicReachability(net, initial=Marking({"nope": 1}))
-        with pytest.raises(ModelError):
-            p = sorted(net.places)[0]
-            SymbolicReachability(net, initial=Marking({p: 2}))
+        net.places[sorted(net.places)[0]].tokens = 2
+        with pytest.raises(ModelError, match="1-safe initial marking"):
+            SymbolicReachability(net)
 
 
 # -- the image operator against the token game ------------------------- #
