@@ -12,6 +12,15 @@ to a set of states in a single memoised pass.
 Node references are integers: 0 and 1 are the terminals; other ids index
 into the manager's node table.  Variables are ordered by their index in
 the manager's variable list.
+
+Node order is behaviour, not an implementation detail: :meth:`BDD.ite`
+and :meth:`BDD.image` recurse into the low branch before the high one
+and append each new node to the table as its children are known, so
+node ids, the ``ite_lookups``/``ite_hits`` counters and every traced
+``bdd.fixpoint`` count are reproducible.  Both kernels read the node
+table's ``(level, low, high)`` tuples and insert into the unique table
+inline, in the style of Brace, Rudell and Bryant (DAC 1990), without
+changing that order; ``tests/test_search_traces.py`` pins it.
 """
 
 from __future__ import annotations
@@ -130,34 +139,62 @@ class BDD:
     # ------------------------------------------------------------------ #
 
     def ite(self, f: int, g: int, h: int) -> int:
-        """If-then-else: ``f·g + f'·h`` — the universal connective."""
-        if f == TRUE:
-            return g
-        if f == FALSE:
-            return h
-        if g == h:
-            return g
-        if g == TRUE and h == FALSE:
-            return f
-        key = (f, g, h)
-        self.ite_lookups += 1
-        cached = self._ite_cache.get(key)
-        if cached is not None:
-            self.ite_hits += 1
-            return cached
-        level = min(self.level(f), self.level(g), self.level(h))
+        """If-then-else: ``f·g + f'·h`` — the universal connective.
 
-        def cof(u: int, branch: int) -> int:
-            if self.level(u) != level:
-                return u
-            return self.high(u) if branch else self.low(u)
+        ``ite_lookups`` and ``ite_hits`` are added once per call.
+        """
+        nodes = self._nodes
+        unique = self._unique
+        cache = self._ite_cache
+        lookups = hits = 0
 
-        result = self._mk(
-            level,
-            self.ite(cof(f, 0), cof(g, 0), cof(h, 0)),
-            self.ite(cof(f, 1), cof(g, 1), cof(h, 1)),
-        )
-        self._ite_cache[key] = result
+        def rec(f: int, g: int, h: int) -> int:
+            nonlocal lookups, hits
+            if f == TRUE:
+                return g
+            if f == FALSE:
+                return h
+            if g == h:
+                return g
+            if g == TRUE and h == FALSE:
+                return f
+            key = (f, g, h)
+            lookups += 1
+            result = cache.get(key)
+            if result is not None:
+                hits += 1
+                return result
+            f_level, f0, f1 = nodes[f]
+            g_level, g0, g1 = nodes[g]
+            h_level, h0, h1 = nodes[h]
+            level = f_level
+            if g_level < level:
+                level = g_level
+            if h_level < level:
+                level = h_level
+            if f_level != level:
+                f0 = f1 = f
+            if g_level != level:
+                g0 = g1 = g
+            if h_level != level:
+                h0 = h1 = h
+            low = rec(f0, g0, h0)
+            high = rec(f1, g1, h1)
+            if low == high:
+                result = low
+            else:
+                node = (level, low, high)
+                result = unique.get(node)
+                if result is None:
+                    result = len(nodes)
+                    nodes.append(node)
+                    unique[node] = result
+            cache[key] = result
+            return result
+
+        result = rec(f, g, h)
+        self.ite_lookups += lookups
+        self.ite_hits += hits
         return result
 
     def apply_and(self, f: int, g: int) -> int:
@@ -271,33 +308,44 @@ class BDD:
         parity toggle — without any next-state variable.
         """
         nodes = self._nodes
-        mk = self._mk
+        unique = self._unique
         ite = self.ite
         last = len(update)
-        memo: Dict[Tuple[int, int], int] = {}
+        memo: Dict[int, int] = {}  # u * last + i -> result
 
         def walk(u: int, i: int) -> int:
             if u == FALSE or i == last:
                 return u
-            key = (u, i)
-            hit = memo.get(key)
-            if hit is not None:
-                return hit
+            key = u * last + i
+            result = memo.get(key)
+            if result is not None:
+                return result
             level, low, high = nodes[u]
             target, required, new = update[i]
             if level < target:
-                result = mk(level, walk(low, i), walk(high, i))
+                low = walk(low, i)
+                high = walk(high, i)
             else:
                 if level > target:  # u does not test the touched variable
                     low = high = u
                 low = FALSE if required == 1 else walk(low, i + 1)
                 high = FALSE if required == 0 else walk(high, i + 1)
+                level = target
                 if new == FLIP:
-                    result = mk(target, high, low)
+                    low, high = high, low
                 elif new:
-                    result = mk(target, FALSE, ite(low, TRUE, high))
+                    low, high = FALSE, ite(low, TRUE, high)
                 else:
-                    result = mk(target, ite(low, TRUE, high), FALSE)
+                    low, high = ite(low, TRUE, high), FALSE
+            if low == high:
+                result = low
+            else:
+                node = (level, low, high)
+                result = unique.get(node)
+                if result is None:
+                    result = len(nodes)
+                    nodes.append(node)
+                    unique[node] = result
             memo[key] = result
             return result
 

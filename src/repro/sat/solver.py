@@ -21,11 +21,21 @@ It is a conflict-driven clause-learning solver in the MiniSat lineage:
 
 Clauses use the DIMACS literal convention of :mod:`repro.sat.cnf`:
 variable ``v`` is literal ``v``, its negation ``-v``.
+
+The search order is behaviour, not an implementation detail: which
+clauses propagation visits and in what order, and which variable is
+decided next, fix the model a satisfiable call returns and every
+counter of :meth:`Solver.stats`, and through them the witnesses of the
+BMC queries.  The inner loops run on local arrays in the MiniSat style
+(Eén and Sörensson, SAT 2003): one literal-indexed value list, watch
+lists compacted in place, one reused ``seen`` array in conflict
+analysis.  ``tests/test_search_traces.py`` pins the resulting search
+call by call.
 """
 
 from __future__ import annotations
 
-import heapq
+from heapq import heapify, heappop, heappush
 from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
 from .. import obs
@@ -85,13 +95,19 @@ class Solver:
 
     def __init__(self, cnf: Optional[CNF] = None):
         self.n_vars = 0
-        # indexed by variable (1..n): 0 unassigned, +1 true, -1 false
-        self._assign: List[int] = [0]
+        # indexed by literal: +1 true, -1 false, 0 unassigned.  Negative
+        # indexing gives -v its own slot, so the list reads
+        # [0, 1..n, -n..-1]; slot 0 is never written
+        self._vals: List[int] = [0]
+        # indexed by literal like _vals: the clauses watching -lit, which
+        # are visited when lit becomes true
+        self._watches: List[List[_Clause]] = [[]]
+        # indexed by variable (1..n)
         self._level: List[int] = [0]
         self._reason: List[Optional[_Clause]] = [None]
         self._activity: List[float] = [0.0]
         self._phase: List[bool] = [False]
-        self._watches: Dict[int, List[_Clause]] = {}
+        self._seen: List[bool] = [False]  # all False between _analyze calls
         self._trail: List[int] = []
         self._trail_lim: List[int] = []
         self._qhead = 0
@@ -140,15 +156,21 @@ class Solver:
 
     def ensure_vars(self, n: int) -> None:
         """Grow the variable pool to at least ``n`` variables."""
-        while self.n_vars < n:
-            self.n_vars += 1
-            self._assign.append(0)
-            self._level.append(0)
-            self._reason.append(None)
-            self._activity.append(0.0)
-            self._phase.append(False)
-            self._watches[self.n_vars] = []
-            self._watches[-self.n_vars] = []
+        old = self.n_vars
+        if n <= old:
+            return
+        grow = n - old
+        # the new positive slots follow the old ones and the new negative
+        # slots precede the old negative ones, which keep their offsets
+        # from the end of the list
+        self._vals[old + 1:old + 1] = [0] * (2 * grow)
+        self._watches[old + 1:old + 1] = [[] for _ in range(2 * grow)]
+        self._level.extend([0] * grow)
+        self._reason.extend([None] * grow)
+        self._activity.extend([0.0] * grow)
+        self._phase.extend([False] * grow)
+        self._seen.extend([False] * grow)
+        self.n_vars = n
 
     def add_clause(self, lits: Iterable[int]) -> bool:
         """Add a clause; returns False if the database became unsatisfiable.
@@ -161,20 +183,23 @@ class Solver:
         if not self.ok:
             return False
         self.added_clauses += 1
+        vals = self._vals
         seen = set()
         clause: List[int] = []
         for lit in lits:
             if not isinstance(lit, int) or lit == 0:
                 raise ModelError("bad literal %r" % (lit,))
-            self.ensure_vars(abs(lit))
+            if lit > self.n_vars or -lit > self.n_vars:
+                self.ensure_vars(abs(lit))
             if -lit in seen:
                 return True  # tautology
             if lit in seen:
                 continue
-            value = self._value(lit)
-            if value > 0 and self._level[abs(lit)] == 0:
+            # at decision level 0 every assigned literal is a root fact
+            value = vals[lit]
+            if value > 0:
                 return True  # satisfied at root
-            if value < 0 and self._level[abs(lit)] == 0:
+            if value < 0:
                 continue  # permanently false literal
             seen.add(lit)
             clause.append(lit)
@@ -205,74 +230,101 @@ class Solver:
     # assignment primitives
     # ------------------------------------------------------------------ #
 
-    def _value(self, lit: int) -> int:
-        v = self._assign[abs(lit)]
-        return v if lit > 0 else -v
-
     def _enqueue(self, lit: int, reason: Optional[_Clause]) -> None:
         v = abs(lit)
-        self._assign[v] = 1 if lit > 0 else -1
+        self._vals[lit] = 1
+        self._vals[-lit] = -1
         self._level[v] = len(self._trail_lim)
         self._reason[v] = reason
         self._phase[v] = lit > 0
         self._trail.append(lit)
 
     def _backtrack(self, target_level: int) -> None:
-        if len(self._trail_lim) <= target_level:
+        trail_lim = self._trail_lim
+        if len(trail_lim) <= target_level:
             return
-        bound = self._trail_lim[target_level]
-        for lit in reversed(self._trail[bound:]):
-            v = abs(lit)
-            self._assign[v] = 0
-            self._reason[v] = None
-            heapq.heappush(self._heap, (-self._activity[v], v))
-        del self._trail[bound:]
-        del self._trail_lim[target_level:]
-        self._qhead = len(self._trail)
+        trail = self._trail
+        vals = self._vals
+        reason = self._reason
+        activity = self._activity
+        heap = self._heap
+        bound = trail_lim[target_level]
+        for lit in reversed(trail[bound:]):
+            vals[lit] = vals[-lit] = 0
+            v = lit if lit > 0 else -lit
+            reason[v] = None
+            heappush(heap, (-activity[v], v))
+        del trail[bound:]
+        del trail_lim[target_level:]
+        self._qhead = len(trail)
 
     # ------------------------------------------------------------------ #
     # propagation
     # ------------------------------------------------------------------ #
 
     def _propagate(self) -> Optional[_Clause]:
-        """Exhaust unit propagation; returns a conflicting clause or None."""
-        while self._qhead < len(self._trail):
-            lit = self._trail[self._qhead]
-            self._qhead += 1
-            self.propagations += 1
-            watchers = self._watches[lit]
-            kept: List[_Clause] = []
-            i = 0
+        """Exhaust unit propagation; returns a conflicting clause or None.
+
+        Each watch list is compacted in place and in order: a clause
+        whose first literal is true, or that is unit, stays; a clause that
+        finds a new watch moves to the end of that literal's list; a
+        deleted learnt clause is dropped.  On a conflict the rest of the
+        list is kept as it is, deleted clauses included.
+        """
+        trail = self._trail
+        vals = self._vals
+        watches = self._watches
+        levels = self._level
+        reasons = self._reason
+        phase = self._phase
+        level = len(self._trail_lim)
+        qhead = start = self._qhead
+        while qhead < len(trail):
+            lit = trail[qhead]
+            qhead += 1
+            false_lit = -lit
+            watchers = watches[lit]
             n = len(watchers)
+            i = j = 0
             while i < n:
                 clause = watchers[i]
                 i += 1
                 if clause.deleted:
                     continue
-                false_lit = -lit
-                if clause[0] == false_lit:
-                    clause[0], clause[1] = clause[1], clause[0]
                 first = clause[0]
-                if self._value(first) > 0:
-                    kept.append(clause)
+                if first == false_lit:
+                    first = clause[0] = clause[1]
+                    clause[1] = false_lit
+                value = vals[first]
+                if value > 0:
+                    watchers[j] = clause
+                    j += 1
                     continue
-                moved = False
                 for k in range(2, len(clause)):
-                    if self._value(clause[k]) >= 0:
-                        clause[1], clause[k] = clause[k], clause[1]
-                        self._watches[-clause[1]].append(clause)
-                        moved = True
+                    other = clause[k]
+                    if vals[other] >= 0:
+                        clause[1] = other
+                        clause[k] = false_lit
+                        watches[-other].append(clause)
                         break
-                if moved:
-                    continue
-                kept.append(clause)
-                if self._value(first) < 0:
-                    kept.extend(watchers[i:n])
-                    self._watches[lit] = kept
-                    self._qhead = len(self._trail)
-                    return clause
-                self._enqueue(first, clause)
-            self._watches[lit] = kept
+                else:
+                    watchers[j] = clause
+                    j += 1
+                    if value < 0:
+                        del watchers[j:i]
+                        self.propagations += qhead - start
+                        self._qhead = len(trail)
+                        return clause
+                    vals[first] = 1
+                    vals[-first] = -1
+                    v = first if first > 0 else -first
+                    levels[v] = level
+                    reasons[v] = clause
+                    phase[v] = first > 0
+                    trail.append(first)
+            del watchers[j:]
+        self.propagations += qhead - start
+        self._qhead = qhead
         return None
 
     # ------------------------------------------------------------------ #
@@ -285,7 +337,7 @@ class Solver:
             for u in range(1, self.n_vars + 1):
                 self._activity[u] *= 1e-100
             self._var_inc *= 1e-100
-        heapq.heappush(self._heap, (-self._activity[v], v))
+        heappush(self._heap, (-self._activity[v], v))
 
     def _bump_clause(self, clause: _Clause) -> None:
         clause.act += self._cla_inc
@@ -299,47 +351,53 @@ class Solver:
 
         The learnt clause's asserting literal is at position 0.
         """
+        levels = self._level
+        trail = self._trail
+        seen = self._seen
         current = len(self._trail_lim)
-        seen = [False] * (self.n_vars + 1)
         learnt: List[int] = [0]
         counter = 0
-        p = None
-        index = len(self._trail) - 1
-        clause: Optional[_Clause] = conflict
+        p = 0
+        index = len(trail) - 1
+        clause = conflict
         while True:
             if clause.learnt:
                 self._bump_clause(clause)
             for q in clause:
                 if q == p:  # the asserting literal of a reason clause
                     continue
-                v = abs(q)
-                if not seen[v] and self._level[v] > 0:
+                v = q if q > 0 else -q
+                if not seen[v] and levels[v] > 0:
                     seen[v] = True
                     self._bump_var(v)
-                    if self._level[v] >= current:
+                    if levels[v] >= current:
                         counter += 1
                     else:
                         learnt.append(q)
-            while not seen[abs(self._trail[index])]:
+            p = trail[index]
+            while not seen[p if p > 0 else -p]:
                 index -= 1
-            p = self._trail[index]
+                p = trail[index]
             index -= 1
-            seen[abs(p)] = False
+            v = p if p > 0 else -p
+            seen[v] = False
             counter -= 1
             if counter == 0:
                 break
-            clause = self._reason[abs(p)]
+            clause = self._reason[v]
         learnt[0] = -p
+        for q in learnt[1:]:
+            seen[q if q > 0 else -q] = False
         if len(learnt) == 1:
             return learnt, 0
         # backjump to the second-highest decision level in the clause,
         # placing one of its literals at watch position 1
         max_i = 1
         for i in range(2, len(learnt)):
-            if self._level[abs(learnt[i])] > self._level[abs(learnt[max_i])]:
+            if levels[abs(learnt[i])] > levels[abs(learnt[max_i])]:
                 max_i = i
         learnt[1], learnt[max_i] = learnt[max_i], learnt[1]
-        return learnt, self._level[abs(learnt[1])]
+        return learnt, levels[abs(learnt[1])]
 
     # ------------------------------------------------------------------ #
     # learnt-clause database
@@ -369,12 +427,13 @@ class Solver:
         and on unassignment, so stale entries are simply skipped.
         """
         heap = self._heap
+        vals = self._vals
         while heap:
-            _, v = heapq.heappop(heap)
-            if self._assign[v] == 0:
+            _, v = heappop(heap)
+            if vals[v] == 0:
                 return v
         for v in range(1, self.n_vars + 1):
-            if self._assign[v] == 0:
+            if vals[v] == 0:
                 return v
         return 0
 
@@ -387,7 +446,9 @@ class Solver:
 
         Returns True (satisfiable — :attr:`model` holds an assignment) or
         False (unsatisfiable under the assumptions).  The solver is left at
-        decision level 0, ready for more clauses or another call.
+        decision level 0, ready for more clauses or another call.  Every
+        assumption is checked before any state changes: a literal that is
+        0 or not an int raises :class:`ModelError`.
 
         When :func:`repro.obs.enabled` each call opens a ``sat.solve``
         span recording the per-call deltas of the :meth:`stats` counters
@@ -396,6 +457,9 @@ class Solver:
         portfolio workers, see :mod:`repro.obs.remote`); disabled, the
         only cost is one boolean check.
         """
+        for lit in assumptions:
+            if not isinstance(lit, int) or lit == 0:
+                raise ModelError("bad literal %r" % (lit,))
         if not obs.enabled():
             return self._solve(assumptions)
         before = (self.conflicts, self.decisions, self.propagations,
@@ -430,10 +494,11 @@ class Solver:
         conflict_budget = luby(self.restarts)
         conflicts_here = 0
         # rebuild the decision heap for the current variable pool
+        vals = self._vals
         self._heap = [(-self._activity[v], v)
                       for v in range(1, self.n_vars + 1)
-                      if self._assign[v] == 0]
-        heapq.heapify(self._heap)
+                      if vals[v] == 0]
+        heapify(self._heap)
         while True:
             conflict = self._propagate()
             if conflict is not None:
@@ -468,7 +533,7 @@ class Solver:
             if len(self._trail_lim) < n_assumptions:
                 # re-establish the next assumption as a decision
                 p = assumptions[len(self._trail_lim)]
-                value = self._value(p)
+                value = vals[p]
                 if value < 0:
                     self._backtrack(0)
                     return False
@@ -478,7 +543,7 @@ class Solver:
                 continue
             v = self._decide()
             if v == 0:
-                self.model = list(self._assign)
+                self.model = vals[:self.n_vars + 1]
                 self._backtrack(0)
                 return True
             self.decisions += 1
@@ -494,9 +559,16 @@ class Solver:
 
         Raises :class:`ModelError` if the most recent :meth:`solve` call
         was unsatisfiable (the model is invalidated at the start of every
-        call, so a stale assignment can never leak through)."""
+        call, so a stale assignment can never leak through), and for a
+        literal that is 0, not an int, or of a variable beyond the
+        model."""
         if not self.model:
             raise ModelError("no model available (last solve was UNSAT?)")
+        if not isinstance(lit, int) or lit == 0:
+            raise ModelError("bad literal %r" % (lit,))
+        if abs(lit) >= len(self.model):
+            raise ModelError("literal %d is beyond the model's %d variables"
+                             % (lit, len(self.model) - 1))
         v = self.model[abs(lit)]
         return (v > 0) if lit > 0 else (v < 0)
 

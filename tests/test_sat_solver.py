@@ -211,6 +211,30 @@ class TestSolverStructured:
         solver.add_clause([-3])
         assert not solver.solve()
 
+    def test_rejected_assumption_leaves_the_solver_intact(self):
+        # every assumption is checked before the search starts: a bad
+        # literal used to be enqueued first and then fail, leaving the
+        # solver above decision level 0 with a corrupt assignment
+        solver = Solver()
+        for clause in ([1, 2], [-1, 2], [-2, 3]):
+            solver.add_clause(clause)
+        for bad in ([0], [1, 0], [1.0], ["1"], [None]):
+            with pytest.raises(ModelError, match="bad literal"):
+                solver.solve(bad)
+        assert solver.solve([1])
+        assert [solver.model_value(v) for v in (1, 2, 3)] == [True] * 3
+        assert not solver.solve([-3])
+        assert solver.add_clause([1, 3])
+
+    def test_model_value_rejects_literals_outside_the_model(self):
+        solver = Solver()
+        solver.add_clause([1, 2])
+        assert solver.solve()
+        assert solver.model_value(1) or solver.model_value(2)
+        for bad in (0, 3, -3, 1.0):
+            with pytest.raises(ModelError):
+                solver.model_value(bad)
+
     def test_model_unavailable_after_unsat(self):
         solver = Solver()
         solver.ensure_vars(1)
