@@ -14,7 +14,13 @@ An STG is implementable as a speed-independent circuit iff:
   (Section 1.5).
 
 This module computes all of these on the explicit state graph and returns
-a structured report.  For nets whose state graph is too large to build,
+a structured report.  The checks read the state graph's int codes and
+enabled masks per state number: states are grouped by int code and
+compared by mask, and a report object — with its states decoded to
+markings — is built only for what is reported.  Conflicts come out in
+code order, then in the state graph's parity-propagation order;
+persistency violations in state order, then transition order, then
+``signal_order``.  For nets whose state graph is too large to build,
 two query engines answer the CSC question alone without enumeration:
 :func:`repro.sat.queries.csc_conflict` through bounded model checking (a
 search, complete only up to its bound) and
@@ -25,12 +31,12 @@ exact characteristic-function answer).
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Set, Tuple
+from typing import Dict, List, Optional, Tuple
 
 from .. import obs
 from ..budgets import DEFAULT_STATE_BOUND
 from ..errors import ConsistencyError, UnboundedError
-from ..stg.signals import SignalEvent
+from ..stg.signals import FALL, RISE
 from ..stg.stg import STG
 from ..ts.state_graph import StateGraph, build_state_graph
 from ..ts.transition_system import State
@@ -139,31 +145,46 @@ class ImplementabilityReport:
 # individual checks on a built state graph
 # ---------------------------------------------------------------------- #
 
+def _code_groups(sg: StateGraph) -> List[Tuple[int, List[int]]]:
+    """State numbers sharing an int code, for every code with more than
+    one state: in code order, each group in parity-propagation order."""
+    groups: Dict[int, List[int]] = {}
+    codes = sg.int_codes
+    for i in sg.order:
+        groups.setdefault(codes[i], []).append(i)
+    return sorted((code, states) for code, states in groups.items()
+                  if len(states) > 1)
+
+
 def usc_conflicts(sg: StateGraph) -> List[USCConflict]:
     """All pairs of distinct states sharing a binary code."""
     result = []
-    for code, states in sorted(sg.states_by_code().items()):
+    marking = sg.graph.marking
+    for code, states in _code_groups(sg):
+        vector = sg.code_tuple(code)
         for i in range(len(states)):
             for j in range(i + 1, len(states)):
-                result.append(USCConflict(code, states[i], states[j]))
+                result.append(USCConflict(vector, marking(states[i]),
+                                          marking(states[j])))
     return result
 
 
 def csc_conflicts(sg: StateGraph) -> List[CSCConflict]:
     """All pairs of same-code states with different non-input excitation."""
     result = []
-    for code, states in sorted(sg.states_by_code().items()):
-        if len(states) < 2:
-            continue
-        signatures = [
-            frozenset(sg.enabled_signals(s, noninput_only=True))
-            for s in states
-        ]
+    marking = sg.graph.marking
+    masks = sg.enabled_masks
+    noninput = sg.noninput_mask
+    for code, states in _code_groups(sg):
+        signatures = [masks[s] & noninput for s in states]
         for i in range(len(states)):
             for j in range(i + 1, len(states)):
                 if signatures[i] != signatures[j]:
-                    result.append(CSCConflict(code, states[i], states[j],
-                                              signatures[i], signatures[j]))
+                    result.append(CSCConflict(
+                        sg.code_tuple(code),
+                        marking(states[i]), marking(states[j]),
+                        frozenset(sg.pairs(signatures[i])),
+                        frozenset(sg.pairs(signatures[j]))))
     return result
 
 
@@ -177,32 +198,38 @@ def persistency_violations(sg: StateGraph) -> List[PersistencyViolation]:
     * ``a`` non-input: "output" violation (glitch at a gate output);
     * ``a`` input disabled by non-input ``b``: "input" violation;
     * ``a`` input disabled by input ``b``: allowed (environment choice).
+
+    The events one firing disables come out in ``signal_order``.
     """
     stg = sg.stg
+    masks = sg.enabled_masks
+    noninput = sg.noninput_mask
+    everything = (1 << (2 * len(sg.signal_order))) - 1
+    # per transition: the enabled-mask bits whose loss is a violation
+    watched = []
+    for b in sg.events:
+        if b.is_dummy:
+            watched.append(0)
+            continue
+        own = 3 << (2 * sg.signal_order.index(b.signal))
+        reach = everything if stg.type_of(b.signal).is_noninput else noninput
+        watched.append(reach & ~own)
     result = []
-    for state in sg.states:
-        enabled_here = sg.enabled_signals(state)
-        for tname in sg.ts.enabled(state):
-            b = stg.event_of(tname)
-            if b.is_dummy:
-                continue
-            successor = sg.ts.fire(state, tname)
-            enabled_after = sg.enabled_signals(successor)
-            for (sig, direction) in enabled_here:
-                if sig == b.signal:
-                    continue
-                if (sig, direction) in enabled_after:
-                    continue
-                a_noninput = stg.type_of(sig).is_noninput
-                b_noninput = stg.type_of(b.signal).is_noninput
-                if a_noninput:
-                    kind = "output"
-                elif b_noninput:
-                    kind = "input"
-                else:
-                    continue  # input choice: allowed
+    for i, out in enumerate(sg.graph.arcs):
+        here = masks[i]
+        if not here:
+            continue
+        for t, j in out:
+            lost = here & ~masks[j] & watched[t]
+            while lost:
+                low = lost & -lost
+                lost ^= low
+                bit = low.bit_length() - 1
                 result.append(PersistencyViolation(
-                    state, sig + direction, str(b), kind))
+                    sg.graph.marking(i),
+                    sg.signal_order[bit >> 1] + (FALL if bit & 1 else RISE),
+                    str(sg.events[t]),
+                    "output" if low & noninput else "input"))
     return result
 
 

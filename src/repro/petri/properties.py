@@ -10,18 +10,19 @@ underlying net (independent of the signal interpretation):
   *home markings*.
 
 Boundedness is decided by the Karp–Miller coverability graph of
-:mod:`repro.petri.coverability`.  Every other check reads the reachability
-graph of :func:`repro.ts.builder.build_reachability_graph`: the compiled
-engine's on 1-safe ordinary nets, the naive engine's on weighted ones
-and, with ``require_safe=False``, on k-bounded ones.  A net that is not
-1-safe is proved bounded first, so an unbounded net raises
+:mod:`repro.petri.coverability`.  Every other check reads the numbered
+graph of :func:`repro.ts.builder.explore`: the compiled explorer's on
+1-safe ordinary nets, the naive explorer's on weighted ones and, with
+``require_safe=False``, on k-bounded ones.  A net that is not 1-safe is
+proved bounded first, so an unbounded net raises
 :class:`~repro.errors.UnboundedError` instead of exhausting the state
-budget.
+budget.  The checks run on state numbers and decode only the markings
+they return; :func:`is_live` also accepts a graph already explored.
 """
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, Dict, Iterable, List, Optional, Set
+from typing import TYPE_CHECKING, Iterable, List, Optional, Set, Union
 
 from ..budgets import DEFAULT_STATE_BOUND
 from ..errors import UnboundedError
@@ -31,23 +32,22 @@ from .net import PetriNet
 from .token_game import enabled_transitions
 
 if TYPE_CHECKING:
-    from ..ts.transition_system import TransitionSystem
+    from ..ts.builder import NumberedGraph
 
 
-def _reachability_graph(net: PetriNet,
-                        max_states: int) -> TransitionSystem:
-    """The reachability graph every check below reads.
+def _reachability_graph(net: PetriNet, max_states: int) -> NumberedGraph:
+    """The numbered graph every check below reads.
 
-    The default build stops with :class:`UnboundedError` at the first
-    firing that breaks 1-safeness; such a net is then proved bounded by
-    the Karp–Miller graph before the naive engine explores its k-bounded
-    state space.
+    The default exploration stops with :class:`UnboundedError` at the
+    first firing that breaks 1-safeness; such a net is then proved
+    bounded by the Karp–Miller graph before the naive explorer explores
+    its k-bounded state space.
     """
     # deferred: repro.ts imports the Petri-net kernel at module level
-    from ..ts.builder import build_reachability_graph
+    from ..ts.builder import explore
 
     try:
-        return build_reachability_graph(net, max_states)
+        return explore(net, max_states)
     except UnboundedError:
         pass
     coverability = build_coverability_graph(net, max_states)
@@ -55,13 +55,13 @@ def _reachability_graph(net: PetriNet,
         raise UnboundedError("net is unbounded: places %r can hold"
                              " arbitrarily many tokens"
                              % coverability.unbounded_places())
-    return build_reachability_graph(net, max_states, require_safe=False)
+    return explore(net, max_states, require_safe=False)
 
 
 def reachable_markings(net: PetriNet,
                        max_states: int = DEFAULT_STATE_BOUND) -> Set[Marking]:
     """The set of reachable markings (explicit)."""
-    return set(_reachability_graph(net, max_states).states)
+    return set(_reachability_graph(net, max_states).markings())
 
 
 def is_bounded(net: PetriNet, max_states: int = DEFAULT_STATE_BOUND) -> bool:
@@ -73,13 +73,9 @@ def is_bounded(net: PetriNet, max_states: int = DEFAULT_STATE_BOUND) -> bool:
 def bound(net: PetriNet, max_states: int = DEFAULT_STATE_BOUND) -> int:
     """The bound of the net: max token count of any place in any reachable
     marking.  Raises ``UnboundedError`` for unbounded nets."""
-    markings = _reachability_graph(net, max_states).states
-    best = 0
-    for m in markings:
-        for _, n in m.items():
-            if n > best:
-                best = n
-    return best
+    graph = _reachability_graph(net, max_states)
+    return max((graph.tokens(i, p) for i in range(len(graph))
+                for p in net.places), default=0)
 
 
 def is_safe(net: PetriNet, max_states: int = DEFAULT_STATE_BOUND) -> bool:
@@ -93,9 +89,10 @@ def is_safe(net: PetriNet, max_states: int = DEFAULT_STATE_BOUND) -> bool:
 def unsafe_witness(net: PetriNet,
                    max_states: int = DEFAULT_STATE_BOUND) -> Optional[Marking]:
     """A reachable marking with a place holding >1 token, or None."""
-    for m in _reachability_graph(net, max_states).states:
-        if not m.is_safe():
-            return m
+    graph = _reachability_graph(net, max_states)
+    for i in range(len(graph)):
+        if any(graph.tokens(i, p) > 1 for p in net.places):
+            return graph.marking(i)
     return None
 
 
@@ -115,7 +112,8 @@ def find_deadlocks(net: PetriNet,
     """
     if markings is None:
         graph = _reachability_graph(net, max_states)
-        dead = (m for m in graph.states if not graph.successors(m))
+        dead = (graph.marking(i) for i, out in enumerate(graph.arcs)
+                if not out)
     else:
         dead = (m for m in markings if not enabled_transitions(net, m))
     return sorted(dead, key=lambda m: repr(m))
@@ -127,84 +125,86 @@ def is_deadlock_free(net: PetriNet,
     return not find_deadlocks(net, max_states)
 
 
-def _strongly_connected_bottom(graph: TransitionSystem):
-    """Tarjan SCC; returns (scc_index per marking, list of sccs, bottom flags)."""
-    index: Dict[Marking, int] = {}
-    low: Dict[Marking, int] = {}
-    on_stack: Set[Marking] = set()
-    stack: List[Marking] = []
-    sccs: List[List[Marking]] = []
-    scc_of: Dict[Marking, int] = {}
-    counter = [0]
-
-    def strongconnect(root: Marking) -> None:
-        # iterative Tarjan to avoid recursion limits on big graphs
-        work = [(root, iter(graph.successors(root)))]
-        index[root] = low[root] = counter[0]
-        counter[0] += 1
+def _bottom_components(graph: NumberedGraph) -> List[List[int]]:
+    """The bottom strongly connected components of a numbered graph, as
+    lists of state numbers (iterative Tarjan, no recursion limit)."""
+    arcs = graph.arcs
+    count = len(arcs)
+    index = [-1] * count
+    low = [0] * count
+    component = [-1] * count
+    stack: List[int] = []
+    components: List[List[int]] = []
+    counter = 0
+    for root in range(count):
+        if index[root] >= 0:
+            continue
+        index[root] = low[root] = counter
+        counter += 1
         stack.append(root)
-        on_stack.add(root)
+        work = [(root, 0)]
         while work:
-            v, it = work[-1]
-            advanced = False
-            for _, w in it:
-                if w not in index:
-                    index[w] = low[w] = counter[0]
-                    counter[0] += 1
+            v, k = work[-1]
+            out = arcs[v]
+            if k < len(out):
+                work[-1] = (v, k + 1)
+                w = out[k][1]
+                if index[w] < 0:
+                    index[w] = low[w] = counter
+                    counter += 1
                     stack.append(w)
-                    on_stack.add(w)
-                    work.append((w, iter(graph.successors(w))))
-                    advanced = True
-                    break
-                elif w in on_stack:
-                    low[v] = min(low[v], index[w])
-            if advanced:
+                    work.append((w, 0))
+                elif component[w] < 0 and index[w] < low[v]:
+                    # w is still on the stack: same component as v
+                    low[v] = index[w]
                 continue
             work.pop()
             if work:
-                parent = work[-1][0]
-                low[parent] = min(low[parent], low[v])
+                u = work[-1][0]
+                if low[v] < low[u]:
+                    low[u] = low[v]
             if low[v] == index[v]:
-                component = []
+                members = []
                 while True:
                     w = stack.pop()
-                    on_stack.discard(w)
-                    component.append(w)
-                    scc_of[w] = len(sccs)
+                    component[w] = len(components)
+                    members.append(w)
                     if w == v:
                         break
-                sccs.append(component)
+                components.append(members)
+    bottom = [True] * len(components)
+    for v, out in enumerate(arcs):
+        c = component[v]
+        for _, w in out:
+            if component[w] != c:
+                bottom[c] = False
+                break
+    return [members for members, is_bottom in zip(components, bottom)
+            if is_bottom]
 
-    for m in graph.states:
-        if m not in index:
-            strongconnect(m)
 
-    bottom = [True] * len(sccs)
-    for m, _, w in graph.arcs():
-        if scc_of[w] != scc_of[m]:
-            bottom[scc_of[m]] = False
-    return scc_of, sccs, bottom
-
-
-def is_live(net: PetriNet, max_states: int = DEFAULT_STATE_BOUND) -> bool:
+def is_live(model: Union[PetriNet, NumberedGraph],
+            max_states: int = DEFAULT_STATE_BOUND) -> bool:
     """L4-liveness: from every reachable marking, every transition can
     eventually fire.
 
-    Checked on the reachability graph: every bottom strongly connected
-    component must contain an occurrence of every transition.
+    ``model`` is a net, or its graph already explored by
+    :func:`repro.ts.builder.explore` (a state graph's ``graph``), which
+    is then read as it is.  Checked on the graph: in every bottom
+    strongly connected component, the arcs fire every transition.
     """
-    graph = _reachability_graph(net, max_states)
-    scc_of, sccs, bottom = _strongly_connected_bottom(graph)
-    all_transitions = set(net.transitions)
-    for idx, component in enumerate(sccs):
-        if not bottom[idx]:
-            continue
-        fired = set()
-        for m in component:
-            for t, succ in graph.successors(m):
-                if scc_of[succ] == idx:
-                    fired.add(t)
-        if fired != all_transitions:
+    if isinstance(model, PetriNet):
+        graph = _reachability_graph(model, max_states)
+    else:
+        graph = model
+    arcs = graph.arcs
+    everything = (1 << len(graph.transitions)) - 1
+    for members in _bottom_components(graph):
+        fired = 0
+        for v in members:
+            for t, _ in arcs[v]:
+                fired |= 1 << t
+        if fired != everything:
             return False
     return True
 
@@ -218,14 +218,14 @@ def home_markings(net: PetriNet,
     SCC, and empty otherwise.
     """
     graph = _reachability_graph(net, max_states)
-    scc_of, sccs, bottom = _strongly_connected_bottom(graph)
-    bottoms = [i for i, b in enumerate(bottom) if b]
+    bottoms = _bottom_components(graph)
     if len(bottoms) != 1:
         return set()
-    return set(sccs[bottoms[0]])
+    return {graph.marking(v) for v in bottoms[0]}
 
 
 def is_reversible(net: PetriNet,
                   max_states: int = DEFAULT_STATE_BOUND) -> bool:
     """True iff the initial marking is a home marking (cyclic behaviour)."""
-    return net.initial_marking in home_markings(net, max_states)
+    bottoms = _bottom_components(_reachability_graph(net, max_states))
+    return len(bottoms) == 1 and 0 in bottoms[0]

@@ -26,7 +26,7 @@ from .. import obs
 from ..budgets import REDUCTION_STATE_BOUND
 from ..errors import ModelError
 from .net import PetriNet
-from .properties import reachable_markings
+from .properties import _reachability_graph
 
 
 # ---------------------------------------------------------------------- #
@@ -154,7 +154,8 @@ def implicit_places(net: PetriNet,
     :data:`repro.budgets.REDUCTION_STATE_BOUND` (pass ``max_states=`` to
     override).
     """
-    markings = reachable_markings(net, max_states)
+    graph = _reachability_graph(net, max_states)
+    tokens = graph.tokens
     result: List[str] = []
     for p in sorted(net.places):
         consumers = net.postset(p)
@@ -162,13 +163,13 @@ def implicit_places(net: PetriNet,
             result.append(p)
             continue
         implicit = True
-        for m in markings:
+        for m in range(len(graph)):
             for t, w in consumers.items():
                 others_ok = all(
-                    m.get(q) >= wq
+                    tokens(m, q) >= wq
                     for q, wq in net.pre(t).items() if q != p
                 )
-                if others_ok and m.get(p) < w:
+                if others_ok and tokens(m, p) < w:
                     implicit = False
                     break
             if not implicit:

@@ -216,14 +216,6 @@ class STG:
         del pre[place]
         del self.net._place_out[place][transition]
 
-    def _remove_arc_tp(self, transition: str, place: str) -> None:
-        """Remove a single transition->place arc (internal helper)."""
-        post = self.net.post(transition)
-        if place not in post:
-            raise ModelError("no arc %r -> %r" % (transition, place))
-        del post[place]
-        del self.net._place_in[place][transition]
-
     def add_ordering_arc(self, first: str, second: str,
                          initially_marked: Optional[bool] = None) -> "STG":
         """Concurrency reduction: add a fresh place forcing ``first`` to fire

@@ -10,6 +10,9 @@ Two techniques from the paper are implemented:
   exhaustively over non-input events (delaying inputs is not allowed "for
   compositional reasons") and validated on the resulting state graph:
   consistency, safeness, CSC, persistency and liveness must all hold.
+  Each candidate is explored once: persistency, liveness and the CSC
+  conflict count all read that one state graph on its int codes, and
+  markings are decoded only for the conflicts and violations reported.
 
 * **Concurrency reduction** (:func:`resolve_by_concurrency_reduction`):
   remove the conflicting states themselves by ordering one event after
@@ -20,15 +23,18 @@ Two techniques from the paper are implemented:
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, List, Optional, Sequence, Tuple
+from typing import List, Optional, Tuple
 
 from ..budgets import REDUCTION_STATE_BOUND
-from ..errors import CSCError, ConsistencyError, ReproError, UnboundedError
+from ..errors import CSCError, ReproError
 from ..petri.properties import is_live
-from ..stg.signals import SignalType
 from ..stg.stg import STG
 from ..ts.state_graph import build_state_graph
-from ..analysis.implementability import check_implementability
+from ..analysis.implementability import (
+    check_implementability,
+    csc_conflicts,
+    persistency_violations,
+)
 
 
 @dataclass
@@ -70,19 +76,18 @@ def _insertion_targets(stg: STG) -> List[Tuple[str, ...]]:
 
 def _insertion_metrics(stg: STG, max_states: int) -> Optional[Tuple[int, int]]:
     """(csc conflict count, SG size) if the STG stays well-formed
-    (bounded, consistent, persistent, live), else None."""
+    (bounded, consistent, persistent, live), else None.
+
+    One exploration serves every check: liveness reads the state graph's
+    numbered graph instead of exploring the net again.
+    """
     try:
-        report = check_implementability(stg, max_states=max_states)
+        sg = build_state_graph(stg, max_states=max_states)
     except ReproError:
         return None
-    if not (report.bounded and report.consistent and report.persistent):
+    if persistency_violations(sg) or not is_live(sg.graph):
         return None
-    try:
-        if not is_live(stg.net, max_states=max_states):
-            return None
-    except ReproError:
-        return None
-    return len(report.csc_conflicts), report.states
+    return len(csc_conflicts(sg)), len(sg)
 
 
 def enumerate_insertions(stg: STG, signal: str = "csc0",

@@ -1,27 +1,33 @@
 """Reachability-graph construction (the "token game" of Section 1.2-1.4).
 
-Builds a :class:`~repro.ts.transition_system.TransitionSystem` whose states
-are markings and whose arcs are labelled with transition names.  For safe
+:func:`explore` plays the token game from the initial marking and
+returns a :class:`NumberedGraph`: states numbered in BFS discovery
+order, each with its arcs as ``(transition index, successor number)``
+in sorted transition order.  :func:`build_reachability_graph`
+materialises that graph as a
+:class:`~repro.ts.transition_system.TransitionSystem` whose states are
+markings and whose arcs are labelled with transition names.  For safe
 nets a violation of 1-safeness raises
 :class:`~repro.errors.UnboundedError`.
 
-There is one builder, :func:`build_reachability_graph`, and the net picks
-its explorer (see ``docs/engines.md`` for the user guide).
+The net picks the explorer (see ``docs/engines.md`` for the user guide).
 :func:`choose_engine` is the only place the rule lives:
 
 * ``"compiled"`` — the bitvector BFS of :mod:`repro.petri.compiled`:
   markings are machine ints, enabling is two bitwise ops, and the enabled
   set is maintained incrementally across firings.  Runs whenever the net
   is ordinary (weight-1) with a 1-safe initial marking and
-  ``require_safe`` holds.
-* ``"naive"`` — the dict-backed token game, for everything else: weighted
-  arcs and, with ``require_safe=False``, k-bounded nets.
+  ``require_safe`` holds.  Its states stay int codes; a
+  :class:`~repro.petri.marking.Marking` is decoded only when read.
+* ``"naive"`` — the dict-backed token game, for everything else:
+  weighted arcs and, with ``require_safe=False``, k-bounded nets.  Its
+  states are markings.
 
-Both explorers produce **bit-identical** transition systems: the same
-states, the same arcs in the same insertion order (BFS level order,
-transitions fired in sorted name order per state), so every downstream
-consumer — state-graph codes, regions, CSC, synthesis, verification — is
-oblivious to the choice.
+Both explorers number the same states in the same order and list the
+same arcs, so their transition systems are **bit-identical** (BFS level
+order, transitions fired in sorted name order per state), and every
+downstream consumer — state-graph codes, regions, CSC, synthesis,
+verification, the net properties — is oblivious to the choice.
 
 Questions that need only an answer — a count, a deadlock, a CSC
 conflict — go to the query engines instead (:mod:`repro.bdd.queries`,
@@ -31,12 +37,13 @@ them), which never enumerate the state space.
 
 from __future__ import annotations
 
-from typing import Union
+from typing import List, Optional, Tuple, Union
 
 from .. import obs
 from ..budgets import DEFAULT_STATE_BOUND
 from ..errors import StateExplosionError, UnboundedError
-from ..petri.compiled import compile_net, supports_compilation
+from ..petri.compiled import CompiledNet, compile_net, supports_compilation
+from ..petri.marking import Marking
 from ..petri.net import PetriNet
 from ..petri.token_game import enabled_transitions, fire
 from ..stg.stg import STG
@@ -45,7 +52,7 @@ from .transition_system import TransitionSystem
 
 def choose_engine(model: Union[PetriNet, STG],
                   require_safe: bool = True) -> str:
-    """The explorer :func:`build_reachability_graph` runs for ``model``.
+    """The explorer :func:`explore` runs for ``model``.
 
     ``"compiled"`` whenever the net is ordinary with a 1-safe initial
     marking and ``require_safe`` holds (markings fit machine ints; ~5-8x
@@ -58,20 +65,85 @@ def choose_engine(model: Union[PetriNet, STG],
     return "naive"
 
 
-def build_reachability_graph(model: Union[PetriNet, STG],
-                             max_states: int = DEFAULT_STATE_BOUND,
-                             require_safe: bool = True) -> TransitionSystem:
-    """Breadth-first reachability graph of a Petri net or STG from its
-    initial marking.
+class NumberedGraph:
+    """An explored reachability graph with numbered states.
 
-    Arc labels are transition names (for an STG these are the canonical
-    event strings such as ``"LDS+"`` or ``"LDS+/2"``).  The explorer is the
-    one :func:`choose_engine` picks for the net; both give the same graph.
-    ``require_safe=False`` explores k-bounded nets instead of raising
-    :class:`UnboundedError`; more than ``max_states`` markings raise
-    :class:`StateExplosionError`.
+    ``states[i]`` is the explorer's own state, numbered in BFS discovery
+    order from the initial state 0: an int code from the compiled
+    explorer (``compiled`` is its :class:`~repro.petri.compiled.CompiledNet`),
+    a :class:`~repro.petri.marking.Marking` from the naive one
+    (``compiled`` is None).  ``arcs[i]`` lists state ``i``'s arcs as
+    ``(transition index, successor number)`` in sorted transition order,
+    and ``transitions[t]`` names transition ``t`` (the net's transitions,
+    sorted).  Markings and the transition system are decoded only when
+    read.
+    """
 
-    When :func:`repro.obs.enabled`, every build runs under an
+    __slots__ = ("states", "arcs", "transitions", "compiled", "_markings")
+
+    def __init__(self, states: List[Union[int, Marking]],
+                 arcs: List[List[Tuple[int, int]]], transitions: List[str],
+                 compiled: Optional[CompiledNet] = None):
+        self.states = states
+        self.arcs = arcs
+        self.transitions = transitions
+        self.compiled = compiled
+        self._markings: Optional[List[Marking]] = None
+
+    def __len__(self) -> int:
+        return len(self.states)
+
+    def arc_count(self) -> int:
+        """Total number of arcs."""
+        return sum(map(len, self.arcs))
+
+    def marking(self, number: int) -> Marking:
+        """The marking of state ``number``."""
+        state = self.states[number]
+        return state if self.compiled is None else self.compiled.decode(state)
+
+    def markings(self) -> List[Marking]:
+        """Every state's marking, by state number (decoded once; a shared
+        list, not to be mutated)."""
+        if self._markings is None:
+            if self.compiled is None:
+                self._markings = self.states
+            else:
+                decode = self.compiled.decode
+                self._markings = [decode(code) for code in self.states]
+        return self._markings
+
+    def tokens(self, number: int, place: str) -> int:
+        """Tokens on ``place`` in state ``number``, read without decoding."""
+        state = self.states[number]
+        if self.compiled is None:
+            return state.get(place)
+        return (state >> self.compiled.place_bit[place]) & 1
+
+    def transition_system(self) -> TransitionSystem:
+        """The graph as a transition system over markings: states in
+        number order, arcs labelled with transition names."""
+        markings = self.markings()
+        names = self.transitions
+        adjacency = {
+            markings[i]: [(names[t], markings[j]) for t, j in out]
+            for i, out in enumerate(self.arcs)
+        }
+        return TransitionSystem.from_adjacency(markings[0], adjacency)
+
+
+def explore(model: Union[PetriNet, STG],
+            max_states: int = DEFAULT_STATE_BOUND,
+            require_safe: bool = True) -> NumberedGraph:
+    """Breadth-first exploration of a Petri net or STG from its initial
+    marking, as a :class:`NumberedGraph`.
+
+    The explorer is the one :func:`choose_engine` picks for the net; both
+    number the same states in the same order.  ``require_safe=False``
+    explores k-bounded nets instead of raising :class:`UnboundedError`;
+    more than ``max_states`` markings raise :class:`StateExplosionError`.
+
+    When :func:`repro.obs.enabled`, every exploration runs under an
     ``engine.build`` span tagged with the explorer and net, counting
     ``states`` / ``arcs`` and gauging ``states_per_sec``
     (see ``docs/observability.md``).
@@ -79,13 +151,26 @@ def build_reachability_graph(model: Union[PetriNet, STG],
     net = model.net if isinstance(model, STG) else model
     if choose_engine(net, require_safe) == "compiled":
         return _traced_build(
-            "compiled", net, lambda: _build_compiled(net, max_states))
+            "compiled", net, lambda: _explore_compiled(net, max_states))
     return _traced_build(
-        "naive", net, lambda: _build_naive(net, max_states, require_safe))
+        "naive", net, lambda: _explore_naive(net, max_states, require_safe))
 
 
-def _traced_build(engine: str, net: PetriNet, build) -> TransitionSystem:
-    """Run one graph-builder thunk under an ``engine.build`` span.
+def build_reachability_graph(model: Union[PetriNet, STG],
+                             max_states: int = DEFAULT_STATE_BOUND,
+                             require_safe: bool = True) -> TransitionSystem:
+    """Breadth-first reachability graph of a Petri net or STG from its
+    initial marking: :func:`explore`, materialised.
+
+    Arc labels are transition names (for an STG these are the canonical
+    event strings such as ``"LDS+"`` or ``"LDS+/2"``).  ``max_states``
+    and ``require_safe`` are as for :func:`explore`.
+    """
+    return explore(model, max_states, require_safe).transition_system()
+
+
+def _traced_build(engine: str, net: PetriNet, build) -> NumberedGraph:
+    """Run one explorer thunk under an ``engine.build`` span.
 
     Disabled, this is one boolean check plus the plain ``build()`` call
     — the graph is never re-measured; enabled, the span records the
@@ -94,113 +179,103 @@ def _traced_build(engine: str, net: PetriNet, build) -> TransitionSystem:
     if not obs.enabled():
         return build()
     with obs.span("engine.build", engine=engine, net=net.name) as span:
-        ts = build()
-        states = len(ts)
+        graph = build()
+        states = len(graph)
         span.add("states", states)
-        span.add("arcs", ts.arc_count())
+        span.add("arcs", graph.arc_count())
         elapsed = span.elapsed()
         if elapsed > 0.0:
             span.set_gauge("states_per_sec", states / elapsed)
-    return ts
+    return graph
 
 
-def _build_compiled(net: PetriNet, max_states: int) -> TransitionSystem:
+def _explore_compiled(net: PetriNet, max_states: int) -> NumberedGraph:
     """Bitvector BFS with incremental enabled-set maintenance."""
     compiled = compile_net(net)
     root = compiled.encode(net.initial_marking)
     pre_masks = compiled.pre_masks
     post_masks = compiled.post_masks
-    names = compiled.transitions
     enabled_after = compiled.enabled_after
 
-    # BFS entirely on integer states; arcs recorded as transition indices.
-    arcs_of = {root: []}
-    seen = {root}
-    frontier = [(root, compiled.enabled_mask(root))]
+    # BFS entirely on integer states: ``codes`` grows while it is walked,
+    # so it is both the queue and the discovery order
+    number = {root: 0}
+    codes = [root]
+    enabled = [compiled.enabled_mask(root)]
+    arcs: List[List[Tuple[int, int]]] = []
     # live heartbeat progress for portfolio workers (repro.obs.remote):
-    # the provider reads the growing seen-set, so it costs nothing here
+    # the provider reads the growing state list, so it costs nothing here
     tracking = obs.enabled()
     if tracking:
-        obs.push_progress(lambda: {"states": len(seen)})
+        obs.push_progress(lambda: {"states": len(codes)})
     try:
-        while frontier:
-            next_frontier = []
-            for code, enabled in frontier:
-                arcs = arcs_of[code]
-                bits = enabled
-                while bits:
-                    low = bits & -bits
-                    bits ^= low
-                    index = low.bit_length() - 1
-                    stripped = code & ~pre_masks[index]
-                    post = post_masks[index]
-                    conflict = stripped & post
-                    if conflict:
-                        raise compiled.unbounded_error(code, index, conflict)
-                    succ = stripped | post
-                    arcs.append((index, succ))
-                    if succ not in seen:
-                        if len(seen) >= max_states:
-                            raise StateExplosionError(
-                                "reachability graph exceeded %d states"
-                                % max_states,
-                                bound=max_states, states=len(seen))
-                        seen.add(succ)
-                        arcs_of[succ] = []
-                        next_frontier.append(
-                            (succ, enabled_after(enabled, index, succ)))
-            frontier = next_frontier
+        for i, code in enumerate(codes):
+            mask = enabled[i]
+            out = []
+            bits = mask
+            while bits:
+                low = bits & -bits
+                bits ^= low
+                index = low.bit_length() - 1
+                stripped = code & ~pre_masks[index]
+                post = post_masks[index]
+                conflict = stripped & post
+                if conflict:
+                    raise compiled.unbounded_error(code, index, conflict)
+                succ = stripped | post
+                j = number.get(succ)
+                if j is None:
+                    j = len(codes)
+                    if j >= max_states:
+                        raise StateExplosionError(
+                            "reachability graph exceeded %d states"
+                            % max_states, bound=max_states, states=j)
+                    number[succ] = j
+                    codes.append(succ)
+                    enabled.append(enabled_after(mask, index, succ))
+                out.append((index, j))
+            arcs.append(out)
     finally:
         if tracking:
             obs.pop_progress()
-
-    # Decode once per state and materialise the TransitionSystem in the
-    # exact insertion order the naive engine would have produced:
-    # discovery (BFS) order for states, sorted transition order per state.
-    decode = compiled.decode
-    marking_of = {code: decode(code) for code in arcs_of}
-    adjacency = {
-        marking_of[code]: [(names[index], marking_of[succ])
-                           for index, succ in arcs]
-        for code, arcs in arcs_of.items()
-    }
-    return TransitionSystem.from_adjacency(marking_of[root], adjacency)
+    return NumberedGraph(codes, arcs, compiled.transitions, compiled)
 
 
-def _build_naive(net: PetriNet, max_states: int,
-                 require_safe: bool) -> TransitionSystem:
-    """The original dict-backed token game (any weights, k-bounded nets)."""
+def _explore_naive(net: PetriNet, max_states: int,
+                   require_safe: bool) -> NumberedGraph:
+    """The dict-backed token game (any weights, k-bounded nets)."""
+    transitions = sorted(net.transitions)
+    index_of = {t: i for i, t in enumerate(transitions)}
     initial = net.initial_marking
-    ts = TransitionSystem(initial)
-    frontier = [initial]
-    seen = {initial}
+    number = {initial: 0}
+    markings = [initial]
+    arcs: List[List[Tuple[int, int]]] = []
     tracking = obs.enabled()
     if tracking:
-        obs.push_progress(lambda: {"states": len(seen)})
+        obs.push_progress(lambda: {"states": len(markings)})
     try:
-        while frontier:
-            next_frontier = []
-            for marking in frontier:
-                for t in enabled_transitions(net, marking):
-                    succ = fire(net, marking, t, check=False)
-                    if require_safe and not succ.is_safe():
-                        offenders = [p for p, n in succ.items() if n > 1]
-                        raise UnboundedError(
-                            "firing %r from %r violates 1-safeness at %r"
-                            % (t, marking, offenders)
-                        )
-                    ts.add_arc(marking, t, succ)
-                    if succ not in seen:
-                        if len(seen) >= max_states:
-                            raise StateExplosionError(
-                                "reachability graph exceeded %d states"
-                                % max_states,
-                                bound=max_states, states=len(seen)
-                            )
-                        seen.add(succ)
-                        next_frontier.append(succ)
-            frontier = next_frontier
+        for marking in markings:
+            out = []
+            for t in enabled_transitions(net, marking):
+                succ = fire(net, marking, t, check=False)
+                if require_safe and not succ.is_safe():
+                    offenders = [p for p, n in succ.items() if n > 1]
+                    raise UnboundedError(
+                        "firing %r from %r violates 1-safeness at %r"
+                        % (t, marking, offenders)
+                    )
+                j = number.get(succ)
+                if j is None:
+                    j = len(markings)
+                    if j >= max_states:
+                        raise StateExplosionError(
+                            "reachability graph exceeded %d states"
+                            % max_states, bound=max_states, states=j)
+                    number[succ] = j
+                    markings.append(succ)
+                out.append((index_of[t], j))
+            arcs.append(out)
     finally:
         if tracking:
             obs.pop_progress()
-    return ts
+    return NumberedGraph(markings, arcs, transitions)

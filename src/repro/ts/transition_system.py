@@ -50,9 +50,10 @@ class TransitionSystem:
         """Bulk constructor from a complete adjacency map.
 
         States are inserted in the mapping's iteration order (``initial``
-        first); arcs keep their per-state list order.  This is the fast
-        path used by the compiled reachability engine — equivalent to
-        calling :meth:`add_arc` per arc, minus the per-arc bookkeeping.
+        first); arcs keep their per-state list order.  This is how
+        :meth:`repro.ts.builder.NumberedGraph.transition_system`
+        materialises an explored graph — equivalent to calling
+        :meth:`add_arc` per arc, minus the per-arc bookkeeping.
         """
         ts = cls(initial)
         succ = ts._succ

@@ -238,7 +238,9 @@ def verify_circuit(netlist: Netlist, spec: STG,
     ``initial_internal`` was given.
     """
     netlist.validate()
-    spec_sg = build_state_graph(spec)
+    # only the interface's initial values are read: the spec graph is
+    # dropped here, before the composition is explored
+    spec_values = build_state_graph(spec).initial_values
     spec_signals = set(spec.signals)
     internal = [s for s in netlist.gates if s not in spec_signals]
     for s in spec.noninput_signals:
@@ -247,7 +249,7 @@ def verify_circuit(netlist: Netlist, spec: STG,
                 "netlist does not drive specified non-input signal %r" % s)
 
     initial_values: Dict[str, int] = {
-        s: spec_sg.initial_values[s] for s in spec_signals
+        s: spec_values[s] for s in spec_signals
     }
     initial_values.update((s, netlist.initial[s]) for s in internal
                           if s in netlist.initial)

@@ -32,7 +32,12 @@ from repro.stg import (
     vme_read_write,
 )
 from repro import obs
-from repro.ts import build_reachability_graph, build_state_graph, choose_engine
+from repro.ts import (
+    build_reachability_graph,
+    build_state_graph,
+    choose_engine,
+    explore,
+)
 from repro.ts.state_graph import StateGraph
 
 LIBRARY = {
@@ -91,10 +96,29 @@ def test_engines_produce_identical_transition_systems(name):
                                   "muller_pipeline_5"])
 def test_engines_produce_identical_state_graph_codes(name):
     stg = LIBRARY[name]()
-    sg_naive = StateGraph(stg, token_game(build_reachability_graph, stg))
-    sg_comp = StateGraph(stg, build_reachability_graph(stg))
+    sg_naive = StateGraph(stg, token_game(explore, stg))
+    sg_comp = StateGraph(stg, explore(stg))
     assert sg_naive.initial_values == sg_comp.initial_values
     assert sg_naive.codes == sg_comp.codes
+    assert sg_naive.int_codes == sg_comp.int_codes
+    assert sg_naive.enabled_masks == sg_comp.enabled_masks
+    assert sg_naive.order == sg_comp.order
+
+
+@pytest.mark.parametrize("name", sorted(LIBRARY))
+def test_explorers_number_states_alike(name):
+    """Same states under the same numbers, same arcs in the same order;
+    the compiled explorer keeps int codes, the naive one markings."""
+    stg = LIBRARY[name]()
+    naive = token_game(explore, stg)
+    compiled = explore(stg)
+    assert naive.compiled is None and compiled.compiled is not None
+    assert all(isinstance(code, int) for code in compiled.states)
+    assert naive.transitions == compiled.transitions
+    assert naive.arcs == compiled.arcs
+    assert naive.markings() == compiled.markings() == naive.states
+    assert [compiled.marking(i) for i in range(len(compiled))] \
+        == naive.states
 
 
 def test_build_span_names_the_explorer():

@@ -1,6 +1,12 @@
 """Implementability analysis (paper Section 2.1)."""
 
+import os
+import subprocess
+import sys
+
 import pytest
+
+import repro
 
 from repro.analysis import (
     check_implementability,
@@ -87,6 +93,56 @@ c- p0
         violations = persistency_violations(sg)
         kinds = {v.kind for v in violations}
         assert "input" in kinds
+
+    def test_violations_of_one_firing_come_out_in_signal_order(self,
+                                                                tmp_path):
+        """One choice place feeds every signal, so each firing disables
+        the four others; ``repro analyze -v`` lists them in signal order
+        under any hash seed."""
+        spec = tmp_path / "fan.g"
+        spec.write_text(FAN)
+        path = os.path.dirname(os.path.dirname(repro.__file__))
+        outputs = []
+        for seed in ("0", "1"):
+            env = dict(os.environ, PYTHONHASHSEED=seed, PYTHONPATH=path)
+            run = subprocess.run(
+                [sys.executable, "-m", "repro", "analyze", str(spec), "-v"],
+                env=env, capture_output=True, text=True)
+            assert run.returncode == 1, run.stderr
+            outputs.append(run.stdout)
+        assert outputs[0] == outputs[1]
+        disabled = {}
+        for line in outputs[0].splitlines():
+            if "persistency violation" in line:
+                event, by = line.split(": ")[1].split(" disabled by ")
+                disabled.setdefault(by, []).append(event)
+        signals = "abcde"
+        assert list(disabled) == [s + "+" for s in signals]
+        for by, events in disabled.items():
+            assert events == [s + "+" for s in signals if s != by[0]]
+
+
+#: Input ``c`` and outputs ``a b d e`` all leave one marked place and
+#: return to it.
+FAN = """
+.model fan
+.inputs c
+.outputs a b d e
+.graph
+p0 a+ b+ d+ e+ c+
+a+ a-
+a- p0
+b+ b-
+b- p0
+d+ d-
+d- p0
+e+ e-
+e- p0
+c+ c-
+c- p0
+.marking { p0 }
+.end
+"""
 
 
 class TestUSCvsCSC:

@@ -1,12 +1,16 @@
 """Behavioural property checks (boundedness, liveness, deadlocks, ...)."""
 
 import pytest
+from hypothesis import HealthCheck, given, settings
 
 from repro.errors import StateExplosionError, UnboundedError
 from repro.petri import (
     Marking,
     PetriNet,
     bound,
+    dining_philosophers,
+    enabled_transitions,
+    fire,
     find_deadlocks,
     home_markings,
     is_bounded,
@@ -17,7 +21,10 @@ from repro.petri import (
     reachable_markings,
     unsafe_witness,
 )
-from repro.stg import vme_read, vme_read_write
+from repro.stg import ALL_EXAMPLES, vme_read, vme_read_write
+from repro.ts import choose_engine, explore
+
+from test_random_models import random_stg
 
 
 def unbounded_net():
@@ -151,3 +158,125 @@ class TestDeadlockLiveness:
         net.add_arc("tb", "b")
         assert home_markings(net) == set()
         assert not is_reversible(net)
+
+
+# --------------------------------------------------------------------- #
+# liveness and home markings against a brute-force oracle
+# --------------------------------------------------------------------- #
+
+def _reach(net, start):
+    """Markings reachable from ``start`` by the multiset token game."""
+    seen = {start}
+    frontier = [start]
+    while frontier:
+        marking = frontier.pop()
+        for t in enabled_transitions(net, marking):
+            succ = fire(net, marking, t)
+            if succ not in seen:
+                seen.add(succ)
+                frontier.append(succ)
+    return seen
+
+
+def oracle_is_live(net):
+    """From every reachable marking, some reachable marking enables each
+    transition."""
+    everything = set(net.transitions)
+    for marking in _reach(net, net.initial_marking):
+        fired = set()
+        for later in _reach(net, marking):
+            fired.update(enabled_transitions(net, later))
+        if fired != everything:
+            return False
+    return True
+
+
+def oracle_home_markings(net):
+    """The reachable markings reachable from every reachable marking."""
+    reachable = _reach(net, net.initial_marking)
+    home = set(reachable)
+    for marking in reachable:
+        home &= _reach(net, marking)
+    return home
+
+
+def two_bounded_cycle_net():
+    """Two tokens circulate between p and q over ordinary arcs: not
+    1-safe, so the naive explorer reads it."""
+    net = PetriNet("2cycle")
+    net.add_place("p", tokens=2)
+    net.add_place("q")
+    net.add_transition("t")
+    net.add_transition("u")
+    net.add_arc("p", "t")
+    net.add_arc("t", "q")
+    net.add_arc("q", "u")
+    net.add_arc("u", "p")
+    return net
+
+
+def two_bottoms_net():
+    """A choice into one of two cycles: two bottom SCCs, neither of which
+    fires every transition."""
+    net = PetriNet("two-bottoms")
+    for place, tokens in (("p", 1), ("a0", 0), ("a1", 0), ("b0", 0),
+                          ("b1", 0)):
+        net.add_place(place, tokens=tokens)
+    for source, t, target in (("p", "ta", "a0"), ("p", "tb", "b0"),
+                              ("a0", "xa", "a1"), ("a1", "ya", "a0"),
+                              ("b0", "xb", "b1"), ("b1", "yb", "b0")):
+        net.add_transition(t)
+        net.add_arc(source, t)
+        net.add_arc(t, target)
+    return net
+
+
+ORACLE_NETS = {
+    "dining_philosophers_3": lambda: dining_philosophers(3),
+    "dining_philosophers_4": lambda: dining_philosophers(4),
+    "two_bounded_cycle": two_bounded_cycle_net,
+    "weighted_cycle": weighted_cycle_net,
+    "deadlocking": deadlocking_net,
+    "stuck_two_tokens": stuck_two_token_net,
+    "two_bottoms": two_bottoms_net,
+}
+ORACLE_NETS.update(("spec_" + name, lambda make=make: make().net)
+                   for name, make in ALL_EXAMPLES.items())
+
+
+class TestLivenessOracle:
+    @pytest.mark.parametrize("name", sorted(ORACLE_NETS))
+    def test_matches_brute_force(self, name):
+        net = ORACLE_NETS[name]()
+        assert is_live(net) == oracle_is_live(net)
+        assert home_markings(net) == oracle_home_markings(net)
+        assert is_reversible(net) == \
+            (net.initial_marking in oracle_home_markings(net))
+
+    def test_oracle_nets_cover_both_answers(self):
+        """The nets above include live and non-live ones, and nets with
+        and without home markings, on both explorers."""
+        live = {name: is_live(make()) for name, make in ORACLE_NETS.items()}
+        assert live["two_bounded_cycle"] and live["spec_vme_read"]
+        assert not live["two_bottoms"] and not live["dining_philosophers_3"]
+        assert home_markings(two_bottoms_net()) == set()
+        assert choose_engine(two_bounded_cycle_net()) == "naive"
+        assert len(home_markings(two_bounded_cycle_net())) == 3
+
+    def test_explored_graph_is_read_as_it_is(self):
+        """A graph already explored gives the net's answer."""
+        for make in ORACLE_NETS.values():
+            net = make()
+            try:
+                graph = explore(net)
+            except UnboundedError:
+                graph = explore(net, require_safe=False)
+            assert is_live(graph) == is_live(net)
+
+    @given(random_stg())
+    @settings(max_examples=25, deadline=None,
+              suppress_health_check=[HealthCheck.too_slow,
+                                     HealthCheck.filter_too_much])
+    def test_random_stgs_match_brute_force(self, stg):
+        assert is_live(stg.net) == oracle_is_live(stg.net)
+        assert home_markings(stg.net) == oracle_home_markings(stg.net)

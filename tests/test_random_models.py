@@ -37,24 +37,25 @@ SETTINGS = settings(max_examples=40, deadline=None,
                                            HealthCheck.filter_too_much])
 
 
-@st.composite
-def random_stg(draw):
-    """A random consistent, safe, live STG with 2-4 signals."""
-    n_signals = draw(st.integers(2, 4))
+def ring_stg(integer, permutation, boolean, element):
+    """The STG :func:`random_stg` draws, its random choices made by the
+    four callables: ``integer(lo, hi)``, ``permutation(items)``,
+    ``boolean()`` and ``element(items)``."""
+    n_signals = integer(2, 4)
     signals = ["s%d" % i for i in range(n_signals)]
     # base ring: a permutation of events where each signal rises before
     # it falls (choose interleaving by shuffling rise/fall slots)
     events = []
-    order = draw(st.permutations(signals))
+    order = permutation(signals)
     for s in order:
         events.append(s + "+")
-    fall_order = draw(st.permutations(signals))
+    fall_order = permutation(signals)
     for s in fall_order:
         events.append(s + "-")
 
     stg = STG("random")
     for i, s in enumerate(signals):
-        kind = SignalType.INPUT if draw(st.booleans()) and i == 0 \
+        kind = SignalType.INPUT if boolean() and i == 0 \
             else SignalType.OUTPUT
         stg.declare_signal(s, kind)
     names = [stg.add_event(e) for e in events]
@@ -65,16 +66,25 @@ def random_stg(draw):
             stg.net.places[place].tokens = 1
 
     # random chords adding concurrency constraints
-    n_chords = draw(st.integers(0, 2))
+    n_chords = integer(0, 2)
     for _ in range(n_chords):
-        a = draw(st.sampled_from(names))
-        b = draw(st.sampled_from(names))
+        a = element(names)
+        b = element(names)
         if a == b:
             continue
-        marked = draw(st.booleans())
+        marked = boolean()
         place = stg.connect(a, b)
         stg.net.places[place].tokens = 1 if marked else 0
+    return stg
 
+
+@st.composite
+def random_stg(draw):
+    """A random consistent, safe, live STG with 2-4 signals."""
+    stg = ring_stg(lambda lo, hi: draw(st.integers(lo, hi)),
+                   lambda items: draw(st.permutations(items)),
+                   lambda: draw(st.booleans()),
+                   lambda items: draw(st.sampled_from(items)))
     assume(is_safe(stg.net, max_states=50_000))
     assume(is_live(stg.net, max_states=50_000))
     return stg
