@@ -49,20 +49,21 @@ class CompiledNet:
     :meth:`encode` raises it for a marking that is not 1-safe — the
     bitvector representation only covers safe nets (the naive token game
     explores the others).
+
+    The compilation keeps the net's ``name`` but no reference to the net,
+    which pins the compilation (:func:`compile_net`): a dropped net, its
+    compilation and its decoded markings are freed by reference counting
+    alone.
     """
 
     __slots__ = (
-        "net", "places", "place_bit", "transitions", "transition_bit",
+        "name", "places", "place_bit", "transitions", "transition_bit",
         "pre_masks", "post_masks", "affected",
         "_marking_of", "_code_of", "_version",
     )
 
     def __init__(self, net: PetriNet):
-        if not net.has_ordinary_arcs():
-            raise ModelError(
-                "compiled engine requires arc weights of 1 (net %r)"
-                % net.name)
-        self.net = net
+        self.name = net.name
         self._version = net._structure_version
         self.places: List[str] = sorted(net.places)
         self.place_bit: Dict[str, int] = {
@@ -75,14 +76,8 @@ class CompiledNet:
         self.pre_masks: List[int] = []
         self.post_masks: List[int] = []
         for t in self.transitions:
-            pre = 0
-            for p in net.pre(t):
-                pre |= 1 << self.place_bit[p]
-            post = 0
-            for p in net.post(t):
-                post |= 1 << self.place_bit[p]
-            self.pre_masks.append(pre)
-            self.post_masks.append(post)
+            self.pre_masks.append(self._place_mask(net.pre(t)))
+            self.post_masks.append(self._place_mask(net.post(t)))
         # affected[i]: bitmask of transitions whose enabledness may change
         # after firing transition i (consumers of i's pre/post places).
         self.affected: List[int] = []
@@ -99,6 +94,18 @@ class CompiledNet:
             self.affected.append(mask)
         self._marking_of: Dict[int, Marking] = {}
         self._code_of: Dict[Marking, int] = {}
+
+    def _place_mask(self, arcs: Dict[str, int]) -> int:
+        """Bitmask of the places of one transition's arcs; raises
+        :class:`ModelError` for an arc weight other than 1."""
+        mask = 0
+        for p, weight in arcs.items():
+            if weight != 1:
+                raise ModelError(
+                    "compiled engine requires arc weights of 1 (net %r)"
+                    % self.name)
+            mask |= 1 << self.place_bit[p]
+        return mask
 
     def clear_state_pools(self) -> None:
         """Drop the interned integer<->Marking pools.
@@ -258,7 +265,7 @@ class CompiledNet:
 
     def __repr__(self):
         return "CompiledNet(%r, |P|=%d, |T|=%d)" % (
-            self.net.name, len(self.places), len(self.transitions))
+            self.name, len(self.places), len(self.transitions))
 
 
 def compile_net(net: PetriNet) -> CompiledNet:

@@ -10,6 +10,13 @@ functions:
   codes, which the minimiser never lists;
 * dually for the reset function.
 
+The regions are read straight from the state graph's int codes and
+enabled masks, one pass per region (:func:`repro.synth.nextstate.signal_bits`
+names the bits): ``ER(z+)`` and ``ER(z-)`` are the states with the
+``z+``/``z-`` bit of their mask set, ``QR(z+)`` the codes with ``z`` at 1
+and no ``z-`` enabled, ``QR(z-)`` those with ``z`` at 0 and no ``z+``
+enabled.  No marking is decoded.
+
 This is the *monotonous cover* architecture of [1, 14]: if the chosen
 covers rise and fall monotonically along every execution path, the
 two-level-logic + latch implementation is hazard-free.  A static
@@ -20,16 +27,17 @@ the tests and benchmarks.
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Sequence, Set, Tuple
+from typing import Dict, List, Optional, Sequence, Tuple
 
 from ..errors import CSCError
-from ..boolmin.cube import Cube, cube_contains, minterm_to_int
-from ..boolmin.expr import BoolExpr, from_cubes
+from ..boolmin.cube import Cube, cube_contains
+from ..boolmin.expr import from_cubes
 from ..boolmin.quine_mccluskey import minimize
 from ..stg.signals import FALL, RISE
 from ..stg.stg import STG
 from ..ts.state_graph import StateGraph, build_state_graph
-from .netlist import Gate, GateKind, Netlist
+from .netlist import Gate, Netlist
+from .nextstate import signal_bits
 
 
 def excitation_covers(sg: StateGraph, signal: str) -> Tuple[List[Cube], List[Cube]]:
@@ -42,13 +50,16 @@ def excitation_covers(sg: StateGraph, signal: str) -> Tuple[List[Cube], List[Cub
 
     Returns ``(set_cubes, reset_cubes)`` over ``sg.signal_order``.
     """
-    def codes(region) -> Set[int]:
-        return {minterm_to_int(sg.code(s)) for s in region}
-
-    er_plus = codes(sg.excitation_region(signal, RISE))
-    er_minus = codes(sg.excitation_region(signal, FALL))
-    set_off = er_minus | codes(sg.quiescent_region(signal, FALL))
-    reset_off = er_plus | codes(sg.quiescent_region(signal, RISE))
+    bit, rise, fall = signal_bits(sg, signal)
+    codes, masks = sg.int_codes, sg.enabled_masks
+    er_plus = {code for code, mask in zip(codes, masks) if mask & rise}
+    er_minus = {code for code, mask in zip(codes, masks) if mask & fall}
+    qr_plus = {code for code, mask in zip(codes, masks)
+               if code & bit and not mask & fall}
+    qr_minus = {code for code, mask in zip(codes, masks)
+                if not code & bit and not mask & rise}
+    set_off = er_minus | qr_minus
+    reset_off = er_plus | qr_plus
     n = len(sg.signal_order)
     for onset, offset, cover in ((er_plus, set_off, "set"),
                                  (er_minus, reset_off, "reset")):

@@ -10,11 +10,20 @@ excitation regions ``ER(z+)``, ``ER(z-)`` and quiescent regions ``QR(z+)``,
 
 If the same binary code requires both 1 and 0 the function is ill-defined:
 that is precisely a CSC conflict and raises :class:`~repro.errors.CSCError`.
+
+The ON- and OFF-sets are read straight from the state graph's int codes
+(``StateGraph.int_codes``, which are already minterm integers) and
+enabled masks (``StateGraph.enabled_masks``), one pass per signal: no
+marking is decoded except the two that name the states of a CSC
+conflict.  :func:`signal_bits` gives the bits those passes test; the
+gC and RS covers of :mod:`repro.synth.latch` use it too.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from itertools import compress
+from operator import not_
 from typing import Dict, List, Optional, Sequence, Set, Tuple
 
 from ..errors import CSCError
@@ -67,28 +76,55 @@ class NextStateFunction:
         return from_cubes(self.minimized_cubes(), self.variables)
 
 
+def signal_bits(sg: StateGraph, signal: str) -> Tuple[int, int, int]:
+    """``(code_bit, rise_bit, fall_bit)`` of a signal: its bit in the
+    int codes and the bits of ``signal+`` and ``signal-`` in the enabled
+    masks.  Raises :class:`KeyError` for a signal the SG does not code."""
+    try:
+        k = sg.signal_order.index(signal)
+    except ValueError:
+        raise KeyError(signal) from None
+    rise = 1 << (2 * k)
+    return 1 << (len(sg.signal_order) - 1 - k), rise, rise << 1
+
+
 def derive_next_state_function(sg: StateGraph, signal: str) -> NextStateFunction:
     """Derive ``f_signal`` from the state graph.
 
-    Raises :class:`CSCError` naming the conflicting states if two states
-    share a code but imply different next values for the signal.
+    A state's next value is 1 with ``signal+`` enabled, 0 with
+    ``signal-`` enabled, and the signal's code bit otherwise.  Raises
+    :class:`CSCError` naming the conflicting states if two states share
+    a code but imply different next values for the signal.
     """
     fn = NextStateFunction(signal=signal, variables=list(sg.signal_order))
-    implied: Dict[int, Tuple[int, object]] = {}
-    for state in sg.states:
-        code = minterm_to_int(sg.code(state))
-        value = sg.next_value(state, signal)
+    bit, rise, fall = signal_bits(sg, signal)
+    codes = sg.int_codes
+    nexts = [1 if mask & rise or code & bit and not mask & fall else 0
+             for code, mask in zip(codes, sg.enabled_masks)]
+    fn.onset = set(compress(codes, nexts))
+    fn.offset = set(compress(codes, map(not_, nexts)))
+    if fn.onset & fn.offset:
+        _raise_conflict(sg, fn, nexts)
+    return fn
+
+
+def _raise_conflict(sg: StateGraph, fn: NextStateFunction,
+                    nexts: List[int]) -> None:
+    """Raise the :class:`CSCError` of the first state, in state-number
+    order, whose next value differs from that of the last earlier state
+    with its code; only those two markings are decoded."""
+    implied: Dict[int, Tuple[int, int]] = {}
+    for i, (code, value) in enumerate(zip(sg.int_codes, nexts)):
         previous = implied.get(code)
         if previous is not None and previous[0] != value:
             raise CSCError(
                 "CSC conflict for signal %r: states %r and %r share code"
                 " %s but imply next values %d and %d"
-                % (signal, previous[1], state,
-                   format(code, "0%db" % fn.width), previous[0], value)
+                % (fn.signal, sg.graph.marking(previous[1]),
+                   sg.graph.marking(i), format(code, "0%db" % fn.width),
+                   previous[0], value)
             )
-        implied[code] = (value, state)
-        (fn.onset if value else fn.offset).add(code)
-    return fn
+        implied[code] = (value, i)
 
 
 def derive_all_next_state_functions(sg: StateGraph) -> Dict[str, NextStateFunction]:

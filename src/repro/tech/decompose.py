@@ -91,10 +91,13 @@ def _reachable_extended_codes(sg: StateGraph,
     """Reachable assignments over spec signals plus defined internal
     decomposition signals (each evaluated from its defining function;
     definitions may reference each other acyclically or via spec signals
-    and settle by iteration)."""
+    and settle by iteration), one per state in state-number order.  The
+    spec signals' values are read from the int codes."""
     rows: List[Dict[str, int]] = []
-    for state in sg.states:
-        env = {s: sg.value(state, s) for s in sg.signal_order}
+    top = len(sg.signal_order) - 1
+    shifts = [(s, top - k) for k, s in enumerate(sg.signal_order)]
+    for code in sg.int_codes:
+        env = {s: (code >> shift) & 1 for s, shift in shifts}
         pending = dict(defs)
         for name in pending:
             env.setdefault(name, 0)
@@ -179,14 +182,11 @@ def decompose(stg: STG, max_fanin: int = 2,
         per_gate: Dict[str, List[BoolExpr]] = {}
         feasible = True
         for z in sorted(base.gates):
-            targets = [(env, fns[z].value(
-                tuple(env[s] for s in sg.signal_order)) or 0)
-                for env in rows]
-            # next value of z on reachable states (f_z); None cannot occur
-            targets = []
-            for env in rows:
-                value = fns[z].value(tuple(env[s] for s in sg.signal_order))
-                targets.append((env, 0 if value is None else value))
+            # next value of z on reachable states (f_z): every state's
+            # code is in the ON- or the OFF-set
+            onset = fns[z].onset
+            targets = [(env, 1 if code in onset else 0)
+                       for code, env in zip(sg.int_codes, rows)]
             candidates = _candidate_exprs(targets, extended_signals)
             if not candidates:
                 feasible = False

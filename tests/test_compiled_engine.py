@@ -6,6 +6,9 @@ behaviour at the 1-safeness and state-count bounds.
 The builder picks its explorer from the net; :func:`token_game` rules the
 compiled one out, so the same call plays the dict token game instead."""
 
+import gc
+import weakref
+
 import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
@@ -246,13 +249,13 @@ def test_compiled_fire_raises_like_the_naive_game():
 # engine selection and domain gating
 # --------------------------------------------------------------------- #
 
-def weighted_net():
+def weighted_net(input_weight=2, output_weight=1):
     net = PetriNet("weighted")
     net.add_place("p0", tokens=1)
     net.add_place("p1")
     net.add_transition("t0")
-    net.add_arc("p0", "t0", weight=2)
-    net.add_arc("t0", "p1")
+    net.add_arc("p0", "t0", weight=input_weight)
+    net.add_arc("t0", "p1", weight=output_weight)
     return net
 
 
@@ -264,6 +267,50 @@ def test_weighted_net_falls_back_to_naive():
     assert len(ts) == 1 and ts.arc_count() == 0
     with pytest.raises(ModelError):
         CompiledNet(net)
+
+
+WEIGHT_ERROR = r"compiled engine requires arc weights of 1 \(net 'weighted'\)"
+
+
+@pytest.mark.parametrize("weights", [(2, 1), (1, 2)])
+def test_weighted_arc_is_refused_by_the_compiler(weights):
+    net = weighted_net(*weights)
+    with pytest.raises(ModelError, match=WEIGHT_ERROR):
+        CompiledNet(net)
+    with pytest.raises(ModelError, match=WEIGHT_ERROR):
+        compile_net(net)
+
+
+def test_state_graph_build_walks_the_arcs_once(monkeypatch):
+    calls = []
+    has_ordinary_arcs = PetriNet.has_ordinary_arcs
+
+    def counting(net):
+        calls.append(net.name)
+        return has_ordinary_arcs(net)
+
+    monkeypatch.setattr(PetriNet, "has_ordinary_arcs", counting)
+    stg = vme_read_csc()
+    build_state_graph(stg)
+    assert calls == [stg.net.name]
+
+
+def test_dropped_net_is_freed_without_the_cycle_collector():
+    # a compilation pinned on its net must not point back at it, or the
+    # net, the compilation and its decoded markings form a cycle
+    was_enabled = gc.isenabled()
+    gc.disable()
+    try:
+        stg = muller_pipeline(3)
+        sg = build_state_graph(stg)
+        assert sg.graph.compiled is stg.net._compiled_cache
+        assert len(sg.states) == len(sg)
+        net = weakref.ref(stg.net)
+        del stg, sg
+        assert net() is None
+    finally:
+        if was_enabled:
+            gc.enable()
 
 
 def test_clear_state_pools_releases_interned_markings():
