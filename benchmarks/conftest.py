@@ -19,9 +19,11 @@ nothing.
 
 import datetime
 import json
+import math
 import os
 import platform as _platform
 import subprocess
+import time
 
 import pytest
 
@@ -93,6 +95,35 @@ def pytest_sessionfinish(session, exitstatus):
         with open("BENCH_%s.json" % suite, "w") as f:
             json.dump(document, f, indent=2, sort_keys=True)
             f.write("\n")
+
+
+def per_round(benchmark, target, make_args, **kwargs):
+    """Time ``target(*make_args(), **kwargs)`` with fresh positional
+    arguments every round.
+
+    :func:`repro.ts.builder.explore` memoises a net's graph on the net,
+    so a model reused across rounds is explored in the first round only
+    and the later rounds would time a memo lookup.  ``make_args`` builds
+    a fresh model per round and runs untimed.  The rounds are sized like
+    pytest-benchmark's own calibration: at least ``--benchmark-min-rounds``
+    and enough for ``--benchmark-max-time`` of timed work, judged from the
+    faster of two untimed trials.  A disabled run calls the target once.
+    Returns the last round's result.
+    """
+    def setup():
+        return make_args(), kwargs
+
+    if benchmark.disabled:
+        return benchmark.pedantic(target, setup=setup)
+    trial = math.inf
+    for _ in range(2):
+        args = make_args()
+        start = time.perf_counter()
+        target(*args, **kwargs)
+        trial = min(trial, time.perf_counter() - start)
+    rounds = max(getattr(benchmark, "_min_rounds", 5),
+                 math.ceil(getattr(benchmark, "_max_time", 1.0) / trial))
+    return benchmark.pedantic(target, setup=setup, rounds=rounds)
 
 
 PAPER_SIGNAL_ORDER = ["DSr", "DTACK", "LDTACK", "LDS", "D"]

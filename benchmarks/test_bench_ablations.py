@@ -25,7 +25,7 @@ from repro.synth import (
 from repro.ts import build_state_graph
 from repro.verify import verify_circuit
 
-from conftest import fig9a_netlist, fig9b_netlist
+from conftest import fig9a_netlist, fig9b_netlist, per_round
 
 
 def test_ablation_dont_cares(benchmark):
@@ -97,13 +97,11 @@ def test_ablation_architectures(benchmark):
 def test_ablation_multiple_acknowledgment(benchmark):
     """Quantify Figure 9: the only netlist difference is one gate input,
     the behavioural difference is 9 hazards."""
-    spec = vme_read()
-
-    def both():
+    def both(spec):
         return (verify_circuit(fig9a_netlist(), spec),
                 verify_circuit(fig9b_netlist(), spec))
 
-    good, bad = benchmark(both)
+    good, bad = per_round(benchmark, both, lambda: (vme_read(),))
     print("\nfig9a hazards: %d, fig9b hazards: %d"
           % (len(good.hazards), len(bad.hazards)))
     assert len(good.hazards) == 0

@@ -14,6 +14,8 @@ from repro.petri import (
 )
 from repro.stg import parse_g, vme_read, write_g
 
+from conftest import per_round
+
 
 def test_fig3_structure(benchmark):
     stg = benchmark(vme_read)
@@ -27,12 +29,10 @@ def test_fig3_structure(benchmark):
 
 
 def test_fig3_properties(benchmark):
-    stg = vme_read()
-
-    def props():
+    def props(stg):
         return (is_safe(stg.net), is_live(stg.net))
 
-    safe, live = benchmark(props)
+    safe, live = per_round(benchmark, props, lambda: (vme_read(),))
     assert safe and live
 
 

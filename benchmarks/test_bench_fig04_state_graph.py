@@ -10,7 +10,7 @@ from repro.petri import Marking
 from repro.stg import vme_read
 from repro.ts import build_state_graph
 
-from conftest import PAPER_GROUPS, PAPER_SIGNAL_ORDER
+from conftest import PAPER_GROUPS, PAPER_SIGNAL_ORDER, per_round
 
 FIGURE4_CODES = {
     "0*0.00.0", "10.00*.0", "10.0*1.0", "10.11.0*", "10*.11.1",
@@ -20,8 +20,8 @@ FIGURE4_CODES = {
 
 
 def test_fig4_state_graph_generation(benchmark):
-    stg = vme_read()
-    sg = benchmark(build_state_graph, stg, signal_order=PAPER_SIGNAL_ORDER)
+    sg = per_round(benchmark, build_state_graph, lambda: (vme_read(),),
+                   signal_order=PAPER_SIGNAL_ORDER)
     assert len(sg) == 14
     rendered = {sg.code_str(s, groups=PAPER_GROUPS) for s in sg.states}
     assert rendered == FIGURE4_CODES
@@ -45,7 +45,8 @@ def test_fig4_csc_conflict_pair(benchmark):
 
 
 def test_fig4_full_report(benchmark):
-    report = benchmark(check_implementability, vme_read())
+    report = per_round(benchmark, check_implementability,
+                       lambda: (vme_read(),))
     assert report.states == 14
     assert report.consistent and report.persistent
     assert not report.implementable

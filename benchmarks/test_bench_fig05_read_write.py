@@ -11,6 +11,8 @@ from repro.stg import vme_read_write
 from repro.synth import resolve_csc
 from repro.ts import build_state_graph
 
+from conftest import per_round
+
 
 def test_fig5_structure(benchmark):
     stg = benchmark(vme_read_write)
@@ -22,7 +24,8 @@ def test_fig5_structure(benchmark):
 
 
 def test_fig5_state_graph(benchmark):
-    sg = benchmark(build_state_graph, vme_read_write())
+    sg = per_round(benchmark, build_state_graph,
+                   lambda: (vme_read_write(),))
     assert len(sg) == 24
     # in the initial state the environment chooses read or write
     enabled = {str(e) for e in sg.enabled_events(sg.initial)}
@@ -30,14 +33,16 @@ def test_fig5_state_graph(benchmark):
 
 
 def test_fig5_input_choice_is_persistent(benchmark):
-    report = benchmark(check_implementability, vme_read_write())
+    report = per_round(benchmark, check_implementability,
+                       lambda: (vme_read_write(),))
     assert report.consistent
     assert report.persistent        # input-by-input disabling allowed
     assert not report.has_csc       # needs state signals (resolved below)
 
 
 def test_fig5_csc_resolution(benchmark):
-    resolved = benchmark(resolve_csc, vme_read_write())
+    resolved = per_round(benchmark, resolve_csc,
+                         lambda: (vme_read_write(),))
     report = check_implementability(resolved)
     assert report.implementable
     assert len(resolved.internal) == 1  # one csc signal suffices

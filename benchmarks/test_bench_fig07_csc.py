@@ -10,7 +10,7 @@ from repro.stg import vme_read, vme_read_csc
 from repro.synth import enumerate_insertions, resolve_csc
 from repro.ts import build_state_graph
 
-from conftest import PAPER_ORDER_CSC
+from conftest import PAPER_ORDER_CSC, per_round
 
 
 def test_fig7_paper_insertion(benchmark):
@@ -33,7 +33,8 @@ def test_fig7_codes_unique(benchmark):
 def test_fig7_insertion_search_finds_paper_solution(benchmark):
     """The exhaustive insertion search must list (LDS+, D-) — the paper's
     choice — among the fully resolving candidates."""
-    candidates = benchmark(enumerate_insertions, vme_read())
+    candidates = per_round(benchmark, enumerate_insertions,
+                           lambda: (vme_read(),))
     pairs = {(c.rise_before, c.fall_before) for c in candidates}
     assert ("LDS+", "D-") in pairs
     best = candidates[0]
@@ -45,6 +46,6 @@ def test_fig7_insertion_search_finds_paper_solution(benchmark):
 
 
 def test_fig7_automatic_resolution(benchmark):
-    resolved = benchmark(resolve_csc, vme_read())
+    resolved = per_round(benchmark, resolve_csc, lambda: (vme_read(),))
     assert resolved.internal == ["csc0"]
     assert check_implementability(resolved).implementable

@@ -12,19 +12,21 @@ from repro.stg import vme_read, vme_read_csc
 from repro.synth import synthesize_gc, synthesize_sr
 from repro.verify import verify_circuit
 
-from conftest import fig8a_netlist, fig8b_netlist
+from conftest import fig8a_netlist, fig8b_netlist, per_round
 
 
 def test_fig8a_c_element_implementation(benchmark):
     netlist = fig8a_netlist()
-    report = benchmark(verify_circuit, netlist, vme_read())
+    report = per_round(benchmark, verify_circuit,
+                       lambda: (netlist, vme_read()))
     assert report.ok, report.summary()
     print("\n" + netlist.to_eqn())
 
 
 def test_fig8b_rs_latch_implementation(benchmark):
     netlist = fig8b_netlist()
-    report = benchmark(verify_circuit, netlist, vme_read())
+    report = per_round(benchmark, verify_circuit,
+                       lambda: (netlist, vme_read()))
     assert report.ok, report.summary()
     print("\n" + netlist.to_eqn())
 
@@ -47,12 +49,12 @@ def test_fig8_c_element_truth_function(benchmark):
 
 
 def test_fig8_synthesized_gc_architecture(benchmark):
-    netlist = benchmark(synthesize_gc, vme_read_csc())
+    netlist = per_round(benchmark, synthesize_gc, lambda: (vme_read_csc(),))
     report = verify_circuit(netlist, vme_read())
     assert report.ok, report.summary()
 
 
 def test_fig8_synthesized_sr_architecture(benchmark):
-    netlist = benchmark(synthesize_sr, vme_read_csc())
+    netlist = per_round(benchmark, synthesize_sr, lambda: (vme_read_csc(),))
     report = verify_circuit(netlist, vme_read())
     assert report.ok, report.summary()

@@ -15,11 +15,12 @@ from repro.stg import vme_read, vme_read_csc
 from repro.tech import decompose, is_fully_mapped, map_netlist
 from repro.verify import verify_circuit
 
-from conftest import fig9a_netlist, fig9b_netlist
+from conftest import fig9a_netlist, fig9b_netlist, per_round
 
 
 def test_fig9a_hazard_free(benchmark):
-    report = benchmark(verify_circuit, fig9a_netlist(), vme_read())
+    report = per_round(benchmark, verify_circuit,
+                       lambda: (fig9a_netlist(), vme_read()))
     assert report.ok, report.summary()
 
 
@@ -33,7 +34,8 @@ def test_fig9a_fully_mapped_two_input(benchmark):
 
 
 def test_fig9b_hazardous(benchmark):
-    report = benchmark(verify_circuit, fig9b_netlist(), vme_read())
+    report = per_round(benchmark, verify_circuit,
+                       lambda: (fig9b_netlist(), vme_read()))
     assert not report.hazard_free
     withdrawals = {(h.signal, h.by) for h in report.hazards}
     assert ("map0", "LDTACK-") in withdrawals
@@ -58,7 +60,7 @@ def test_fig9_multiple_acknowledgment_is_the_difference(benchmark):
 def test_fig9_automatic_decomposition_rediscovers_9a(benchmark):
     """Our Section 3.4 search (factorization + resubstitution + SI check)
     finds a hazard-free two-input netlist equivalent to Figure 9(a)."""
-    netlist = benchmark(decompose, vme_read_csc())
+    netlist = per_round(benchmark, decompose, lambda: (vme_read_csc(),))
     assert is_fully_mapped(netlist)
     assert verify_circuit(netlist, vme_read()).ok
     readers = {z for z, g in netlist.gates.items()

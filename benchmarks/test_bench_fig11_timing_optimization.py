@@ -22,19 +22,21 @@ from repro.timing import (
 )
 from repro.verify import verify_circuit
 
-from conftest import VME_ENV_DELAYS
+from conftest import VME_ENV_DELAYS, per_round
 
 
 def test_fig11a_circuit(benchmark):
     spec = vme_read()
+    # applying the assumption checks liveness and safeness, which explores
+    # the timed net; each round gets an unexplored copy
     timed = apply_timing_assumption(spec, "LDTACK-", "DSr+")
 
-    def flow():
+    def flow(timed):
         report = check_implementability(timed)
         assert report.implementable  # no csc signal needed any more
         return synthesize_complex_gates(timed, name="fig11a")
 
-    netlist = benchmark(flow)
+    netlist = per_round(benchmark, flow, lambda: (timed.copy(),))
     expected = {"D": "DSr & LDTACK", "DTACK": "D", "LDS": "DSr | D"}
     assert set(netlist.gates) == set(expected)
     for signal, text in expected.items():
@@ -56,11 +58,11 @@ def test_fig11b_circuit(benchmark):
     spec = vme_read()
     spec_b = spec.retarget_trigger("LDS-", "D-", "DSr-")
 
-    def flow():
+    def flow(spec_b):
         resolved = resolve_csc(spec_b)
         return resolved, synthesize_complex_gates(resolved, name="fig11b")
 
-    resolved, netlist = benchmark(flow)
+    resolved, netlist = per_round(benchmark, flow, lambda: (spec_b.copy(),))
     assert resolved.internal == ["csc0"]  # still needs a state signal
     assert verify_circuit(netlist, spec_b).ok
     # exported requirement sep(D-, LDS-) < 0 restores interface conformance
@@ -74,12 +76,12 @@ def test_fig11c_circuit(benchmark):
     spec_c = apply_timing_assumption(
         spec.retarget_trigger("LDS-", "D-", "DSr-"), "LDTACK-", "DSr+")
 
-    def flow():
+    def flow(spec_c):
         report = check_implementability(spec_c)
         assert report.implementable
         return synthesize_complex_gates(spec_c, name="fig11c")
 
-    netlist = benchmark(flow)
+    netlist = per_round(benchmark, flow, lambda: (spec_c.copy(),))
     # the simplest circuit: LDS is a wire from DSr
     assert equivalent(netlist.gates["LDS"].expr, parse_expr("DSr"))
     assert equivalent(netlist.gates["D"].expr, parse_expr("DSr & LDTACK"))
@@ -92,9 +94,7 @@ def test_fig11_gate_count_progression(benchmark):
     """Timing information monotonically simplifies the logic:
     untimed (4 gates, 8 literals) -> (a) 3 gates -> (c) 3 gates with a
     wire for LDS."""
-    spec = vme_read()
-
-    def counts():
+    def counts(spec):
         untimed = synthesize_complex_gates(resolve_csc(spec))
         a = synthesize_complex_gates(
             apply_timing_assumption(spec, "LDTACK-", "DSr+"))
@@ -103,7 +103,7 @@ def test_fig11_gate_count_progression(benchmark):
             "LDTACK-", "DSr+"))
         return untimed, a, c
 
-    untimed, a, c = benchmark(counts)
+    untimed, a, c = per_round(benchmark, counts, lambda: (vme_read(),))
     print("\nliterals: untimed=%d  11a=%d  11c=%d"
           % (untimed.literal_count(), a.literal_count(), c.literal_count()))
     assert untimed.gate_count() == 4

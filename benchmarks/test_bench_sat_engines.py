@@ -33,6 +33,8 @@ from repro.sat import (
 from repro.stg import muller_pipeline, vme_read
 from repro.ts import build_reachability_graph
 
+from conftest import per_round
+
 PIPELINE_SIZES = (8, 10, 12)
 
 
@@ -45,8 +47,8 @@ def test_sat_deadlock_proof(benchmark, n):
 
 @pytest.mark.parametrize("n", PIPELINE_SIZES)
 def test_explicit_full_graph_baseline(benchmark, n):
-    stg = muller_pipeline(n)
-    ts = benchmark(build_reachability_graph, stg)
+    ts = per_round(benchmark, build_reachability_graph,
+                   lambda: (muller_pipeline(n),))
     assert len(ts) == 2 ** (n - 1) * 4
 
 
@@ -72,8 +74,8 @@ def test_sat_finds_shallow_deadlock(benchmark, semantics):
 
 
 def test_explicit_deadlock_baseline(benchmark):
-    net = dining_philosophers(6)
-    dead = benchmark(find_deadlocks, net)
+    dead = per_round(benchmark, find_deadlocks,
+                     lambda: (dining_philosophers(6),))
     assert len(dead) == 1
 
 
@@ -92,6 +94,6 @@ def test_sat_csc_query(benchmark):
 
 
 def test_explicit_csc_baseline(benchmark):
-    stg = vme_read()
-    report = benchmark(check_implementability, stg)
+    report = per_round(benchmark, check_implementability,
+                       lambda: (vme_read(),))
     assert len(report.csc_conflicts) == 1

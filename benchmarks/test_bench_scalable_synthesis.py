@@ -21,6 +21,8 @@ from repro.timing import TimedMarkedGraph, cycle_time, simulate
 from repro.ts import build_state_graph
 from repro.verify import verify_circuit
 
+from conftest import per_round
+
 # n up to 8 is tractable since the compiled bitvector reachability engine
 # (repro/petri/compiled.py) replaced the naive token game on the hot path;
 # see EXPERIMENTS.md for the measured engine speedups (~8x warm / ~3-5x
@@ -34,17 +36,17 @@ LARGE_SIZES = (10, 12)
 
 @pytest.mark.parametrize("n", SIZES + LARGE_SIZES)
 def test_pipeline_synthesis_scales(benchmark, n):
-    stg = muller_pipeline(n)
-
-    def flow():
+    def flow(stg):
         netlist = synthesize_gc(stg)
         report = verify_circuit(netlist, stg)
         return netlist, report
 
     if n in LARGE_SIZES:
-        netlist, report = benchmark.pedantic(flow, rounds=1, iterations=1)
+        netlist, report = benchmark.pedantic(
+            flow, args=(muller_pipeline(n),), rounds=1, iterations=1)
     else:
-        netlist, report = benchmark(flow)
+        netlist, report = per_round(benchmark, flow,
+                                    lambda: (muller_pipeline(n),))
     assert report.ok
     assert report.states == 2 ** (n + 1)
     for i in range(1, n):

@@ -21,6 +21,8 @@ from repro.synth import Gate, Netlist
 from repro.ts import build_state_graph
 from repro.verify import verify_circuit
 
+from conftest import per_round
+
 
 def test_sec21_dsr_dsw_as_outputs(benchmark):
     stg = vme_read_write()
@@ -37,7 +39,8 @@ def test_sec21_dsr_dsw_as_outputs(benchmark):
 
 
 def test_sec21_mutex_spec_is_nonpersistent(benchmark):
-    report = benchmark(check_implementability, mutex_controller())
+    report = per_round(benchmark, check_implementability,
+                       lambda: (mutex_controller(),))
     assert report.consistent and report.has_csc
     assert not report.persistent
     assert len(report.persistency_violations) == 2
@@ -47,22 +50,22 @@ def test_sec21_mutex_spec_is_nonpersistent(benchmark):
 def test_sec21_plain_gate_implementation_fails(benchmark):
     """Without an arbiter the grant gates glitch: a1 = r1 a2' and
     a2 = r2 a1' mutually withdraw their excitations."""
-    spec = mutex_controller()
     plain = Netlist("plain", inputs=["r1", "r2"])
     plain.add(Gate.comb("a1", "r1 & ~a2"))
     plain.add(Gate.comb("a2", "r2 & ~a1"))
-    report = benchmark(verify_circuit, plain, spec)
+    report = per_round(benchmark, verify_circuit,
+                       lambda: (plain, mutex_controller()))
     assert not report.hazard_free
     signals = {h.signal for h in report.hazards}
     assert signals == {"a1", "a2"}
 
 
 def test_sec21_mutex_element_implementation_ok(benchmark):
-    spec = mutex_controller()
     netlist = Netlist("mutex_impl", inputs=["r1", "r2"])
     g1, g2 = Gate.mutex_pair("a1", "a2", "r1", "r2")
     netlist.add(g1)
     netlist.add(g2)
-    report = benchmark(verify_circuit, netlist, spec)
+    report = per_round(benchmark, verify_circuit,
+                       lambda: (netlist, mutex_controller()))
     assert report.ok, report.summary()
     assert report.states == 12

@@ -17,6 +17,8 @@ from repro.stg import parallel_handshakes
 from repro.ts import build_reachability_graph
 from repro.unfold import unfold
 
+from conftest import per_round
+
 SIZES = (2, 3, 4)
 
 
@@ -26,8 +28,8 @@ def workload(n):
 
 @pytest.mark.parametrize("n", SIZES)
 def test_explicit_enumeration(benchmark, n):
-    net = workload(n)
-    ts = benchmark(build_reachability_graph, net)
+    ts = per_round(benchmark, build_reachability_graph,
+                   lambda: (workload(n),))
     assert len(ts) == 4 ** n
 
 

@@ -12,6 +12,8 @@ from repro.stg import vme_read, vme_read_csc
 from repro.synth import synthesize_complex_gates
 from repro.verify import verify_circuit
 
+from conftest import per_round
+
 PAPER_EQUATIONS = {
     "D": "LDTACK csc0",
     "LDS": "D + csc0",
@@ -21,7 +23,8 @@ PAPER_EQUATIONS = {
 
 
 def test_sec32_equations_match_paper(benchmark):
-    netlist = benchmark(synthesize_complex_gates, vme_read_csc())
+    netlist = per_round(benchmark, synthesize_complex_gates,
+                        lambda: (vme_read_csc(),))
     print("\nSynthesized equations vs paper:")
     for signal in sorted(PAPER_EQUATIONS):
         ours = netlist.gates[signal].expr
@@ -35,13 +38,15 @@ def test_sec32_complex_gate_circuit_is_si(benchmark):
     """Section 3.2's quoted theorem: one atomic complex gate per signal
     gives a speed-independent circuit."""
     netlist = synthesize_complex_gates(vme_read_csc())
-    report = benchmark(verify_circuit, netlist, vme_read())
+    report = per_round(benchmark, verify_circuit,
+                       lambda: (netlist, vme_read()))
     assert report.ok
     assert report.states == 16
 
 
 def test_sec32_literal_cost(benchmark):
-    netlist = benchmark(synthesize_complex_gates, vme_read_csc())
+    netlist = per_round(benchmark, synthesize_complex_gates,
+                        lambda: (vme_read_csc(),))
     # flat two-level form: D(2) + DTACK(1) + LDS(2) + csc0(4) = 9 literals;
     # the paper prints csc0 factored as DSr (csc0 + LDTACK') — 3 literals —
     # which is the same function (checked by the equivalence test above)

@@ -20,6 +20,8 @@ from repro.stg import contract_dummy_transitions, parse_g
 from repro.synth import Gate, Netlist, resolve_csc, synthesize_complex_gates
 from repro.verify import verify_circuit
 
+from conftest import per_round
+
 
 def test_sec6_burst_mode_synthesis(benchmark):
     machine = selector_bm()
@@ -41,7 +43,7 @@ def test_sec6_fundamental_mode_vs_speed_independence(benchmark):
     machine = concur_mixer_bm()
     netlist = synthesize_burst_mode(machine)
     assert simulate_fundamental_mode(machine, netlist) == []
-    celem = parse_g("""
+    celem = """
 .model celem
 .inputs a b
 .outputs y
@@ -54,10 +56,11 @@ b- y-
 y- a+ b+
 .marking { <y-,a+> <y-,b+> }
 .end
-""")
+"""
     si = Netlist("bm_as_si", inputs=["a", "b"])
     si.add(Gate.comb("y", netlist.gates["y"].expr))
-    report = benchmark(verify_circuit, si, celem)
+    report = per_round(benchmark, verify_circuit,
+                       lambda: (si, parse_g(celem)))
     assert not report.ok
 
 

@@ -44,7 +44,16 @@ from . import obs
 from .analysis import check_implementability
 from .errors import ModelError, ReproError
 from .petri import linear_reduce, net_to_dot, p_invariants, sm_components
-from .stg import ALL_EXAMPLES, load_g, render_waveforms, save_g, write_g
+from .stg import (
+    ALL_EXAMPLES,
+    load_g,
+    muller_pipeline,
+    parallel_handshakes,
+    render_waveforms,
+    save_g,
+    sequencer,
+    write_g,
+)
 from .synth import (
     resolve_csc,
     synthesize_complex_gates,
@@ -57,9 +66,24 @@ from .ts import build_state_graph
 from .verify import verify_circuit
 
 
+#: The scalable specification families, named ``<family>:N`` on the
+#: command line.
+FAMILIES = {"muller_pipeline": muller_pipeline,
+            "parallel_handshakes": parallel_handshakes,
+            "sequencer": sequencer}
+
+
 def _load(path: str):
+    """The STG a SPEC argument names: a bundled example, a scalable family
+    as ``<family>:N`` with N a positive integer, or a ``.g`` file."""
     if path in ALL_EXAMPLES:
         return ALL_EXAMPLES[path]()
+    family, colon, size = path.partition(":")
+    if colon and family in FAMILIES:
+        if not (size.isascii() and size.isdigit()) or int(size) < 1:
+            raise ModelError("bad spec %r: usage %s:N with N a positive"
+                             " integer" % (path, family))
+        return FAMILIES[family](int(size))
     return load_g(path)
 
 
@@ -626,8 +650,10 @@ def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="repro",
         description="STG-based asynchronous interface analysis and"
-                    " synthesis (DAC'98 methodology). SPEC is a .g file or"
-                    " a bundled example name (see `examples`).")
+                    " synthesis (DAC'98 methodology). SPEC is a .g file,"
+                    " a bundled example name (see `examples`) or a"
+                    " scalable family as muller_pipeline:N,"
+                    " parallel_handshakes:N or sequencer:N.")
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("analyze", help="implementability report (Section 2)")

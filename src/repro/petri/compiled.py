@@ -275,10 +275,11 @@ def compile_net(net: PetriNet) -> CompiledNet:
     Compilations are cached on the net and reused as long as its structure
     is unchanged (tracked by the net's structure version), so repeated
     graph builds share one mask set and one decoded-marking pool.  The
-    pool grows with every decoded state and lives as long as the net; for
-    long-lived processes exploring huge state spaces, release it with
-    :meth:`CompiledNet.clear_state_pools` once the built graphs are
-    discarded.
+    pool grows with every decoded state and lives as long as the net, like
+    the graph :func:`repro.ts.builder.explore` memoises there; a process
+    that keeps a net with a huge state space alive can release the pool
+    with :meth:`CompiledNet.clear_state_pools`, and everything else by
+    dropping the net.
     """
     compiled = getattr(net, "_compiled_cache", None)
     if compiled is None or compiled._version != net._structure_version:

@@ -29,6 +29,13 @@ order, transitions fired in sorted name order per state), and every
 downstream consumer — state-graph codes, regions, CSC, synthesis,
 verification, the net properties — is oblivious to the choice.
 
+:func:`explore` memoises the graph it returns on the net, next to the
+compilation :func:`~repro.petri.compiled.compile_net` pins there, so the
+analysis, the synthesis and the verification of one specification share
+one exploration.  The memo is keyed on the net's structure version, its
+initial marking, the explorer and ``require_safe``; any change to one of
+them explores again.
+
 Questions that need only an answer — a count, a deadlock, a CSC
 conflict — go to the query engines instead (:mod:`repro.bdd.queries`,
 :mod:`repro.sat.queries`, or :mod:`repro.portfolio` to pick and race
@@ -77,9 +84,15 @@ class NumberedGraph:
     and ``transitions[t]`` names transition ``t`` (the net's transitions,
     sorted).  Markings and the transition system are decoded only when
     read.
+
+    A graph is memoised on its net and shared by every caller of
+    :func:`explore`, so its lists are read-only.  ``labelling`` is the
+    memo of :class:`~repro.ts.state_graph.StateGraph`'s parity
+    propagation, kept with the graph it labels.
     """
 
-    __slots__ = ("states", "arcs", "transitions", "compiled", "_markings")
+    __slots__ = ("states", "arcs", "transitions", "compiled", "labelling",
+                 "_markings")
 
     def __init__(self, states: List[Union[int, Marking]],
                  arcs: List[List[Tuple[int, int]]], transitions: List[str],
@@ -88,6 +101,7 @@ class NumberedGraph:
         self.arcs = arcs
         self.transitions = transitions
         self.compiled = compiled
+        self.labelling = None
         self._markings: Optional[List[Marking]] = None
 
     def __len__(self) -> int:
@@ -143,17 +157,45 @@ def explore(model: Union[PetriNet, STG],
     explores k-bounded nets instead of raising :class:`UnboundedError`;
     more than ``max_states`` markings raise :class:`StateExplosionError`.
 
+    The graph lives as long as the net, like its compilation: it is
+    memoised on the net and returned again while the net's structure, its
+    initial marking, the explorer and ``require_safe`` stay the same.  A
+    memoised graph answers any ``max_states`` at least as large as the
+    graph; a smaller bound raises the :class:`StateExplosionError` a fresh
+    exploration would raise.  The graph is shared, so callers must not
+    mutate it.
+
     When :func:`repro.obs.enabled`, every exploration runs under an
     ``engine.build`` span tagged with the explorer and net, counting
-    ``states`` / ``arcs`` and gauging ``states_per_sec``
+    ``states`` / ``arcs`` and gauging ``states_per_sec``; a memo hit
+    opens no span and adds ``build_cache_hits`` to the enclosing one
     (see ``docs/observability.md``).
     """
     net = model.net if isinstance(model, STG) else model
-    if choose_engine(net, require_safe) == "compiled":
-        return _traced_build(
-            "compiled", net, lambda: _explore_compiled(net, max_states))
-    return _traced_build(
-        "naive", net, lambda: _explore_naive(net, max_states, require_safe))
+    engine = choose_engine(net, require_safe)
+    initial = net.initial_marking
+    key = (net._structure_version, initial, engine, require_safe)
+    cached = getattr(net, "_graph_cache", None)
+    if cached is not None and cached[0] == key:
+        graph = cached[1]
+        obs.add("build_cache_hits")
+        # a fresh BFS fails on discovering state number max(max_states, 1)
+        reached = max(max_states, 1)
+        if len(graph) > reached:
+            raise StateExplosionError(
+                "reachability graph exceeded %d states" % max_states,
+                bound=max_states, states=reached)
+        return graph
+    if engine == "compiled":
+        graph = _traced_build(
+            "compiled", net,
+            lambda: _explore_compiled(net, initial, max_states))
+    else:
+        graph = _traced_build(
+            "naive", net,
+            lambda: _explore_naive(net, initial, max_states, require_safe))
+    net._graph_cache = (key, graph)
+    return graph
 
 
 def build_reachability_graph(model: Union[PetriNet, STG],
@@ -189,10 +231,11 @@ def _traced_build(engine: str, net: PetriNet, build) -> NumberedGraph:
     return graph
 
 
-def _explore_compiled(net: PetriNet, max_states: int) -> NumberedGraph:
+def _explore_compiled(net: PetriNet, initial: Marking,
+                      max_states: int) -> NumberedGraph:
     """Bitvector BFS with incremental enabled-set maintenance."""
     compiled = compile_net(net)
-    root = compiled.encode(net.initial_marking)
+    root = compiled.encode(initial)
     pre_masks = compiled.pre_masks
     post_masks = compiled.post_masks
     enabled_after = compiled.enabled_after
@@ -241,12 +284,11 @@ def _explore_compiled(net: PetriNet, max_states: int) -> NumberedGraph:
     return NumberedGraph(codes, arcs, compiled.transitions, compiled)
 
 
-def _explore_naive(net: PetriNet, max_states: int,
+def _explore_naive(net: PetriNet, initial: Marking, max_states: int,
                    require_safe: bool) -> NumberedGraph:
     """The dict-backed token game (any weights, k-bounded nets)."""
     transitions = sorted(net.transitions)
     index_of = {t: i for i, t in enumerate(transitions)}
-    initial = net.initial_marking
     number = {initial: 0}
     markings = [initial]
     arcs: List[List[Tuple[int, int]]] = []

@@ -44,7 +44,9 @@ class StateGraph:
     ``enabled_masks[i]`` has bit ``2k`` set when a rising and bit
     ``2k+1`` when a falling transition of ``signal_order[k]`` is enabled
     (dummy events excluded).  ``order`` lists the state numbers in
-    parity-propagation order, the order of ``codes``.
+    parity-propagation order, the order of ``codes``.  These lists are
+    shared with every state graph of the same graph, signal order and
+    events, and are read-only.
     """
 
     def __init__(self, stg: STG, graph: NumberedGraph,
@@ -71,8 +73,16 @@ class StateGraph:
         self._number: Optional[Dict[State, int]] = None
         self._tuples: Dict[int, Tuple[int, ...]] = {}
         self._enabled_events: Dict[int, List[SignalEvent]] = {}
-        (self.initial_values, self.int_codes, self.enabled_masks,
-         self.order) = self._propagate()
+        # the propagation is memoised on the (shared, memoised) graph: a
+        # second state graph of the same net, signal order and events
+        # reuses its read-only lists
+        key = (tuple(self.signal_order), tuple(self.events))
+        memo = graph.labelling
+        if memo is None or memo[0] != key:
+            memo = graph.labelling = (key, self._propagate())
+        initial_values, self.int_codes, self.enabled_masks, self.order = \
+            memo[1]
+        self.initial_values: Dict[str, int] = dict(initial_values)
 
     # ------------------------------------------------------------------ #
     # code assignment

@@ -31,9 +31,7 @@ from typing import Dict, List, Mapping, Optional, Sequence, Set, Tuple
 from ..boolmin.expr import BoolExpr, Const, Not, Or, Var
 from ..budgets import COMPOSE_STATE_BOUND
 from ..errors import StateExplosionError, VerificationError
-from ..petri.compiled import compile_net, supports_compilation
 from ..petri.marking import Marking
-from ..petri.token_game import enabled_unchecked, fire
 from ..stg.signals import FALL, RISE
 from ..stg.stg import STG
 from ..synth.netlist import Gate, GateKind, Netlist
@@ -202,6 +200,23 @@ def _excitation(values: int, gates) -> int:
     return mask
 
 
+def _dependents(gates, bits: Sequence[int]):
+    """Per signal bit, the gates whose excitation can change when that
+    signal flips: the gates whose covers read it, plus the gate that
+    drives it.  ``{bit: (mask, gates)}`` over ``(bit,) +``
+    :func:`_gate_covers` tuples, in signal order."""
+    result = {}
+    for b in bits:
+        group = [gate for gate in gates
+                 if gate[0] == b or any(m & b for cover in gate[1:3]
+                                        for m, _ in cover)]
+        mask = 0
+        for gate in group:
+            mask |= gate[0]
+        result[b] = (mask, group)
+    return result
+
+
 def verify_circuit(netlist: Netlist, spec: STG,
                    priorities: Sequence[Tuple[str, str]] = (),
                    initial_internal: Optional[Mapping[str, int]] = None,
@@ -215,19 +230,28 @@ def verify_circuit(netlist: Netlist, spec: STG,
     event strings (e.g. ``("LDTACK-", "DSr+")``): whenever both are
     firable, the late one is pruned.
 
-    A composed state is two ints: the specification marking as the
-    compiled engine's code, and a value vector whose bit ``i`` is the
-    ``i``-th signal in sorted order.  When the spec net is outside the
-    compiled domain (:func:`~repro.petri.compiled.supports_compilation`),
-    the dict token game plays the marking half instead.  Each gate is
-    compiled once per call into ``(mask, value)`` cubes over the vector:
-    a ``COMB`` expression is expanded structurally into a sum of products,
-    latch gates get their set and reset covers.  The mask of excited gates
-    is computed once per distinct value vector and shared by the move
-    generator and the hazard check: the hazards of a move are
-    ``before & ~after & ~fired & ~arbiters``, reported in signal order.
-    Deadlocked states and ``keep_ts`` nodes are decoded to ``(Marking,
-    values)`` pairs, with the values in sorted signal order.
+    The environment is the specification's state graph, which lives as
+    long as the spec's net, like its compilation: a spec that was
+    analysed or synthesised from is not explored again.  A composed state
+    is one int, a value vector (bit ``i`` the ``i``-th signal in sorted
+    order) above the spec state number.  The environment's moves are the
+    spec state's input arcs, and a gate driving an interface signal moves
+    along the spec arc of a matching transition.  Each gate is compiled
+    once per call into ``(mask, value)`` cubes over the vector: a ``COMB``
+    expression is expanded structurally into a sum of products, latch
+    gates get their set and reset covers.  The mask of excited gates is
+    computed once per distinct value vector, from the predecessor's mask
+    by re-evaluating only the gates that read the flipped signal and the
+    gate that drives it, and shared by the move generator and the hazard
+    check: the hazards of a move are ``before & ~after & ~fired &
+    ~arbiters``, reported in signal order.  Deadlocked states and
+    ``keep_ts`` nodes are decoded to ``(Marking, values)`` pairs, with the
+    values in sorted signal order.
+
+    The netlist must match the specification's interface: every non-input
+    signal of the spec is driven by a gate, no spec input is, and every
+    netlist input is a spec signal; a mismatch raises
+    :class:`VerificationError`.
 
     Reset values: interface signals start from the specification's
     initial state.  Internal signals take the values the synthesis
@@ -238,18 +262,24 @@ def verify_circuit(netlist: Netlist, spec: STG,
     ``initial_internal`` was given.
     """
     netlist.validate()
-    # only the interface's initial values are read: the spec graph is
-    # dropped here, before the composition is explored
-    spec_values = build_state_graph(spec).initial_values
+    sg = build_state_graph(spec)
     spec_signals = set(spec.signals)
     internal = [s for s in netlist.gates if s not in spec_signals]
     for s in spec.noninput_signals:
         if s not in netlist.gates:
             raise VerificationError(
                 "netlist does not drive specified non-input signal %r" % s)
+    for s in spec.inputs:
+        if s in netlist.gates:
+            raise VerificationError(
+                "netlist drives specified input signal %r" % s)
+    for s in netlist.inputs:
+        if s not in spec_signals:
+            raise VerificationError(
+                "netlist input %r is not a signal of the specification" % s)
 
     initial_values: Dict[str, int] = {
-        s: spec_values[s] for s in spec_signals
+        s: sg.initial_values[s] for s in spec_signals
     }
     initial_values.update((s, netlist.initial[s]) for s in internal
                           if s in netlist.initial)
@@ -272,6 +302,9 @@ def verify_circuit(netlist: Netlist, spec: STG,
             initial_vector |= bit[s]
     gates = [(bit[s],) + _gate_covers(netlist.gates[s], bit)
              for s in sorted(netlist.gates)]
+    # bit 0: an input move flips nothing when ``initial_internal`` has
+    # already set that input to the value the move drives
+    dependents = _dependents(gates, [0] + list(name_of))
     arbiters = 0
     for s, gate in netlist.gates.items():
         if gate.arbiter:
@@ -279,55 +312,27 @@ def verify_circuit(netlist: Netlist, spec: STG,
             # internally (paper, Section 2.1): exempt from the hazard check
             arbiters |= bit[s]
 
-    # the marking half: compiled codes, or the dict token game outside the
-    # compiled domain.  step() returns the successor, None when disabled.
-    spec_net = spec.net
-    if supports_compilation(spec_net):
-        compiled = compile_net(spec_net)
-        root = compiled.encode(spec.initial_marking)
-        transition_key = compiled.transition_bit.__getitem__
-        decode_marking = compiled.decode
-        pre_masks = compiled.pre_masks
-
-        def step(code: int, index: int):
-            pre = pre_masks[index]
-            if code & pre != pre:
-                return None
-            successor, conflict = compiled.fire_index(code, index)
-            if conflict:
-                # cannot happen for a spec whose state graph was built with
-                # require_safe=True (every composition marking is
-                # spec-reachable); fail loudly rather than truncate
-                raise compiled.unbounded_error(code, index, conflict)
-            return successor
-    else:
-        root = spec.initial_marking
-
-        def transition_key(t):
-            return t
-
-        def decode_marking(marking):
-            return marking
-
-        def step(marking: Marking, t: str):
-            if not enabled_unchecked(spec_net, marking, t):
-                return None
-            return fire(spec_net, marking, t, check=False)
-
-    # spec-net move tables, resolved once instead of per composed state:
-    # input transitions (net insertion order) and, per gate and direction,
-    # the matching spec transitions (None for internal gates).
-    spec_events = [(t, spec.event_of(t)) for t in spec_net.transitions]
+    # the environment: spec state numbers below ``shift`` bits of a
+    # composed state, the value vector above them
+    graph = sg.graph
+    spec_arcs = graph.arcs
+    shift = len(graph).bit_length()
+    low_mask = (1 << shift) - 1
+    # spec move tables by transition index: the input transitions and, per
+    # gate and direction, the matching transitions (None for internal
+    # gates), each in net insertion order
+    index_of = {t: i for i, t in enumerate(graph.transitions)}
+    spec_events = [(index_of[t], spec.event_of(t))
+                   for t in spec.net.transitions]
     input_moves = [
-        (transition_key(t), bit[ev.signal], ev.is_rising,
-         ev.signal + ev.direction)
+        (t, bit[ev.signal], ev.is_rising, ev.signal + ev.direction)
         for t, ev in spec_events
         if not ev.is_dummy and not spec.type_of(ev.signal).is_noninput
     ]
-    match_table: Dict[Tuple[str, str], List] = {}
+    match_table: Dict[Tuple[str, str], List[int]] = {}
     for t, ev in spec_events:
         if not ev.is_dummy:
-            match_table.setdefault(ev.base(), []).append(transition_key(t))
+            match_table.setdefault(ev.base(), []).append(t)
     gate_moves = {}
     for s in netlist.gates:
         if s in spec_signals:
@@ -337,63 +342,18 @@ def verify_circuit(netlist: Netlist, spec: STG,
             rise = fall = None
         gate_moves[bit[s]] = (s + RISE, rise, s + FALL, fall)
 
-    excitations: Dict[int, int] = {}
+    excitations: Dict[int, int] = {initial_vector: _excitation(
+        initial_vector, gates)}
 
-    def excited(values: int) -> int:
-        mask = excitations.get(values)
-        if mask is None:
-            mask = excitations[values] = _excitation(values, gates)
-        return mask
-
-    def moves(state, excited_now: int):
-        """(event, successor or None for a failure, fired signal's bit)."""
-        marking, values = state
-        result = []
-        # environment moves: enabled input transitions of the spec
-        for key, b, rising, event in input_moves:
-            successor = step(marking, key)
-            if successor is not None:
-                result.append((event, (successor, values | b if rising
-                                       else values & ~b), b))
-        # gate moves, in signal order
-        bits = excited_now
-        while bits:
-            b = bits & -bits
-            bits ^= b
-            rise, rise_matches, fall, fall_matches = gate_moves[b]
-            event, matches = (fall, fall_matches) if values & b \
-                else (rise, rise_matches)
-            flipped = values ^ b
-            if matches is None:
-                result.append((event, (marking, flipped), b))
-                continue
-            # an interface gate must be matched by an enabled spec
-            # transition
-            matched = False
-            for key in matches:
-                successor = step(marking, key)
-                if successor is not None:
-                    result.append((event, (successor, flipped), b))
-                    matched = True
-            if not matched:
-                result.append((event, None, b))
-        # apply relative-timing priorities
-        if priorities:
-            present = {ev for ev, _, _ in result}
-            pruned = {late for early, late in priorities
-                      if early in present and late in present}
-            result = [m for m in result if m[0] not in pruned]
-        return result
-
-    def decode(state) -> CompositionState:
-        marking, values = state
-        return (decode_marking(marking),
+    def decode(state: int) -> CompositionState:
+        values = state >> shift
+        return (graph.marking(state & low_mask),
                 tuple((values >> i) & 1 for i in range(len(signals))))
 
-    initial = (root, initial_vector)
-    parent: Dict[Tuple, Tuple[Optional[Tuple], str]] = {initial: (None, "")}
+    initial = initial_vector << shift
+    parent: Dict[int, Tuple[Optional[int], str]] = {initial: (None, "")}
 
-    def trace_of(state) -> Tuple[str, ...]:
+    def trace_of(state: int) -> Tuple[str, ...]:
         events: List[str] = []
         cursor = state
         while cursor is not None:
@@ -406,15 +366,50 @@ def verify_circuit(netlist: Netlist, spec: STG,
     report = VerificationReport(netlist.name, spec.name)
     report.ts = TransitionSystem(decode(initial)) if keep_ts else None
     stack = [initial]
-    seen_hazards: Set[Tuple[int, str, Tuple]] = set()
+    seen_hazards: Set[Tuple[int, str, int]] = set()
     while stack:
         state = stack.pop()
-        before = excited(state[1])
-        state_moves = moves(state, before)
-        if not state_moves:
+        number = state & low_mask
+        values = state >> shift
+        before = excitations[values]
+        successors = dict(spec_arcs[number])
+        # the moves (event, successor or None for a failure, fired bit):
+        # enabled input transitions of the spec, then excited gates in
+        # signal order
+        moves = [(event, ((values | b if rising else values & ~b) << shift)
+                  | successors[t], b)
+                 for t, b, rising, event in input_moves if t in successors]
+        bits = before
+        while bits:
+            b = bits & -bits
+            bits ^= b
+            rise, rise_matches, fall, fall_matches = gate_moves[b]
+            event, matches = (fall, fall_matches) if values & b \
+                else (rise, rise_matches)
+            flipped = state ^ (b << shift)
+            if matches is None:
+                moves.append((event, flipped, b))
+                continue
+            # an interface gate must be matched by an enabled spec
+            # transition
+            matched = False
+            for t in matches:
+                j = successors.get(t)
+                if j is not None:
+                    moves.append((event, flipped ^ number ^ j, b))
+                    matched = True
+            if not matched:
+                moves.append((event, None, b))
+        # apply relative-timing priorities
+        if priorities:
+            present = {ev for ev, _, _ in moves}
+            pruned = {late for early, late in priorities
+                      if early in present and late in present}
+            moves = [m for m in moves if m[0] not in pruned]
+        if not moves:
             report.deadlocks.append(decode(state))
             continue
-        for event, successor, fired in state_moves:
+        for event, successor, fired in moves:
             if successor is None:
                 report.failures.append(ConformanceFailure(
                     event, trace_of(state)))
@@ -424,7 +419,13 @@ def verify_circuit(netlist: Netlist, spec: STG,
                 continue
             # hazard check: every gate excited before must stay excited
             # after, unless it is the one that fired
-            withdrawn = before & ~excited(successor[1]) & ~fired & ~arbiters
+            after_values = successor >> shift
+            after = excitations.get(after_values)
+            if after is None:
+                changed, group = dependents[values ^ after_values]
+                after = excitations[after_values] = (
+                    before & ~changed) | _excitation(after_values, group)
+            withdrawn = before & ~after & ~fired & ~arbiters
             while withdrawn:
                 b = withdrawn & -withdrawn
                 withdrawn ^= b

@@ -114,6 +114,39 @@ class TestFlow:
         assert "module" in capsys.readouterr().out
 
 
+class TestFamilies:
+    """``<family>:N`` names a scalable specification on the command line."""
+
+    @pytest.mark.parametrize("spec, arch", [
+        ("muller_pipeline:8", "cg"), ("sequencer:8", "gc"),
+        ("parallel_handshakes:3", "sr")])
+    def test_synthesize_and_verify(self, spec, arch, capsys):
+        assert main(["synthesize", spec, "--arch", arch, "--verify"]) == 0
+        assert "speed-independent implementation: True" \
+            in capsys.readouterr().out
+
+    @pytest.mark.parametrize("spec, states", [
+        ("muller_pipeline:3", 16), ("parallel_handshakes:2", 16),
+        ("sequencer:4", 8)])
+    def test_states(self, spec, states, capsys):
+        assert main(["states", spec]) == 0
+        assert capsys.readouterr().out.startswith("# %d states" % states)
+
+    @pytest.mark.parametrize("spec", [
+        "muller_pipeline:0", "sequencer:-2", "parallel_handshakes:x",
+        "sequencer:", "muller_pipeline:3.5", "sequencer: 4",
+        "muller_pipeline:\u0663"])
+    def test_bad_size_is_a_usage_error(self, spec, capsys):
+        assert main(["synthesize", spec]) == 2
+        family = spec.partition(":")[0]
+        assert "usage %s:N with N a positive integer" % family \
+            in capsys.readouterr().err
+
+    def test_unknown_family_is_read_as_a_file(self, capsys):
+        assert main(["states", "dining_philosophers:3"]) == 2
+        assert "usage" not in capsys.readouterr().err
+
+
 class TestNewCommands:
     def test_testbench(self, spec_file, capsys):
         assert main(["testbench", spec_file]) == 0

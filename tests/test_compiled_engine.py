@@ -35,6 +35,7 @@ from repro.stg import (
     vme_read_write,
 )
 from repro import obs
+from repro.synth import synthesize_gc
 from repro.ts import (
     build_reachability_graph,
     build_state_graph,
@@ -42,6 +43,7 @@ from repro.ts import (
     explore,
 )
 from repro.ts.state_graph import StateGraph
+from repro.verify import verify_circuit
 
 LIBRARY = {
     "vme_read": vme_read,
@@ -296,8 +298,9 @@ def test_state_graph_build_walks_the_arcs_once(monkeypatch):
 
 
 def test_dropped_net_is_freed_without_the_cycle_collector():
-    # a compilation pinned on its net must not point back at it, or the
-    # net, the compilation and its decoded markings form a cycle
+    # a compilation or a graph memoised on its net must not point back at
+    # it, or the net, the compilation, the graph and its decoded markings
+    # form a cycle
     was_enabled = gc.isenabled()
     gc.disable()
     try:
@@ -307,6 +310,16 @@ def test_dropped_net_is_freed_without_the_cycle_collector():
         assert len(sg.states) == len(sg)
         net = weakref.ref(stg.net)
         del stg, sg
+        assert net() is None
+        # the same after synthesis and verification, which read the
+        # graph and its labelling from the memo
+        stg = muller_pipeline(3)
+        netlist = synthesize_gc(stg)
+        report = verify_circuit(netlist, stg, keep_ts=True)
+        assert report.ok
+        assert stg.net._graph_cache[1] is build_state_graph(stg).graph
+        net = weakref.ref(stg.net)
+        del stg, netlist, report
         assert net() is None
     finally:
         if was_enabled:

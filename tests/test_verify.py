@@ -104,6 +104,26 @@ class TestConformance:
         with pytest.raises(VerificationError):
             verify_circuit(n, vme_read())
 
+    def test_undeclared_netlist_input_raises(self):
+        spec = vme_read_csc()
+        n = Netlist("extra_input", inputs=["DSr", "LDTACK", "X"])
+        for gate in synthesize_complex_gates(spec).gates.values():
+            n.add(gate)
+        with pytest.raises(VerificationError, match="netlist input 'X'"):
+            verify_circuit(n, spec)
+
+    def test_gate_driving_a_spec_input_raises(self):
+        spec = vme_read_csc()
+        synthesised = synthesize_complex_gates(spec)
+        n = Netlist("drives_input", inputs=["DSr"])
+        for gate in synthesised.gates.values():
+            n.add(gate)
+        n.initial.update(synthesised.initial)
+        n.add(Gate.comb("LDTACK", "LDS"))
+        with pytest.raises(VerificationError,
+                           match="drives specified input signal 'LDTACK'"):
+            verify_circuit(n, spec)
+
     def test_traces_are_replayable(self):
         report = verify_circuit(fig9b(), vme_read())
         hazard = report.hazards[0]
@@ -361,23 +381,51 @@ class TestDeterminism:
         assert outputs[0] == outputs[1]
 
 
+class TestMoveOrder:
+    def test_input_moves_follow_net_insertion_order(self):
+        """Input moves are tried in the spec net's insertion order, which
+        fixes the DFS order and so the reported traces.  Here the inputs
+        were added as ``s`` then ``q``, against name order; the values
+        were recorded with the marking-code explorer this one replaced."""
+        spec = stglib.parallel_handshakes(2).rename_signals(
+            {"r0": "s", "r1": "q", "a0": "x", "a1": "y"})
+        netlist = Netlist("both", inputs=["q", "s"])
+        netlist.add(Gate.comb("x", "s & q"))
+        netlist.add(Gate.buffer("y", "q"))
+        report = verify_circuit(netlist, spec)
+        assert report.states == 16 and not report.deadlocks
+        assert [str(h) for h in report.hazards] == [
+            "hazard on x: excitation withdrawn by q- (trace: q+ y+ s+)",
+            "hazard on x: excitation withdrawn by q+"
+            " (trace: q+ y+ s+ x+ q- y-)"]
+        assert [str(f) for f in report.failures] == [
+            "conformance failure: circuit fired x- unexpectedly"
+            " (trace: q+ y+ s+ x+ q-)",
+            "conformance failure: circuit fired x- unexpectedly"
+            " (trace: q+ y+ s+ x+ q- y-)"]
+        first = verify_circuit(netlist, spec, stop_at_first=True)
+        assert first.states == 8 and not first.failures
+        assert [str(h) for h in first.hazards] == [
+            "hazard on x: excitation withdrawn by q- (trace: q+ y+ s+)"]
+
+
 class TestTokenGameBackEnd:
-    """Specs outside the compiled domain play the marking half of the
-    composed state on the dict token game; the explorer is the same."""
+    """A spec outside the compiled domain is explored by the dict token
+    game; the composition runs on its numbered graph the same way."""
 
     @pytest.mark.parametrize("case", [
         *("synth/%s/cg" % name for name in sorted(stglib.ALL_EXAMPLES)),
         "muller_pipeline/4/cg", "fig/stuck"])
     def test_matches_compiled_back_end(self, case, monkeypatch):
-        from repro.verify import composition
-
         netlist, spec, _ = golden_case(case)
         compiled = verify_circuit(netlist, spec, keep_ts=True)
+        assert build_state_graph(spec).graph.compiled is not None
         asked = []
-        monkeypatch.setattr(composition, "supports_compilation",
+        monkeypatch.setattr("repro.ts.builder.supports_compilation",
                             lambda *args: asked.append(args) or False)
         dict_based = verify_circuit(netlist, spec, keep_ts=True)
         assert asked
+        assert build_state_graph(spec).graph.compiled is None
         assert set(dict_based.ts.arcs()) == set(compiled.ts.arcs())
         compiled.ts = dict_based.ts = None
         assert dict_based == compiled
