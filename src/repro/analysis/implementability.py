@@ -36,7 +36,6 @@ from typing import Dict, List, Optional, Tuple
 from .. import obs
 from ..budgets import DEFAULT_STATE_BOUND
 from ..errors import ConsistencyError, UnboundedError
-from ..stg.signals import FALL, RISE
 from ..stg.stg import STG
 from ..ts.state_graph import StateGraph, build_state_graph
 from ..ts.transition_system import State
@@ -204,16 +203,16 @@ def persistency_violations(sg: StateGraph) -> List[PersistencyViolation]:
     stg = sg.stg
     masks = sg.enabled_masks
     noninput = sg.noninput_mask
-    everything = (1 << (2 * len(sg.signal_order))) - 1
     # per transition: the enabled-mask bits whose loss is a violation
     watched = []
     for b in sg.events:
         if b.is_dummy:
             watched.append(0)
             continue
-        own = 3 << (2 * sg.signal_order.index(b.signal))
-        reach = everything if stg.type_of(b.signal).is_noninput else noninput
-        watched.append(reach & ~own)
+        _, rise, fall = sg.signal_bits(b.signal)
+        # a non-input firing may disable no other event (-1: every bit)
+        reach = -1 if stg.type_of(b.signal).is_noninput else noninput
+        watched.append(reach & ~(rise | fall))
     result = []
     for i, out in enumerate(sg.graph.arcs):
         here = masks[i]
@@ -224,10 +223,9 @@ def persistency_violations(sg: StateGraph) -> List[PersistencyViolation]:
             while lost:
                 low = lost & -lost
                 lost ^= low
-                bit = low.bit_length() - 1
+                (signal, direction), = sg.pairs(low)
                 result.append(PersistencyViolation(
-                    sg.graph.marking(i),
-                    sg.signal_order[bit >> 1] + (FALL if bit & 1 else RISE),
+                    sg.graph.marking(i), signal + direction,
                     str(sg.events[t]),
                     "output" if low & noninput else "input"))
     return result

@@ -10,9 +10,9 @@ the library's zero-dependency rule or its performance:
 * **spans** (:func:`~repro.obs.core.span`) — nested, named,
   ``perf_counter``-timed context managers tagged with engine / query /
   net metadata;
-* **counters and gauges** (:class:`~repro.obs.core.Counter`,
-  :class:`~repro.obs.core.Gauge`) — typed observations attached to the
-  active span;
+* **counters and gauges** (:meth:`~repro.obs.core.Span.add`,
+  :meth:`~repro.obs.core.Span.set_gauge`) — numeric observations
+  attached to the active span;
 * **sinks** (:mod:`repro.obs.sinks`) — an in-memory registry for tests
   and the CLI's ``--stats`` table, plus a JSONL trace writer for
   ``--trace FILE``;
@@ -39,8 +39,6 @@ See ``docs/observability.md`` for the user guide.
 
 from .core import (
     ENV_VAR,
-    Counter,
-    Gauge,
     NullSpan,
     Span,
     active_sinks,
@@ -75,7 +73,7 @@ from .schema import (
 from .sinks import JsonlSink, MemorySink, report
 
 __all__ = [
-    "ENV_VAR", "Counter", "Gauge", "NullSpan", "Span",
+    "ENV_VAR", "NullSpan", "Span",
     "active_sinks", "add", "add_sink", "current", "disable", "enable",
     "enabled", "pop_progress", "push_progress", "remove_sink", "reset",
     "sample_progress", "set_gauge", "span", "tracing",

@@ -2,13 +2,13 @@
 
 The design is span-centric: every instrumented operation opens a
 :func:`span` (a context manager timed with :func:`time.perf_counter`),
-and all numeric observations — typed :class:`Counter` increments and
-:class:`Gauge` snapshots — attach to the innermost active span.  When
-the layer is disabled (the default), :func:`span` hands back one shared
-:class:`NullSpan` whose every method is a ``pass``, so the hot paths pay
-a single function call and an attribute read per operation; the engine
-benchmark matrix bounds that overhead at under 2 % (see
-``EXPERIMENTS.md``).
+and all numeric observations — counter increments (:meth:`Span.add`)
+and gauge snapshots (:meth:`Span.set_gauge`) — attach to the innermost
+active span.  When the layer is disabled (the default), :func:`span`
+hands back one shared :class:`NullSpan` whose every method is a
+``pass``, so the hot paths pay a single function call and an attribute
+read per operation; the engine benchmark matrix bounds that overhead at
+under 2 % (see ``EXPERIMENTS.md``).
 
 Switching is global and explicit: the ``REPRO_TRACE`` environment
 variable (``1``/``true``/``yes``/``on``) arms the layer at import time,
@@ -181,45 +181,6 @@ def sample_progress() -> Optional[Dict[str, Number]]:
             and isinstance(v, (int, float))}
 
 
-class Counter:
-    """A named monotonically increasing tally bound to one span."""
-
-    __slots__ = ("span", "name")
-
-    def __init__(self, span: "Span", name: str):
-        self.span = span
-        self.name = name
-
-    def inc(self, n: Number = 1) -> None:
-        """Add ``n`` (default 1) to the counter."""
-        c = self.span.counters
-        c[self.name] = c.get(self.name, 0) + n
-
-    @property
-    def value(self) -> Number:
-        """Current tally (0 before the first increment)."""
-        return self.span.counters.get(self.name, 0)
-
-
-class Gauge:
-    """A named last-value-wins measurement bound to one span."""
-
-    __slots__ = ("span", "name")
-
-    def __init__(self, span: "Span", name: str):
-        self.span = span
-        self.name = name
-
-    def set(self, value: Number) -> None:
-        """Record the gauge's current value (overwrites the previous)."""
-        self.span.gauges[self.name] = value
-
-    @property
-    def value(self) -> Optional[Number]:
-        """Last recorded value, or None if never set."""
-        return self.span.gauges.get(self.name)
-
-
 class Span:
     """One timed, named, tagged unit of work.
 
@@ -252,20 +213,12 @@ class Span:
 
     # -- observation API ------------------------------------------------ #
 
-    def counter(self, name: str) -> Counter:
-        """A typed :class:`Counter` handle for ``name`` on this span."""
-        return Counter(self, name)
-
-    def gauge(self, name: str) -> Gauge:
-        """A typed :class:`Gauge` handle for ``name`` on this span."""
-        return Gauge(self, name)
-
     def add(self, name: str, n: Number = 1) -> None:
-        """Increment counter ``name`` by ``n`` (shorthand)."""
+        """Increment counter ``name`` by ``n``."""
         self.counters[name] = self.counters.get(name, 0) + n
 
     def set_gauge(self, name: str, value: Number) -> None:
-        """Set gauge ``name`` to ``value`` (shorthand)."""
+        """Set gauge ``name`` to ``value`` (the last value wins)."""
         self.gauges[name] = value
 
     def annotate(self, **tags: Any) -> None:
@@ -349,14 +302,6 @@ class NullSpan:
     def __exit__(self, exc_type, exc, tb) -> None:
         return None
 
-    def counter(self, name: str) -> "NullCounter":
-        """A do-nothing counter handle."""
-        return NULL_COUNTER
-
-    def gauge(self, name: str) -> "NullGauge":
-        """A do-nothing gauge handle."""
-        return NULL_GAUGE
-
     def add(self, name: str, n: Number = 1) -> None:
         """Discard the increment."""
 
@@ -374,38 +319,8 @@ class NullSpan:
         return "NullSpan()"
 
 
-class NullCounter:
-    """Counter handle of :class:`NullSpan`: increments are discarded."""
-
-    __slots__ = ()
-
-    def inc(self, n: Number = 1) -> None:
-        """Discard the increment."""
-
-    @property
-    def value(self) -> Number:
-        """Always 0."""
-        return 0
-
-
-class NullGauge:
-    """Gauge handle of :class:`NullSpan`: measurements are discarded."""
-
-    __slots__ = ()
-
-    def set(self, value: Number) -> None:
-        """Discard the measurement."""
-
-    @property
-    def value(self) -> Optional[Number]:
-        """Always None."""
-        return None
-
-
-#: The shared disabled-path singletons.
+#: The shared disabled-path span.
 NULL_SPAN = NullSpan()
-NULL_COUNTER = NullCounter()
-NULL_GAUGE = NullGauge()
 
 
 def span(name: str, **tags: Any) -> Union[Span, NullSpan]:

@@ -1,7 +1,7 @@
 """Petri-net kernel: structure, token game, properties, structural theory,
 reductions (paper Sections 1 and 2.2)."""
 
-from .compiled import CompiledNet, compile_net, supports_compilation
+from .compiled import CompiledNet, supports_compilation
 from .marking import Marking
 from .net import PetriNet, Place, Transition
 from .token_game import (
@@ -59,7 +59,7 @@ from .dot import net_to_dot, reachability_to_dot
 from .library import dining_philosophers
 
 __all__ = [
-    "CompiledNet", "compile_net", "supports_compilation",
+    "CompiledNet", "supports_compilation",
     "Marking", "PetriNet", "Place", "Transition",
     "can_fire_sequence", "enabled_transitions", "fire", "fire_safe",
     "fire_sequence", "is_enabled", "language_prefixes", "random_walk",

@@ -27,16 +27,16 @@ semantics: firing ``t`` in ``m`` produces a second token on place ``p``
 iff ``p`` is in ``t``'s postset but not its preset and already marked,
 i.e. ``m & (post_mask & ~pre_mask) != 0``.
 
-Integer states decode back to interned :class:`Marking` objects on demand
-(memoized), so graph builders can hand ordinary markings to downstream
-consumers without paying dict/sort costs per state.
+Integer states decode back to :class:`Marking` objects on demand.  The
+compilation keeps no decoded state: the explored graph
+(:class:`repro.ts.builder.NumberedGraph`) holds the compilation as
+``graph.compiled`` and the one list of decoded markings.
 """
 
 from __future__ import annotations
 
-from typing import Dict, List, Tuple
+from typing import Dict, List
 
-from .. import obs
 from ..errors import ModelError, UnboundedError
 from .marking import Marking
 from .net import PetriNet
@@ -51,20 +51,17 @@ class CompiledNet:
     explores the others).
 
     The compilation keeps the net's ``name`` but no reference to the net,
-    which pins the compilation (:func:`compile_net`): a dropped net, its
-    compilation and its decoded markings are freed by reference counting
-    alone.
+    which pins the graph that holds the compilation: a dropped net, its
+    graph and the compilation are freed by reference counting alone.
     """
 
     __slots__ = (
         "name", "places", "place_bit", "transitions", "transition_bit",
         "pre_masks", "post_masks", "affected",
-        "_marking_of", "_code_of", "_version",
     )
 
     def __init__(self, net: PetriNet):
         self.name = net.name
-        self._version = net._structure_version
         self.places: List[str] = sorted(net.places)
         self.place_bit: Dict[str, int] = {
             p: i for i, p in enumerate(self.places)
@@ -92,8 +89,6 @@ class CompiledNet:
                 for consumer in net.postset(place):
                     mask |= 1 << self.transition_bit[consumer]
             self.affected.append(mask)
-        self._marking_of: Dict[int, Marking] = {}
-        self._code_of: Dict[Marking, int] = {}
 
     def _place_mask(self, arcs: Dict[str, int]) -> int:
         """Bitmask of the places of one transition's arcs; raises
@@ -107,17 +102,6 @@ class CompiledNet:
             mask |= 1 << self.place_bit[p]
         return mask
 
-    def clear_state_pools(self) -> None:
-        """Drop the interned integer<->Marking pools.
-
-        The pools grow with every decoded state and live as long as this
-        compilation (which :func:`compile_net` pins on the net); call this
-        to release them after discarding the transition systems they fed.
-        The mask tables are untouched.
-        """
-        self._marking_of = {}
-        self._code_of = {}
-
     # ------------------------------------------------------------------ #
     # state codecs
     # ------------------------------------------------------------------ #
@@ -128,9 +112,6 @@ class CompiledNet:
         Raises :class:`ModelError` for markings with multiple tokens on a
         place or tokens on places unknown to the net.
         """
-        code = self._code_of.get(marking)
-        if code is not None:
-            return code
         code = 0
         for p, n in marking.items():
             if n > 1:
@@ -141,24 +122,13 @@ class CompiledNet:
             if bit is None:
                 raise ModelError("unknown place %r in marking" % p)
             code |= 1 << bit
-        self._code_of[marking] = code
-        self._marking_of.setdefault(code, marking)
         return code
 
     def decode(self, code: int) -> Marking:
-        """The :class:`Marking` for an integer state (memoized/interned)."""
-        marking = self._marking_of.get(code)
-        if marking is None:
-            key = []
-            bits = code
-            while bits:
-                low = bits & -bits
-                bits ^= low
-                key.append((self.places[low.bit_length() - 1], 1))
-            marking = Marking._from_sorted_key(tuple(key))
-            self._marking_of[code] = marking
-            self._code_of[marking] = code
-        return marking
+        """The :class:`Marking` for an integer state (a fresh object per
+        call)."""
+        return Marking._from_sorted_key(
+            tuple((p, 1) for p in self.marked_places(code)))
 
     def marked_places(self, code: int) -> List[str]:
         """Place names of the set bits of ``code``, in sorted order."""
@@ -203,18 +173,6 @@ class CompiledNet:
                 result |= low
         return result
 
-    def fire_index(self, code: int, index: int) -> Tuple[int, int]:
-        """Fire transition ``index`` in ``code``.
-
-        Returns ``(successor, conflict)`` where ``conflict`` is the
-        bitmask of places that would receive a second token (non-zero iff
-        the firing violates 1-safeness).  Enabledness is not checked.
-        """
-        pre = self.pre_masks[index]
-        post = self.post_masks[index]
-        stripped = code & ~pre
-        return (stripped | post, stripped & post)
-
     def unbounded_error(self, code: int, index: int,
                         conflict: int) -> UnboundedError:
         """The same :class:`UnboundedError` the naive builder raises for
@@ -224,74 +182,9 @@ class CompiledNet:
             % (self.transitions[index], self.decode(code),
                self.marked_places(conflict)))
 
-    # ------------------------------------------------------------------ #
-    # name-level conveniences (tests, cross-checks, random walks)
-    # ------------------------------------------------------------------ #
-
-    def is_enabled(self, code: int, transition: str) -> bool:
-        """True iff ``transition`` is enabled in integer state ``code``."""
-        index = self.transition_bit.get(transition)
-        if index is None:
-            raise ModelError("unknown transition %r" % transition)
-        pre = self.pre_masks[index]
-        return code & pre == pre
-
-    def fire(self, code: int, transition: str, check: bool = True) -> int:
-        """Fire a transition by name; raises :class:`ModelError` when not
-        enabled (and ``check``) and :class:`UnboundedError` on a safeness
-        violation."""
-        index = self.transition_bit.get(transition)
-        if index is None:
-            raise ModelError("unknown transition %r" % transition)
-        pre = self.pre_masks[index]
-        if check and code & pre != pre:
-            raise ModelError(
-                "transition %r not enabled in %r"
-                % (transition, self.decode(code)))
-        successor, conflict = self.fire_index(code, index)
-        if conflict:
-            raise self.unbounded_error(code, index, conflict)
-        return successor
-
-    def enabled_transitions(self, code: int) -> List[str]:
-        """Enabled transitions of an integer state, sorted by name."""
-        names = []
-        bits = self.enabled_mask(code)
-        while bits:
-            low = bits & -bits
-            bits ^= low
-            names.append(self.transitions[low.bit_length() - 1])
-        return names
-
     def __repr__(self):
         return "CompiledNet(%r, |P|=%d, |T|=%d)" % (
             self.name, len(self.places), len(self.transitions))
-
-
-def compile_net(net: PetriNet) -> CompiledNet:
-    """Compile ``net`` or raise :class:`ModelError` if it is outside the
-    compiled engine's domain (non-unit arc weights).
-
-    Compilations are cached on the net and reused as long as its structure
-    is unchanged (tracked by the net's structure version), so repeated
-    graph builds share one mask set and one decoded-marking pool.  The
-    pool grows with every decoded state and lives as long as the net, like
-    the graph :func:`repro.ts.builder.explore` memoises there; a process
-    that keeps a net with a huge state space alive can release the pool
-    with :meth:`CompiledNet.clear_state_pools`, and everything else by
-    dropping the net.
-    """
-    compiled = getattr(net, "_compiled_cache", None)
-    if compiled is None or compiled._version != net._structure_version:
-        with obs.span("engine.compile", engine="compiled",
-                      net=net.name) as span:
-            compiled = CompiledNet(net)
-            span.add("places", len(compiled.places))
-            span.add("transitions", len(compiled.transitions))
-        net._compiled_cache = compiled
-    else:
-        obs.add("compile_cache_hits")
-    return compiled
 
 
 def supports_compilation(net: PetriNet) -> bool:

@@ -11,7 +11,7 @@ functions:
 * dually for the reset function.
 
 The regions are read straight from the state graph's int codes and
-enabled masks, one pass per region (:func:`repro.synth.nextstate.signal_bits`
+enabled masks, one pass per region (:meth:`StateGraph.signal_bits`
 names the bits): ``ER(z+)`` and ``ER(z-)`` are the states with the
 ``z+``/``z-`` bit of their mask set, ``QR(z+)`` the codes with ``z`` at 1
 and no ``z-`` enabled, ``QR(z-)`` those with ``z`` at 0 and no ``z+``
@@ -37,7 +37,6 @@ from ..stg.signals import FALL, RISE
 from ..stg.stg import STG
 from ..ts.state_graph import StateGraph, build_state_graph
 from .netlist import Gate, Netlist
-from .nextstate import signal_bits
 
 
 def excitation_covers(sg: StateGraph, signal: str) -> Tuple[List[Cube], List[Cube]]:
@@ -50,7 +49,7 @@ def excitation_covers(sg: StateGraph, signal: str) -> Tuple[List[Cube], List[Cub
 
     Returns ``(set_cubes, reset_cubes)`` over ``sg.signal_order``.
     """
-    bit, rise, fall = signal_bits(sg, signal)
+    bit, rise, fall = sg.signal_bits(signal)
     codes, masks = sg.int_codes, sg.enabled_masks
     er_plus = {code for code, mask in zip(codes, masks) if mask & rise}
     er_minus = {code for code, mask in zip(codes, masks) if mask & fall}

@@ -15,8 +15,8 @@ The ON- and OFF-sets are read straight from the state graph's int codes
 (``StateGraph.int_codes``, which are already minterm integers) and
 enabled masks (``StateGraph.enabled_masks``), one pass per signal: no
 marking is decoded except the two that name the states of a CSC
-conflict.  :func:`signal_bits` gives the bits those passes test; the
-gC and RS covers of :mod:`repro.synth.latch` use it too.
+conflict.  :meth:`StateGraph.signal_bits` gives the bits those passes
+test, as it does for the gC and RS covers of :mod:`repro.synth.latch`.
 """
 
 from __future__ import annotations
@@ -76,18 +76,6 @@ class NextStateFunction:
         return from_cubes(self.minimized_cubes(), self.variables)
 
 
-def signal_bits(sg: StateGraph, signal: str) -> Tuple[int, int, int]:
-    """``(code_bit, rise_bit, fall_bit)`` of a signal: its bit in the
-    int codes and the bits of ``signal+`` and ``signal-`` in the enabled
-    masks.  Raises :class:`KeyError` for a signal the SG does not code."""
-    try:
-        k = sg.signal_order.index(signal)
-    except ValueError:
-        raise KeyError(signal) from None
-    rise = 1 << (2 * k)
-    return 1 << (len(sg.signal_order) - 1 - k), rise, rise << 1
-
-
 def derive_next_state_function(sg: StateGraph, signal: str) -> NextStateFunction:
     """Derive ``f_signal`` from the state graph.
 
@@ -97,7 +85,7 @@ def derive_next_state_function(sg: StateGraph, signal: str) -> NextStateFunction
     a code but imply different next values for the signal.
     """
     fn = NextStateFunction(signal=signal, variables=list(sg.signal_order))
-    bit, rise, fall = signal_bits(sg, signal)
+    bit, rise, fall = sg.signal_bits(signal)
     codes = sg.int_codes
     nexts = [1 if mask & rise or code & bit and not mask & fall else 0
              for code, mask in zip(codes, sg.enabled_masks)]

@@ -94,10 +94,9 @@ def _reachable_extended_codes(sg: StateGraph,
     and settle by iteration), one per state in state-number order.  The
     spec signals' values are read from the int codes."""
     rows: List[Dict[str, int]] = []
-    top = len(sg.signal_order) - 1
-    shifts = [(s, top - k) for k, s in enumerate(sg.signal_order)]
+    bits = [(s, sg.signal_bits(s)[0]) for s in sg.signal_order]
     for code in sg.int_codes:
-        env = {s: (code >> shift) & 1 for s, shift in shifts}
+        env = {s: 1 if code & bit else 0 for s, bit in bits}
         pending = dict(defs)
         for name in pending:
             env.setdefault(name, 0)

@@ -17,7 +17,8 @@ The net picks the explorer (see ``docs/engines.md`` for the user guide).
   markings are machine ints, enabling is two bitwise ops, and the enabled
   set is maintained incrementally across firings.  Runs whenever the net
   is ordinary (weight-1) with a 1-safe initial marking and
-  ``require_safe`` holds.  Its states stay int codes; a
+  ``require_safe`` holds.  Each exploration compiles the net once, and
+  the graph keeps the compilation; its states stay int codes, and a
   :class:`~repro.petri.marking.Marking` is decoded only when read.
 * ``"naive"`` — the dict-backed token game, for everything else:
   weighted arcs and, with ``require_safe=False``, k-bounded nets.  Its
@@ -29,12 +30,12 @@ order, transitions fired in sorted name order per state), and every
 downstream consumer — state-graph codes, regions, CSC, synthesis,
 verification, the net properties — is oblivious to the choice.
 
-:func:`explore` memoises the graph it returns on the net, next to the
-compilation :func:`~repro.petri.compiled.compile_net` pins there, so the
+:func:`explore` memoises the graph it returns on the net, so the
 analysis, the synthesis and the verification of one specification share
-one exploration.  The memo is keyed on the net's structure version, its
-initial marking, the explorer and ``require_safe``; any change to one of
-them explores again.
+one exploration, one compilation and one list of decoded markings.  The
+memo is keyed on what determines the graph: the net's structure
+version, its initial marking and ``require_safe``, which also fix the
+explorer.  Any change to one of them explores again.
 
 Questions that need only an answer — a count, a deadlock, a CSC
 conflict — go to the query engines instead (:mod:`repro.bdd.queries`,
@@ -49,7 +50,7 @@ from typing import List, Optional, Tuple, Union
 from .. import obs
 from ..budgets import DEFAULT_STATE_BOUND
 from ..errors import StateExplosionError, UnboundedError
-from ..petri.compiled import CompiledNet, compile_net, supports_compilation
+from ..petri.compiled import CompiledNet, supports_compilation
 from ..petri.marking import Marking
 from ..petri.net import PetriNet
 from ..petri.token_game import enabled_transitions, fire
@@ -77,13 +78,14 @@ class NumberedGraph:
 
     ``states[i]`` is the explorer's own state, numbered in BFS discovery
     order from the initial state 0: an int code from the compiled
-    explorer (``compiled`` is its :class:`~repro.petri.compiled.CompiledNet`),
-    a :class:`~repro.petri.marking.Marking` from the naive one
+    explorer (``compiled`` is the
+    :class:`~repro.petri.compiled.CompiledNet` it explored with), a
+    :class:`~repro.petri.marking.Marking` from the naive one
     (``compiled`` is None).  ``arcs[i]`` lists state ``i``'s arcs as
     ``(transition index, successor number)`` in sorted transition order,
     and ``transitions[t]`` names transition ``t`` (the net's transitions,
     sorted).  Markings and the transition system are decoded only when
-    read.
+    read; :meth:`markings` is the one decoded list.
 
     A graph is memoised on its net and shared by every caller of
     :func:`explore`, so its lists are read-only.  ``labelling`` is the
@@ -112,7 +114,10 @@ class NumberedGraph:
         return sum(map(len, self.arcs))
 
     def marking(self, number: int) -> Marking:
-        """The marking of state ``number``."""
+        """The marking of state ``number``: read from :meth:`markings`
+        once that list is decoded, else decoded alone."""
+        if self._markings is not None:
+            return self._markings[number]
         state = self.states[number]
         return state if self.compiled is None else self.compiled.decode(state)
 
@@ -157,13 +162,14 @@ def explore(model: Union[PetriNet, STG],
     explores k-bounded nets instead of raising :class:`UnboundedError`;
     more than ``max_states`` markings raise :class:`StateExplosionError`.
 
-    The graph lives as long as the net, like its compilation: it is
-    memoised on the net and returned again while the net's structure, its
-    initial marking, the explorer and ``require_safe`` stay the same.  A
-    memoised graph answers any ``max_states`` at least as large as the
-    graph; a smaller bound raises the :class:`StateExplosionError` a fresh
-    exploration would raise.  The graph is shared, so callers must not
-    mutate it.
+    The graph, with the compilation and the markings it holds, lives as
+    long as the net: it is memoised on the net and returned again while
+    the net's structure, its initial marking and ``require_safe`` stay the
+    same (the three fix the explorer, so a hit does not ask
+    :func:`choose_engine`).  A memoised graph answers any ``max_states``
+    at least as large as the graph; a smaller bound raises the
+    :class:`StateExplosionError` a fresh exploration would raise.  The
+    graph is shared, so callers must not mutate it.
 
     When :func:`repro.obs.enabled`, every exploration runs under an
     ``engine.build`` span tagged with the explorer and net, counting
@@ -172,9 +178,8 @@ def explore(model: Union[PetriNet, STG],
     (see ``docs/observability.md``).
     """
     net = model.net if isinstance(model, STG) else model
-    engine = choose_engine(net, require_safe)
     initial = net.initial_marking
-    key = (net._structure_version, initial, engine, require_safe)
+    key = (net._structure_version, initial, require_safe)
     cached = getattr(net, "_graph_cache", None)
     if cached is not None and cached[0] == key:
         graph = cached[1]
@@ -186,7 +191,7 @@ def explore(model: Union[PetriNet, STG],
                 "reachability graph exceeded %d states" % max_states,
                 bound=max_states, states=reached)
         return graph
-    if engine == "compiled":
+    if choose_engine(net, require_safe) == "compiled":
         graph = _traced_build(
             "compiled", net,
             lambda: _explore_compiled(net, initial, max_states))
@@ -233,8 +238,13 @@ def _traced_build(engine: str, net: PetriNet, build) -> NumberedGraph:
 
 def _explore_compiled(net: PetriNet, initial: Marking,
                       max_states: int) -> NumberedGraph:
-    """Bitvector BFS with incremental enabled-set maintenance."""
-    compiled = compile_net(net)
+    """Bitvector BFS with incremental enabled-set maintenance, on a
+    compilation of ``net`` made for this exploration."""
+    with obs.span("engine.compile", engine="compiled",
+                  net=net.name) as span:
+        compiled = CompiledNet(net)
+        span.add("places", len(compiled.places))
+        span.add("transitions", len(compiled.transitions))
     root = compiled.encode(initial)
     pre_masks = compiled.pre_masks
     post_masks = compiled.post_masks

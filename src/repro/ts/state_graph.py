@@ -40,10 +40,9 @@ class StateGraph:
     """A reachability graph of an STG with binary signal codes.
 
     Per state number ``i`` of ``graph``: ``int_codes[i]`` is the binary
-    code, bit ``n-1-k`` the value of ``signal_order[k]``;
-    ``enabled_masks[i]`` has bit ``2k`` set when a rising and bit
-    ``2k+1`` when a falling transition of ``signal_order[k]`` is enabled
-    (dummy events excluded).  ``order`` lists the state numbers in
+    code and ``enabled_masks[i]`` the mask of the enabled ``(signal,
+    direction)`` pairs (dummy events excluded); :meth:`signal_bits` names
+    a signal's bits in both.  ``order`` lists the state numbers in
     parity-propagation order, the order of ``codes``.  These lists are
     shared with every state graph of the same graph, signal order and
     events, and are read-only.
@@ -56,7 +55,7 @@ class StateGraph:
         self.signal_order: List[str] = (
             list(signal_order) if signal_order is not None else stg.signals
         )
-        if set(self.signal_order) != set(stg.signals):
+        if sorted(self.signal_order) != sorted(stg.signals):
             raise ConsistencyError("signal_order must be a permutation of the"
                                    " STG's signals")
         self._index = {s: i for i, s in enumerate(self.signal_order)}
@@ -65,9 +64,10 @@ class StateGraph:
             stg.event_of(t) for t in graph.transitions]
         #: the enabled-mask bits of every non-input signal
         self.noninput_mask = 0
-        for k, s in enumerate(self.signal_order):
+        for s in self.signal_order:
             if stg.type_of(s).is_noninput:
-                self.noninput_mask |= 3 << (2 * k)
+                _, rise, fall = self.signal_bits(s)
+                self.noninput_mask |= rise | fall
         self._ts: Optional[TransitionSystem] = None
         self._codes: Optional[Dict[State, Tuple[int, ...]]] = None
         self._number: Optional[Dict[State, int]] = None
@@ -101,7 +101,6 @@ class StateGraph:
         two parities, is an inconsistent STG.  The enabled masks are
         collected on the same walk.
         """
-        top = len(self.signal_order) - 1
         flips, falls, pairs = [], [], []
         for event in self.events:
             if event.is_dummy:
@@ -109,11 +108,10 @@ class StateGraph:
                 falls.append(0)
                 pairs.append(0)
                 continue
-            k = self._index[event.signal]
-            flip = 1 << (top - k)
+            flip, rise, fall = self.signal_bits(event.signal)
             flips.append(flip)
             falls.append(0 if event.is_rising else flip)
-            pairs.append(1 << (2 * k + (0 if event.is_rising else 1)))
+            pairs.append(rise if event.is_rising else fall)
         arcs = self.graph.arcs
         parity = [-1] * len(arcs)
         masks = [0] * len(arcs)
@@ -162,9 +160,25 @@ class StateGraph:
         word = 0
         for required, _ in initial.values():
             word |= required
-        initial_values = {s: (word >> (top - k)) & 1
-                          for k, s in enumerate(self.signal_order)}
+        initial_values = {s: 1 if word & self.signal_bits(s)[0] else 0
+                          for s in self.signal_order}
         return initial_values, [word ^ p for p in parity], masks, order
+
+    def signal_bits(self, signal: str) -> Tuple[int, int, int]:
+        """``(code_bit, rise_bit, fall_bit)`` of a signal: its bit in the
+        int codes and the bits of ``signal+`` and ``signal-`` in the
+        enabled masks.  Raises :class:`KeyError` for a signal the SG does
+        not code.
+
+        This is the one statement of the layout: ``signal_order[k]`` of
+        ``n`` signals has code bit ``n-1-k`` (the first signal the most
+        significant, so int order is code order) and mask bits ``2k``
+        (rise) and ``2k+1`` (fall).  :meth:`code_tuple` and
+        :meth:`pairs` read codes and masks back.
+        """
+        k = self._index[signal]
+        rise = 1 << (2 * k)
+        return 1 << (len(self.signal_order) - 1 - k), rise, rise << 1
 
     def code_tuple(self, word: int) -> Tuple[int, ...]:
         """An int code as a per-signal tuple (ordered by ``signal_order``)."""
@@ -290,29 +304,23 @@ class StateGraph:
     # excitation and quiescent regions (Section 3.2)
     # ------------------------------------------------------------------ #
 
-    def _pair_bit(self, signal: str, direction: str) -> int:
-        k = self._index.get(signal)
-        if k is None or direction not in (RISE, FALL):
-            return 0
-        return 1 << (2 * k + (direction == FALL))
-
     def excitation_region(self, signal: str, direction: str) -> Set[State]:
         """``ER(z+)`` or ``ER(z-)``: states where a transition of the signal
         in the given direction is enabled (a fresh set per call)."""
-        bit = self._pair_bit(signal, direction)
+        _, rise, fall = self.signal_bits(signal)
+        bit = rise if direction == RISE else fall
         markings = self.graph.markings()
         return {markings[i] for i, mask in enumerate(self.enabled_masks)
                 if mask & bit}
 
     def quiescent_region(self, signal: str, direction: str) -> Set[State]:
         """``QR(z+)``: states where z is stable 1 (``QR(z-)``: stable 0)."""
-        stable = 1 if direction == RISE else 0
-        shift = len(self.signal_order) - 1 - self._index[signal]
-        opposite = self._pair_bit(signal, FALL if direction == RISE else RISE)
+        bit, rise, fall = self.signal_bits(signal)
+        stable, opposite = (bit, fall) if direction == RISE else (0, rise)
         markings = self.graph.markings()
         masks = self.enabled_masks
         return {markings[i] for i, word in enumerate(self.int_codes)
-                if (word >> shift) & 1 == stable and not masks[i] & opposite}
+                if word & bit == stable and not masks[i] & opposite}
 
     def next_value(self, state: State, signal: str) -> int:
         """The next-state value of a signal in a state (Section 3.2):
@@ -321,11 +329,13 @@ class StateGraph:
         * 0 in ``ER(z-) ∪ QR(z-)``.
         """
         i = self._number_of(state)
-        k = self._index[signal]
-        enabled = (self.enabled_masks[i] >> (2 * k)) & 3
-        if enabled:
-            return 1 if enabled & 1 else 0
-        return (self.int_codes[i] >> (len(self.signal_order) - 1 - k)) & 1
+        bit, rise, fall = self.signal_bits(signal)
+        mask = self.enabled_masks[i]
+        if mask & rise:
+            return 1
+        if mask & fall:
+            return 0
+        return 1 if self.int_codes[i] & bit else 0
 
     def excited(self, state: State, signal: str) -> bool:
         """True iff the signal's next value differs from its current value —

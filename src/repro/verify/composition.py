@@ -255,8 +255,10 @@ def verify_circuit(netlist: Netlist, spec: STG,
 
     Reset values: interface signals start from the specification's
     initial state.  Internal signals take the values the synthesis
-    recorded in ``netlist.initial``, overridden by ``initial_internal``.
-    An internal signal left without a value is settled by
+    recorded in ``netlist.initial``, overridden by ``initial_internal``,
+    whose every key must name an internal signal (a gate output that is
+    not a spec signal) or :class:`VerificationError` is raised.  An
+    internal signal left without a value is settled by
     :func:`stable_internal_values` (hand-built netlists, decomposition
     temporaries), or raises :class:`VerificationError` when
     ``initial_internal`` was given.
@@ -277,6 +279,11 @@ def verify_circuit(netlist: Netlist, spec: STG,
         if s not in spec_signals:
             raise VerificationError(
                 "netlist input %r is not a signal of the specification" % s)
+    for s in initial_internal or ():
+        if s not in internal:
+            raise VerificationError(
+                "initial_internal names %r, which is not an internal signal"
+                " of the netlist" % s)
 
     initial_values: Dict[str, int] = {
         s: sg.initial_values[s] for s in spec_signals
@@ -302,9 +309,7 @@ def verify_circuit(netlist: Netlist, spec: STG,
             initial_vector |= bit[s]
     gates = [(bit[s],) + _gate_covers(netlist.gates[s], bit)
              for s in sorted(netlist.gates)]
-    # bit 0: an input move flips nothing when ``initial_internal`` has
-    # already set that input to the value the move drives
-    dependents = _dependents(gates, [0] + list(name_of))
+    dependents = _dependents(gates, list(name_of))
     arbiters = 0
     for s, gate in netlist.gates.items():
         if gate.arbiter:

@@ -4,7 +4,10 @@ step-by-step firing agreement on random walks, and identical error
 behaviour at the 1-safeness and state-count bounds.
 
 The builder picks its explorer from the net; :func:`token_game` rules the
-compiled one out, so the same call plays the dict token game instead."""
+compiled one out, so the same call plays the dict token game instead.
+The memo of :func:`repro.ts.explore` is keyed on what fixes the explorer,
+not on the explorer, so each side of a comparison explores a model of its
+own."""
 
 import gc
 import weakref
@@ -16,7 +19,6 @@ from repro.errors import ModelError, StateExplosionError, UnboundedError
 from repro.petri import (
     CompiledNet,
     PetriNet,
-    compile_net,
     enabled_transitions,
     fire,
     supports_compilation,
@@ -83,9 +85,8 @@ EXPLORERS = {"naive": token_game, "compiled": by_net}
 
 @pytest.mark.parametrize("name", sorted(LIBRARY))
 def test_engines_produce_identical_transition_systems(name):
-    stg = LIBRARY[name]()
-    naive = token_game(build_reachability_graph, stg)
-    compiled = build_reachability_graph(stg)
+    naive = token_game(build_reachability_graph, LIBRARY[name]())
+    compiled = build_reachability_graph(LIBRARY[name]())
     assert naive.initial == compiled.initial
     # same states in the same insertion order
     assert naive.states == compiled.states
@@ -100,9 +101,9 @@ def test_engines_produce_identical_transition_systems(name):
 @pytest.mark.parametrize("name", ["vme_read", "vme_read_csc",
                                   "muller_pipeline_5"])
 def test_engines_produce_identical_state_graph_codes(name):
-    stg = LIBRARY[name]()
+    stg, other = LIBRARY[name](), LIBRARY[name]()
     sg_naive = StateGraph(stg, token_game(explore, stg))
-    sg_comp = StateGraph(stg, explore(stg))
+    sg_comp = StateGraph(other, explore(other))
     assert sg_naive.initial_values == sg_comp.initial_values
     assert sg_naive.codes == sg_comp.codes
     assert sg_naive.int_codes == sg_comp.int_codes
@@ -114,9 +115,8 @@ def test_engines_produce_identical_state_graph_codes(name):
 def test_explorers_number_states_alike(name):
     """Same states under the same numbers, same arcs in the same order;
     the compiled explorer keeps int codes, the naive one markings."""
-    stg = LIBRARY[name]()
-    naive = token_game(explore, stg)
-    compiled = explore(stg)
+    naive = token_game(explore, LIBRARY[name]())
+    compiled = explore(LIBRARY[name]())
     assert naive.compiled is None and compiled.compiled is not None
     assert all(isinstance(code, int) for code in compiled.states)
     assert naive.transitions == compiled.transitions
@@ -127,10 +127,9 @@ def test_explorers_number_states_alike(name):
 
 
 def test_build_span_names_the_explorer():
-    stg = muller_pipeline(4)
     with obs.tracing() as sink:
-        build_reachability_graph(stg)
-        token_game(build_reachability_graph, stg)
+        build_reachability_graph(muller_pipeline(4))
+        token_game(build_reachability_graph, muller_pipeline(4))
     assert [span["tags"]["engine"] for span in sink.spans("engine.build")] \
         == ["compiled", "naive"]
 
@@ -139,26 +138,35 @@ def test_build_span_names_the_explorer():
 # firing-level cross-check (property-based random walks)
 # --------------------------------------------------------------------- #
 
+def enabled_names(compiled, mask):
+    """The transition names of an enabled mask, in sorted order."""
+    return [t for i, t in enumerate(compiled.transitions) if (mask >> i) & 1]
+
+
 @settings(max_examples=60, deadline=None,
           suppress_health_check=[HealthCheck.too_slow])
 @given(name=st.sampled_from(sorted(LIBRARY)),
        choices=st.lists(st.integers(0, 10 ** 6), min_size=1, max_size=40))
 def test_random_walk_cross_check(name, choices):
     """Walk the token game twice — naive markings and compiled integer
-    states — making the same choices; enabled sets and markings must
-    agree after every step."""
+    states under the pre/post masks — making the same choices; enabled
+    sets and markings must agree after every step."""
     net = LIBRARY[name]().net
     compiled = CompiledNet(net)
     marking = net.initial_marking
     code = compiled.encode(marking)
     for choice in choices:
         naive_enabled = enabled_transitions(net, marking)
-        assert compiled.enabled_transitions(code) == naive_enabled
+        assert enabled_names(compiled, compiled.enabled_mask(code)) \
+            == naive_enabled
         if not naive_enabled:
             break
         t = naive_enabled[choice % len(naive_enabled)]
         marking = fire(net, marking, t)
-        code = compiled.fire(code, t)
+        index = compiled.transition_bit[t]
+        stripped = code & ~compiled.pre_masks[index]
+        assert not stripped & compiled.post_masks[index]  # stays safe
+        code = stripped | compiled.post_masks[index]
         assert compiled.decode(code) == marking
 
 
@@ -168,7 +176,8 @@ def test_random_walk_cross_check(name, choices):
        choices=st.lists(st.integers(0, 10 ** 6), min_size=1, max_size=30))
 def test_incremental_enabled_set_matches_full_scan(name, choices):
     """The incremental enabled-set update (recheck only transitions
-    adjacent to the fired one) must agree with a from-scratch scan."""
+    adjacent to the fired one) must agree with a from-scratch scan and
+    with the token game."""
     net = LIBRARY[name]().net
     compiled = CompiledNet(net)
     code = compiled.encode(net.initial_marking)
@@ -179,14 +188,17 @@ def test_incremental_enabled_set_matches_full_scan(name, choices):
         bits = [i for i in range(len(compiled.transitions))
                 if (enabled >> i) & 1]
         index = bits[choice % len(bits)]
-        successor, conflict = compiled.fire_index(code, index)
-        assert not conflict
+        pre, post = compiled.pre_masks[index], compiled.post_masks[index]
+        stripped = code & ~pre
+        assert not stripped & post
+        successor = stripped | post
         # a conflict-free firing flips exactly the pre/post difference
-        assert successor == code ^ (compiled.pre_masks[index]
-                                    ^ compiled.post_masks[index])
+        assert successor == code ^ (pre ^ post)
         code = successor
         enabled = compiled.enabled_after(enabled, index, code)
         assert enabled == compiled.enabled_mask(code)
+        assert enabled_names(compiled, enabled) \
+            == enabled_transitions(net, compiled.decode(code))
 
 
 # --------------------------------------------------------------------- #
@@ -229,22 +241,10 @@ def test_state_explosion_parity(max_states):
 
 
 def test_max_states_exactly_sufficient_on_both_engines():
-    stg = muller_pipeline(4)
     for build in EXPLORERS.values():
-        ts = build(build_reachability_graph, stg, max_states=32)
+        ts = build(build_reachability_graph, muller_pipeline(4),
+                   max_states=32)
         assert len(ts) == 32
-
-
-def test_compiled_fire_raises_like_the_naive_game():
-    net = unsafe_net()
-    compiled = CompiledNet(net)
-    with pytest.raises(ModelError):
-        compiled.fire(0, "t0")  # not enabled in the empty marking
-    initial = compiled.encode(net.initial_marking)
-    with pytest.raises(ModelError):
-        compiled.fire(initial, "nonexistent")
-    with pytest.raises(UnboundedError):
-        compiled.fire(initial, "t0")
 
 
 # --------------------------------------------------------------------- #
@@ -279,8 +279,6 @@ def test_weighted_arc_is_refused_by_the_compiler(weights):
     net = weighted_net(*weights)
     with pytest.raises(ModelError, match=WEIGHT_ERROR):
         CompiledNet(net)
-    with pytest.raises(ModelError, match=WEIGHT_ERROR):
-        compile_net(net)
 
 
 def test_state_graph_build_walks_the_arcs_once(monkeypatch):
@@ -298,15 +296,14 @@ def test_state_graph_build_walks_the_arcs_once(monkeypatch):
 
 
 def test_dropped_net_is_freed_without_the_cycle_collector():
-    # a compilation or a graph memoised on its net must not point back at
-    # it, or the net, the compilation, the graph and its decoded markings
-    # form a cycle
+    # a graph memoised on its net must not point back at it, or the net,
+    # the graph, its compilation and its decoded markings form a cycle
     was_enabled = gc.isenabled()
     gc.disable()
     try:
         stg = muller_pipeline(3)
         sg = build_state_graph(stg)
-        assert sg.graph.compiled is stg.net._compiled_cache
+        assert sg.graph.compiled is not None
         assert len(sg.states) == len(sg)
         net = weakref.ref(stg.net)
         del stg, sg
@@ -326,18 +323,6 @@ def test_dropped_net_is_freed_without_the_cycle_collector():
             gc.enable()
 
 
-def test_clear_state_pools_releases_interned_markings():
-    net = muller_pipeline(3).net
-    compiled = compile_net(net)
-    build_reachability_graph(net)
-    assert compiled._marking_of
-    compiled.clear_state_pools()
-    assert not compiled._marking_of and not compiled._code_of
-    # still fully functional afterwards
-    ts = build_reachability_graph(net)
-    assert len(ts) == 16
-
-
 def test_unsafe_initial_marking_falls_back_to_naive():
     net = PetriNet("two_tokens")
     net.add_place("p0", tokens=2)
@@ -349,26 +334,16 @@ def test_unsafe_initial_marking_falls_back_to_naive():
     ts = build_reachability_graph(net)
     assert len(ts) == 3
     with pytest.raises(ModelError):
-        compile_net(net).encode(net.initial_marking)
+        CompiledNet(net).encode(net.initial_marking)
 
 
 # --------------------------------------------------------------------- #
-# compilation caching and supporting caches
+# the graph memo and supporting caches
 # --------------------------------------------------------------------- #
-
-def test_compile_net_is_cached_until_structure_changes():
-    net = muller_pipeline(3).net
-    first = compile_net(net)
-    assert compile_net(net) is first
-    net.add_place("extra")
-    second = compile_net(net)
-    assert second is not first
-    assert "extra" in second.place_bit
-
 
 def test_build_follows_set_initial_marking():
-    """The compilation is cached on the net, but every build encodes the
-    net's current initial marking."""
+    """The graph is memoised on the net, but a new initial marking
+    explores again from that marking."""
     net = PetriNet("chain")
     net.add_place("p0", tokens=1)
     net.add_place("p1")
@@ -379,13 +354,14 @@ def test_build_follows_set_initial_marking():
     net.set_initial_marking(["p1"])
     ts = build_reachability_graph(net)
     assert ts.states == [net.initial_marking]
-    assert ts.states == token_game(build_reachability_graph, net).states
+    assert ts.states == token_game(build_reachability_graph,
+                                   net.copy()).states
 
 
 def test_state_graph_helper_matches_token_game():
     stg = muller_pipeline(3)
     sg = build_state_graph(stg)
-    sg_naive = token_game(build_state_graph, stg)
+    sg_naive = token_game(build_state_graph, muller_pipeline(3))
     assert sg.codes == sg_naive.codes
     assert sg.initial_values == sg_naive.initial_values
 

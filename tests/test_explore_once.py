@@ -141,16 +141,35 @@ class TestMemo:
         with pytest.raises(UnboundedError):
             explore(net)
 
-    def test_forced_naive_explorer_explores_again(self, monkeypatch):
+    def test_the_net_pins_only_the_graph(self):
+        stg = muller_pipeline(3)
+        before = set(vars(stg.net))
+        graph = explore(stg)
+        assert set(vars(stg.net)) - before == {"_graph_cache"}
+        assert not hasattr(stg.net, "_compiled_cache")
+        # the graph holds the compilation it explored with
+        assert graph.compiled is not None
+        assert graph.markings() == fresh(stg).markings()
+
+    def test_a_hit_does_not_choose_the_explorer_again(self, monkeypatch):
         stg = muller_pipeline(3)
         graph = explore(stg)
+        asked = []
+
+        def has_ordinary_arcs(net):
+            asked.append("has_ordinary_arcs")
+            return True
+
+        def supports_compilation(net):
+            asked.append("supports_compilation")
+            return True
+
+        monkeypatch.setattr(PetriNet, "has_ordinary_arcs", has_ordinary_arcs)
         monkeypatch.setattr("repro.ts.builder.supports_compilation",
-                            lambda net: False)
-        naive = explore(stg)
-        assert naive is not graph and naive.compiled is None
-        assert naive.arcs == graph.arcs
-        monkeypatch.undo()
-        assert explore(stg).compiled is not None
+                            supports_compilation)
+        assert explore(stg) is graph
+        assert build_state_graph(stg).graph is graph
+        assert asked == []
 
     @pytest.mark.parametrize("naive", [False, True])
     def test_smaller_bound_raises_as_a_fresh_exploration(self, naive,

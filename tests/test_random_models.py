@@ -102,14 +102,17 @@ def test_state_space_representations_agree(stg):
 @SETTINGS
 def test_explorers_build_identical_graphs(stg):
     """The default build (compiled) against the dict token game, forced by
-    ruling the compiled explorer out: same states and arcs in insertion
+    ruling the compiled explorer out on an unexplored copy (the memo would
+    hand back the compiled graph): same states and arcs in insertion
     order, same state-graph codes and initial values."""
     assert choose_engine(stg) == "compiled"
     compiled = build_state_graph(stg)
     with pytest.MonkeyPatch.context() as patch:
         patch.setattr("repro.ts.builder.supports_compilation",
                       lambda net: False)
-        naive = build_state_graph(stg)
+        naive = build_state_graph(stg.copy())
+    assert naive.graph.compiled is None
+    assert compiled.graph.compiled is not None
     assert compiled.ts.states == naive.ts.states
     assert list(compiled.ts.arcs()) == list(naive.ts.arcs())
     assert compiled.codes == naive.codes

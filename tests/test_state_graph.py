@@ -5,7 +5,7 @@ import pytest
 
 from repro.errors import ConsistencyError, UnboundedError
 from repro.petri import Marking, PetriNet
-from repro.stg import STG, parse_g, vme_read
+from repro.stg import STG, parse_g, vme_read, vme_read_csc
 from repro.ts import build_state_graph
 from tests.conftest import PAPER_GROUPS, PAPER_SIGNAL_ORDER
 
@@ -113,6 +113,13 @@ b- a+
     def test_signal_order_must_be_permutation(self, read_stg):
         with pytest.raises(ConsistencyError):
             build_state_graph(read_stg, signal_order=["DSr"])
+
+    def test_signal_order_must_not_repeat_a_signal(self):
+        # the same set of signals with one of them twice would give
+        # every code a dead sixth bit
+        stg = vme_read_csc()
+        with pytest.raises(ConsistencyError, match="permutation"):
+            build_state_graph(stg, signal_order=["D"] + stg.signals)
 
     def test_unswitched_signal_defaults_to_zero(self):
         text = """

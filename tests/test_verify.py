@@ -124,6 +124,20 @@ class TestConformance:
                            match="drives specified input signal 'LDTACK'"):
             verify_circuit(n, spec)
 
+    @pytest.mark.parametrize("initial, refused", [
+        ({"DSr": 1, "csc0": 0}, "DSr"),   # a spec input
+        ({"csc0": 0, "LDS": 1}, "LDS"),   # a spec output
+        ({"csc0": 0, "cscO": 1}, "cscO"),  # no signal of the netlist
+    ])
+    def test_initial_internal_names_only_internal_signals(self, initial,
+                                                          refused):
+        # interface signals start from the spec's initial state, so only
+        # internal signals take an override, and a key that names no
+        # signal is an error rather than ignored
+        with pytest.raises(VerificationError,
+                           match="initial_internal names '%s'" % refused):
+            verify_circuit(fig8a(), vme_read(), initial_internal=initial)
+
     def test_traces_are_replayable(self):
         report = verify_circuit(fig9b(), vme_read())
         hazard = report.hazards[0]
@@ -411,21 +425,24 @@ class TestMoveOrder:
 
 class TestTokenGameBackEnd:
     """A spec outside the compiled domain is explored by the dict token
-    game; the composition runs on its numbered graph the same way."""
+    game; the composition runs on its numbered graph the same way.  The
+    memo does not key on the explorer, so the token game explores a copy
+    of the spec."""
 
     @pytest.mark.parametrize("case", [
         *("synth/%s/cg" % name for name in sorted(stglib.ALL_EXAMPLES)),
         "muller_pipeline/4/cg", "fig/stuck"])
     def test_matches_compiled_back_end(self, case, monkeypatch):
         netlist, spec, _ = golden_case(case)
+        copy = spec.copy()
         compiled = verify_circuit(netlist, spec, keep_ts=True)
         assert build_state_graph(spec).graph.compiled is not None
         asked = []
         monkeypatch.setattr("repro.ts.builder.supports_compilation",
                             lambda *args: asked.append(args) or False)
-        dict_based = verify_circuit(netlist, spec, keep_ts=True)
+        dict_based = verify_circuit(netlist, copy, keep_ts=True)
         assert asked
-        assert build_state_graph(spec).graph.compiled is None
+        assert build_state_graph(copy).graph.compiled is None
         assert set(dict_based.ts.arcs()) == set(compiled.ts.arcs())
         compiled.ts = dict_based.ts = None
         assert dict_based == compiled
