@@ -23,11 +23,12 @@ def test_fig4_state_graph_generation(benchmark):
     sg = per_round(benchmark, build_state_graph, lambda: (vme_read(),),
                    signal_order=PAPER_SIGNAL_ORDER)
     assert len(sg) == 14
-    rendered = {sg.code_str(s, groups=PAPER_GROUPS) for s in sg.states}
+    rendered = {sg.code_str(i, groups=PAPER_GROUPS) for i in range(len(sg))}
     assert rendered == FIGURE4_CODES
     print("\nFigure 4 state graph (marking : code):")
-    for s in sg.states:
-        print("  %-12s %s" % (s, sg.code_str(s, groups=PAPER_GROUPS)))
+    for i in range(len(sg)):
+        print("  %-12s %s" % (sg.graph.marking(i),
+                              sg.code_str(i, groups=PAPER_GROUPS)))
 
 
 def test_fig4_csc_conflict_pair(benchmark):
@@ -40,8 +41,10 @@ def test_fig4_csc_conflict_pair(benchmark):
     assert {conflict.state_a, conflict.state_b} == {
         Marking({"p4": 1}), Marking({"p2": 1, "p9": 1})}
     # the implied LDS values disagree: 1 in {p4}, 0 in {p2,p9} (§2.1)
-    assert sg.next_value(Marking({"p4": 1}), "LDS") == 1
-    assert sg.next_value(Marking({"p2": 1, "p9": 1}), "LDS") == 0
+    markings = sg.graph.markings()
+    assert sg.next_value(markings.index(Marking({"p4": 1})), "LDS") == 1
+    assert sg.next_value(markings.index(Marking({"p2": 1, "p9": 1})),
+                         "LDS") == 0
 
 
 def test_fig4_full_report(benchmark):

@@ -5,7 +5,7 @@ the resulting SG satisfies complete state coding (and remains consistent
 and persistent), enabling the Section 3.2 synthesis.
 """
 
-from repro.analysis import check_implementability
+from repro.analysis import check_implementability, usc_conflicts
 from repro.stg import vme_read, vme_read_csc
 from repro.synth import enumerate_insertions, resolve_csc
 from repro.ts import build_state_graph
@@ -20,14 +20,13 @@ def test_fig7_paper_insertion(benchmark):
     report = check_implementability(vme_read_csc())
     assert report.implementable
     print("\nFigure 7 state graph <DSr,DTACK,LDTACK,LDS,D,csc0>:")
-    for s in sg.states:
-        print("  %-16s %s" % (s, sg.code_str(s)))
+    for i in range(len(sg)):
+        print("  %-16s %s" % (sg.graph.marking(i), sg.code_str(i)))
 
 
 def test_fig7_codes_unique(benchmark):
     sg = build_state_graph(vme_read_csc(), signal_order=PAPER_ORDER_CSC)
-    by_code = benchmark(sg.states_by_code)
-    assert all(len(v) == 1 for v in by_code.values())  # USC restored
+    assert benchmark(usc_conflicts, sg) == []  # USC restored
 
 
 def test_fig7_insertion_search_finds_paper_solution(benchmark):

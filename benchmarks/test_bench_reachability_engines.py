@@ -70,7 +70,7 @@ def test_engine_initial_codes_agree(model):
             force(engine, patch)
             sg = build_state_graph(MODELS[model]())
         assert (sg.graph.compiled is None) == (engine == "naive")
-        codes[engine] = (sg.code(sg.initial), sg.initial_values)
+        codes[engine] = (sg.code_tuple(sg.int_codes[0]), sg.initial_values)
     assert codes["naive"] == codes["compiled"]
 
 

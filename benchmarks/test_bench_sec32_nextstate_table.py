@@ -34,7 +34,7 @@ def test_sec32_dont_cares(benchmark):
     table's last row."""
     sg = build_state_graph(vme_read_csc(), signal_order=PAPER_ORDER_CSC)
     fn = benchmark(derive_next_state_function, sg, "LDS")
-    reachable = {minterm_to_int(sg.code(s)) for s in sg.states}
+    reachable = {minterm_to_int(sg.code_tuple(word)) for word in sg.int_codes}
     assert len(fn.dcset) == 64 - len(reachable)
     assert fn.value((0, 0, 0, 0, 1, 1)) is None  # an unreachable code
 

@@ -15,7 +15,7 @@ benchmark suite measures the reduction factor on the scalable workloads.
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Set, Tuple
+from typing import Dict, List, Optional, Set
 
 from ..budgets import DEFAULT_STATE_BOUND
 from ..errors import StateExplosionError

@@ -172,7 +172,7 @@ class SymbolicCSC:
 
         A signal/direction pair is excited in a marking iff some
         transition labelled with it is enabled — the symbolic counterpart
-        of :meth:`repro.ts.state_graph.StateGraph.enabled_signals`.
+        of :attr:`repro.ts.state_graph.StateGraph.enabled_masks`.
         """
         bdd = self.bdd
         parts = []

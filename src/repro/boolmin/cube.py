@@ -7,7 +7,7 @@ literals; a list of cubes denotes their disjunction (a cover / SOP form).
 
 from __future__ import annotations
 
-from typing import Iterable, Iterator, List, Optional, Sequence, Tuple
+from typing import Iterable, Iterator, Optional, Sequence, Tuple
 
 Cube = Tuple[Optional[int], ...]
 

@@ -14,7 +14,7 @@ from __future__ import annotations
 
 import itertools
 import re
-from typing import Dict, FrozenSet, Iterable, List, Optional, Sequence, Set, Tuple
+from typing import Dict, FrozenSet, Iterable, List, Optional, Sequence
 
 from ..errors import ParseError
 from .cube import Cube

@@ -31,7 +31,7 @@ minterms.  A hazard-free cover does not always exist (Nowick–Dill);
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import FrozenSet, Iterable, List, Optional, Sequence, Set, Tuple
+from typing import FrozenSet, Iterable, List, Sequence, Set, Tuple
 
 from ..errors import SynthesisError
 from .cube import (

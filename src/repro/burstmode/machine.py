@@ -25,7 +25,7 @@ the hazard-free minimizer of :mod:`repro.boolmin.hazardfree`.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Dict, FrozenSet, Iterable, List, Optional, Set, Tuple
 
 from ..errors import ModelError

@@ -26,10 +26,9 @@ total state.
 from __future__ import annotations
 
 import itertools
-from typing import Dict, List, Optional, Sequence, Set, Tuple
+from typing import Dict, List, Optional, Sequence, Tuple
 
 from ..errors import SynthesisError
-from ..boolmin.cube import Cube
 from ..boolmin.expr import from_cubes
 from ..boolmin.hazardfree import (
     InputTransition,

@@ -50,7 +50,6 @@ from .stg import (
     muller_pipeline,
     parallel_handshakes,
     render_waveforms,
-    save_g,
     sequencer,
     write_g,
 )
@@ -167,8 +166,8 @@ def cmd_states(args) -> int:
     with _Telemetry(args):
         sg = build_state_graph(stg)
     print("# %d states, signals: %s" % (len(sg), " ".join(sg.signal_order)))
-    for state in sg.states:
-        print("%-30s %s" % (state, sg.code_str(state)))
+    for i in range(len(sg)):
+        print("%-30s %s" % (sg.graph.marking(i), sg.code_str(i)))
     return 0
 
 

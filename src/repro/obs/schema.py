@@ -44,7 +44,7 @@ one pass.
 from __future__ import annotations
 
 import json
-from typing import Any, Dict, List
+from typing import Any, List
 
 #: Version tag carried by every JSONL trace record.
 TRACE_SCHEMA = "repro-trace/1"

@@ -20,7 +20,7 @@ joined with ``"."`` so the reduction history stays readable.
 
 from __future__ import annotations
 
-from typing import Callable, Dict, List, Optional, Tuple
+from typing import Callable, Dict, List, Optional
 
 from .. import obs
 from ..budgets import REDUCTION_STATE_BOUND

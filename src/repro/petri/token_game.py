@@ -9,7 +9,7 @@ from input places and produces tokens in output places atomically.  Section
 from __future__ import annotations
 
 import random
-from typing import Iterable, Iterator, List, Optional, Sequence, Tuple
+from typing import Iterator, List, Optional, Sequence, Tuple
 
 from ..errors import ModelError, UnboundedError
 from .marking import Marking

@@ -181,22 +181,24 @@ def _payload(verdict: str, definitive: bool, method: str,
 # ---------------------------------------------------------------------- #
 
 def deadlock_explicit(model: Model, max_states: int) -> dict:
-    """Exhaustive graph construction; definitive in both directions."""
-    from ..ts.builder import build_reachability_graph
+    """Exhaustive exploration; definitive in both directions.  Only the
+    states without arcs are decoded, and the first by ``repr`` is the
+    witness."""
+    from ..ts.builder import explore
 
-    ts = build_reachability_graph(model, max_states=max_states)
-    dead = sorted((s for s in ts.states if not ts.successors(s)),
-                  key=repr)
+    graph = explore(model, max_states=max_states)
+    dead = sorted((graph.marking(i) for i, out in enumerate(graph.arcs)
+                   if not out), key=repr)
     if dead:
         return _payload(
             "deadlock", True, "explicit",
             "explicit exploration found %d dead marking(s) among %d"
-            " states" % (len(dead), len(ts)),
-            dead_marking=_marking_dict(dead[0]), states=len(ts))
+            " states" % (len(dead), len(graph)),
+            dead_marking=_marking_dict(dead[0]), states=len(graph))
     return _payload(
         "deadlock-free", True, "explicit",
         "explicit exploration of all %d states found no dead marking"
-        % len(ts), states=len(ts))
+        % len(graph), states=len(graph))
 
 
 def deadlock_bdd(model: Model) -> dict:
@@ -264,25 +266,25 @@ def _target_marking(target: Dict[str, int]) -> Marking:
 
 def reach_explicit(model: Model, target: Dict[str, int],
                    max_states: int, cover: bool = False) -> dict:
-    """Exhaustive membership test; definitive in both directions."""
-    from ..ts.builder import build_reachability_graph
+    """Exhaustive membership test; definitive in both directions.  The
+    states are decoded one at a time, in state-number order, up to the
+    first hit."""
+    from ..ts.builder import explore
 
     goal = _target_marking(target)
-    ts = build_reachability_graph(model, max_states=max_states)
-    if cover:
-        hit = next((s for s in ts.states if s.covers(goal)), None)
-    else:
-        hit = goal if goal in ts else None
-    if hit is not None:
-        return _payload(
-            "reached", True, "explicit",
-            "target %s among the %d reachable states"
-            % ("covered" if cover else "present", len(ts)),
-            final_marking=_marking_dict(hit), states=len(ts))
+    graph = explore(model, max_states=max_states)
+    for i in range(len(graph)):
+        marking = graph.marking(i)
+        if marking.covers(goal) if cover else marking == goal:
+            return _payload(
+                "reached", True, "explicit",
+                "target %s among the %d reachable states"
+                % ("covered" if cover else "present", len(graph)),
+                final_marking=_marking_dict(marking), states=len(graph))
     return _payload(
         "unreachable", True, "explicit",
-        "target absent from all %d reachable states" % len(ts),
-        states=len(ts))
+        "target absent from all %d reachable states" % len(graph),
+        states=len(graph))
 
 
 def reach_kinduction(model: Model, target: Dict[str, int],

@@ -26,8 +26,8 @@ STG has O(|term|) places and transitions.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence, Tuple
+from dataclasses import dataclass
+from typing import Dict, List, Sequence, Tuple
 
 from ..errors import ModelError
 from ..stg.signals import SignalEvent, SignalType

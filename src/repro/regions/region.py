@@ -12,7 +12,7 @@ the minimal-region expansion search used by PN synthesis
 
 from __future__ import annotations
 
-from typing import Dict, FrozenSet, Iterable, List, Optional, Sequence, Set, Tuple
+from typing import Dict, FrozenSet, Iterable, List, Optional, Set, Tuple
 
 from ..ts.transition_system import Event, State, TransitionSystem
 

@@ -19,13 +19,13 @@ test suite on the paper's examples.
 
 from __future__ import annotations
 
-from typing import Dict, FrozenSet, List, Optional, Sequence, Set, Tuple
+from typing import Dict, FrozenSet, List, Sequence, Set, Tuple
 
 from ..errors import SynthesisError
 from ..petri.net import PetriNet
 from ..stg.signals import SignalEvent, SignalType
 from ..stg.stg import STG
-from ..ts.transition_system import Event, State, TransitionSystem
+from ..ts.transition_system import State, TransitionSystem
 from .region import (
     ENTER,
     EXIT,

@@ -58,7 +58,7 @@ being returned.
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Tuple
 
 from ..errors import ModelError, UnboundedError
 from ..petri.marking import Marking

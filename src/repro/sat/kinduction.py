@@ -31,7 +31,6 @@ from dataclasses import dataclass
 from typing import Union
 
 from .. import obs
-from ..petri.net import PetriNet
 from ..stg.stg import STG
 from .bmc import BMC, TargetFn, Witness
 from .encodings import SafeNetEncoding, STGEncoding

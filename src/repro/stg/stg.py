@@ -20,7 +20,7 @@ Structural editing operations used by synthesis live here as well:
 
 from __future__ import annotations
 
-from typing import Dict, Iterable, List, Optional, Sequence, Set, Tuple
+from typing import Dict, Iterable, List, Optional, Sequence
 
 from ..errors import ModelError
 from ..petri.marking import Marking

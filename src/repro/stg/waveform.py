@@ -11,7 +11,6 @@ from __future__ import annotations
 from typing import Dict, List, Optional, Sequence
 
 from ..errors import ModelError
-from .signals import SignalEvent
 from .stg import STG
 from ..petri.token_game import enabled_transitions, fire
 

@@ -11,9 +11,8 @@ from __future__ import annotations
 
 from typing import Dict, Optional
 
-from ..errors import CSCError
 from ..stg.stg import STG
-from ..ts.state_graph import StateGraph, build_state_graph
+from ..ts.state_graph import build_state_graph
 from .netlist import Gate, Netlist
 from .nextstate import derive_all_next_state_functions
 

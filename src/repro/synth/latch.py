@@ -115,7 +115,8 @@ def check_monotonous_cover(sg: StateGraph, signal: str,
     """Static sufficient conditions for a monotonous cover.
 
     For a set cover (``direction == RISE``) of signal ``z``, checks along
-    every SG arc ``s -> s'``:
+    every SG arc ``s -> s'`` (by state number; markings are decoded only
+    to name the states of a violation):
 
     * the cover value may rise only when entering ``ER(z+)``;
     * the cover value may fall only inside ``QR(z+)`` (i.e. after ``z+``
@@ -127,32 +128,32 @@ def check_monotonous_cover(sg: StateGraph, signal: str,
     """
     er = sg.excitation_region(signal, direction)
     opposite = FALL if direction == RISE else RISE
-    er_opp = sg.excitation_region(signal, opposite)
+    off = (sg.excitation_region(signal, opposite)
+           | sg.quiescent_region(signal, opposite))
     qr = sg.quiescent_region(signal, direction)
-    qr_opp = sg.quiescent_region(signal, opposite)
-
-    def cover_value(state) -> int:
-        code = sg.code(state)
-        return 1 if any(cube_contains(c, code) for c in cover) else 0
+    values = [any(cube_contains(c, sg.code_tuple(word)) for c in cover)
+              for word in sg.int_codes]
+    marking = sg.graph.marking
+    names = sg.graph.transitions
 
     violations: List[str] = []
-    for state in sg.states:
-        if state in er and not cover_value(state):
-            violations.append("cover misses ER state %r" % (state,))
-        if (state in er_opp or state in qr_opp) and cover_value(state):
-            violations.append("cover intersects OFF state %r" % (state,))
-    for state in sg.states:
-        v = cover_value(state)
-        for event, succ in sg.ts.successors(state):
-            w = cover_value(succ)
-            if v == 0 and w == 1 and succ not in er:
+    for i, v in enumerate(values):
+        if i in er and not v:
+            violations.append("cover misses ER state %r" % (marking(i),))
+        if i in off and v:
+            violations.append("cover intersects OFF state %r" % (marking(i),))
+    for i, out in enumerate(sg.graph.arcs):
+        v = values[i]
+        for t, j in out:
+            w = values[j]
+            if not v and w and j not in er:
                 violations.append(
                     "cover rises on %r -> %r (%s) outside ER(%s%s)"
-                    % (state, succ, event, signal, direction))
-            if v == 1 and w == 0 and state not in qr:
+                    % (marking(i), marking(j), names[t], signal, direction))
+            if v and not w and i not in qr:
                 violations.append(
                     "cover falls on %r -> %r (%s) before %s%s fired"
-                    % (state, succ, event, signal, direction))
+                    % (marking(i), marking(j), names[t], signal, direction))
     return violations
 
 

@@ -21,7 +21,7 @@ independent — is checked by the :mod:`repro.verify` package.
 from __future__ import annotations
 
 import enum
-from typing import Dict, Iterable, List, Mapping, Optional, Sequence, Set, Tuple
+from typing import Dict, Iterable, List, Mapping, Optional, Set, Tuple
 
 from ..errors import ModelError, SynthesisError
 from ..boolmin.expr import BoolExpr, Var, parse_expr

@@ -24,7 +24,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from itertools import compress
 from operator import not_
-from typing import Dict, List, Optional, Sequence, Set, Tuple
+from typing import Dict, List, Optional, Set, Tuple
 
 from ..errors import CSCError
 from ..boolmin.cube import Cube, minterm_to_int
@@ -123,23 +123,22 @@ def derive_all_next_state_functions(sg: StateGraph) -> Dict[str, NextStateFuncti
     }
 
 
-def next_state_table(sg: StateGraph, signal: str,
-                     states: Optional[Sequence] = None) -> List[Tuple[str, str, str]]:
-    """The Section 3.2 illustration table: ``(code, region, f value)`` rows.
+def next_state_table(sg: StateGraph,
+                     signal: str) -> List[Tuple[str, str, str]]:
+    """The Section 3.2 illustration table: one ``(code, region, f value)``
+    row per state, in state-number order.
 
-    ``region`` is one of ``ER(z+)``, ``QR(z+)``, ``ER(z-)``, ``QR(z-)``.
-    ``states`` defaults to all states in BFS order.
+    ``region`` is one of ``ER(z+)``, ``QR(z+)``, ``ER(z-)``, ``QR(z-)``:
+    the signal is excited where its next value differs from its value.
     """
-    if states is None:
-        states = sg.states
     rows = []
-    for state in states:
-        code = "".join(map(str, sg.code(state)))
-        if sg.excited(state, signal):
-            region = "ER(%s%s)" % (signal,
-                                   "+" if sg.value(state, signal) == 0 else "-")
+    for i, word in enumerate(sg.int_codes):
+        value = sg.value(i, signal)
+        next_value = sg.next_value(i, signal)
+        if next_value != value:
+            region = "ER(%s%s)" % (signal, "+" if value == 0 else "-")
         else:
-            region = "QR(%s%s)" % (signal,
-                                   "+" if sg.value(state, signal) == 1 else "-")
-        rows.append((code, region, str(sg.next_value(state, signal))))
+            region = "QR(%s%s)" % (signal, "+" if value == 1 else "-")
+        rows.append(("".join(map(str, sg.code_tuple(word))), region,
+                     str(next_value)))
     return rows

@@ -20,7 +20,7 @@ terminates in well under a second.
 from __future__ import annotations
 
 import itertools
-from typing import Dict, FrozenSet, Iterable, List, Optional, Sequence, Set, Tuple
+from typing import Dict, List, Sequence, Set, Tuple
 
 from ..budgets import DECOMPOSE_STATE_BOUND
 from ..errors import SynthesisError
@@ -28,11 +28,10 @@ from ..boolmin.cube import Cube
 from ..boolmin.expr import And, BoolExpr, Not, Or, Var, from_cubes
 from ..stg.stg import STG
 from ..synth.complex_gate import synthesize_complex_gates
-from ..synth.netlist import Gate, GateKind, Netlist
+from ..synth.netlist import Gate, Netlist
 from ..synth.nextstate import derive_all_next_state_functions
 from ..ts.state_graph import StateGraph, build_state_graph
 from ..verify.composition import verify_circuit
-from .library import TWO_INPUT_LIBRARY, is_fully_mapped
 
 
 def _expr_literals(expr: BoolExpr) -> int:

@@ -13,8 +13,8 @@ from dataclasses import dataclass
 from itertools import permutations
 from typing import Dict, List, Optional, Sequence, Tuple
 
-from ..boolmin.expr import BoolExpr, all_assignments
-from ..synth.netlist import Gate, GateKind, Netlist
+from ..boolmin.expr import BoolExpr
+from ..synth.netlist import GateKind, Netlist
 
 
 @dataclass(frozen=True)

@@ -25,7 +25,7 @@ separation value stabilises across successive occurrence indices.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, Iterator, List, Optional, Sequence, Set, Tuple
+from typing import Dict, Iterator, List, Optional, Set, Tuple
 
 from ..errors import ModelError
 from ..petri.net import PetriNet

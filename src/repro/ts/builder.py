@@ -3,8 +3,10 @@
 :func:`explore` plays the token game from the initial marking and
 returns a :class:`NumberedGraph`: states numbered in BFS discovery
 order, each with its arcs as ``(transition index, successor number)``
-in sorted transition order.  :func:`build_reachability_graph`
-materialises that graph as a
+in sorted transition order.  Analysis, synthesis, verification and the
+explicit portfolio runners read that graph by state number and decode
+a marking only where they report one.  :func:`build_reachability_graph`
+materialises the graph, for callers that want one, as a
 :class:`~repro.ts.transition_system.TransitionSystem` whose states are
 markings and whose arcs are labelled with transition names.  For safe
 nets a violation of 1-safeness raises
@@ -84,8 +86,8 @@ class NumberedGraph:
     (``compiled`` is None).  ``arcs[i]`` lists state ``i``'s arcs as
     ``(transition index, successor number)`` in sorted transition order,
     and ``transitions[t]`` names transition ``t`` (the net's transitions,
-    sorted).  Markings and the transition system are decoded only when
-    read; :meth:`markings` is the one decoded list.
+    sorted).  A marking is decoded only when read: :meth:`marking` decodes
+    one state, and :meth:`markings` is the one decoded list of all.
 
     A graph is memoised on its net and shared by every caller of
     :func:`explore`, so its lists are read-only.  ``labelling`` is the
@@ -138,17 +140,6 @@ class NumberedGraph:
         if self.compiled is None:
             return state.get(place)
         return (state >> self.compiled.place_bit[place]) & 1
-
-    def transition_system(self) -> TransitionSystem:
-        """The graph as a transition system over markings: states in
-        number order, arcs labelled with transition names."""
-        markings = self.markings()
-        names = self.transitions
-        adjacency = {
-            markings[i]: [(names[t], markings[j]) for t, j in out]
-            for i, out in enumerate(self.arcs)
-        }
-        return TransitionSystem.from_adjacency(markings[0], adjacency)
 
 
 def explore(model: Union[PetriNet, STG],
@@ -209,11 +200,19 @@ def build_reachability_graph(model: Union[PetriNet, STG],
     """Breadth-first reachability graph of a Petri net or STG from its
     initial marking: :func:`explore`, materialised.
 
-    Arc labels are transition names (for an STG these are the canonical
-    event strings such as ``"LDS+"`` or ``"LDS+/2"``).  ``max_states``
-    and ``require_safe`` are as for :func:`explore`.
+    States are markings in state-number order; arc labels are transition
+    names (for an STG these are the canonical event strings such as
+    ``"LDS+"`` or ``"LDS+/2"``).  ``max_states`` and ``require_safe`` are
+    as for :func:`explore`.
     """
-    return explore(model, max_states, require_safe).transition_system()
+    graph = explore(model, max_states, require_safe)
+    markings = graph.markings()
+    names = graph.transitions
+    adjacency = {
+        markings[i]: [(names[t], markings[j]) for t, j in out]
+        for i, out in enumerate(graph.arcs)
+    }
+    return TransitionSystem.from_adjacency(markings[0], adjacency)
 
 
 def _traced_build(engine: str, net: PetriNet, build) -> NumberedGraph:

@@ -11,11 +11,12 @@ The SG sits on the explorer's numbered graph
 kept per state number as ints: the binary code (``int_codes``, first
 signal of ``signal_order`` the most significant bit, so int order is
 code order) and the mask of enabled ``(signal, direction)`` pairs
-(``enabled_masks``).  The Marking-keyed views — ``ts``, ``states``,
-``initial`` and ``codes`` — are decoded on first read, so a caller that
-needs only counts or initial values decodes no marking.
+(``enabled_masks``).  Every per-state query takes a state number; a
+report that prints a state decodes its marking itself, with
+``sg.graph.marking(i)``.
 
-The SG also provides the region machinery of Section 3.2:
+The SG also provides the region machinery of Section 3.2, as sets of
+state numbers:
 
 * ``ER(z+)`` / ``ER(z-)`` — positive/negative *excitation regions*: states
   in which a ``z+`` (``z-``) transition is enabled;
@@ -33,7 +34,6 @@ from ..errors import ConsistencyError
 from ..stg.signals import FALL, RISE, SignalEvent
 from ..stg.stg import STG
 from .builder import DEFAULT_STATE_BOUND, NumberedGraph, explore
-from .transition_system import State, TransitionSystem
 
 
 class StateGraph:
@@ -43,9 +43,9 @@ class StateGraph:
     code and ``enabled_masks[i]`` the mask of the enabled ``(signal,
     direction)`` pairs (dummy events excluded); :meth:`signal_bits` names
     a signal's bits in both.  ``order`` lists the state numbers in
-    parity-propagation order, the order of ``codes``.  These lists are
-    shared with every state graph of the same graph, signal order and
-    events, and are read-only.
+    parity-propagation order.  These lists are shared with every state
+    graph of the same graph, signal order and events, and are read-only.
+    The states are ``range(len(sg))``; ``graph.marking(i)`` decodes one.
     """
 
     def __init__(self, stg: STG, graph: NumberedGraph,
@@ -68,11 +68,7 @@ class StateGraph:
             if stg.type_of(s).is_noninput:
                 _, rise, fall = self.signal_bits(s)
                 self.noninput_mask |= rise | fall
-        self._ts: Optional[TransitionSystem] = None
-        self._codes: Optional[Dict[State, Tuple[int, ...]]] = None
-        self._number: Optional[Dict[State, int]] = None
         self._tuples: Dict[int, Tuple[int, ...]] = {}
-        self._enabled_events: Dict[int, List[SignalEvent]] = {}
         # the propagation is memoised on the (shared, memoised) graph: a
         # second state graph of the same net, signal order and events
         # reuses its read-only lists
@@ -201,146 +197,67 @@ class StateGraph:
                         FALL if bit & 1 else RISE))
         return result
 
-    # ------------------------------------------------------------------ #
-    # Marking-keyed views, decoded on first read
-    # ------------------------------------------------------------------ #
-
-    @property
-    def ts(self) -> TransitionSystem:
-        """The graph as a transition system over markings."""
-        if self._ts is None:
-            self._ts = self.graph.transition_system()
-        return self._ts
-
-    @property
-    def states(self) -> List[State]:
-        """All states (markings) in BFS order."""
-        return list(self.graph.markings())
-
     def __len__(self) -> int:
         return len(self.graph)
 
-    @property
-    def initial(self) -> State:
-        return self.graph.marking(0)
-
-    @property
-    def codes(self) -> Dict[State, Tuple[int, ...]]:
-        """Binary code of every state, in parity-propagation order."""
-        if self._codes is None:
-            markings = self.graph.markings()
-            self._codes = {markings[i]: self.code_tuple(self.int_codes[i])
-                           for i in self.order}
-        return self._codes
-
-    def _number_of(self, state: State) -> int:
-        """The state number of a marking."""
-        if self._number is None:
-            self._number = {
-                m: i for i, m in enumerate(self.graph.markings())}
-        return self._number[state]
-
     # ------------------------------------------------------------------ #
-    # basic queries
+    # per-state queries, by state number
     # ------------------------------------------------------------------ #
 
-    def code(self, state: State) -> Tuple[int, ...]:
-        """Binary code of a state (ordered by ``signal_order``)."""
-        return self.codes[state]
+    def value(self, number: int, signal: str) -> int:
+        """Value of a signal in state ``number``."""
+        return 1 if self.int_codes[number] & self.signal_bits(signal)[0] else 0
 
-    def value(self, state: State, signal: str) -> int:
-        """Value of a signal in a state."""
-        return self.codes[state][self._index[signal]]
+    def next_value(self, number: int, signal: str) -> int:
+        """The next-state value of a signal in state ``number`` (Section
+        3.2):
 
-    def enabled_events(self, state: State) -> List[SignalEvent]:
-        """Signal events labelling outgoing arcs of a state (memoized)."""
-        i = self._number_of(state)
-        cached = self._enabled_events.get(i)
-        if cached is None:
-            events = self.events
-            cached = sorted({events[t] for t, _ in self.graph.arcs[i]},
-                            key=lambda e: e.sort_key())
-            self._enabled_events[i] = cached
-        return cached
+        * 1 in ``ER(z+) ∪ QR(z+)``,
+        * 0 in ``ER(z-) ∪ QR(z-)``.
+        """
+        bit, rise, fall = self.signal_bits(signal)
+        mask = self.enabled_masks[number]
+        if mask & rise:
+            return 1
+        if mask & fall:
+            return 0
+        return 1 if self.int_codes[number] & bit else 0
 
-    def enabled_signals(self, state: State,
-                        noninput_only: bool = False) -> Set[Tuple[str, str]]:
-        """Set of ``(signal, direction)`` pairs enabled in a state."""
-        mask = self.enabled_masks[self._number_of(state)]
-        if noninput_only:
-            mask &= self.noninput_mask
-        return self.pairs(mask)
-
-    def code_str(self, state: State,
-                 groups: Optional[Sequence[Sequence[str]]] = None,
-                 mark_enabled: bool = True) -> str:
-        """Render a state code like the paper's Figure 4: ``"10.11*.0"``.
+    def code_str(self, number: int,
+                 groups: Optional[Sequence[Sequence[str]]] = None) -> str:
+        """Render state ``number``'s code like the paper's Figure 4:
+        ``"10.11*.0"``.
 
         ``groups`` optionally partitions the signals with dots; enabled
-        signals get an asterisk after their bit when ``mark_enabled``.
+        signals get an asterisk after their bit.
         """
         if groups is None:
             groups = [self.signal_order]
-        enabled = {s for s, _ in self.enabled_signals(state)} if mark_enabled \
-            else set()
-        chunks = []
-        for group in groups:
-            bits = []
-            for s in group:
-                bits.append(str(self.value(state, s)))
-                if s in enabled:
-                    bits.append("*")
-            chunks.append("".join(bits))
-        return ".".join(chunks)
-
-    def states_by_code(self) -> Dict[Tuple[int, ...], List[State]]:
-        """Group states by binary code, in parity-propagation order."""
-        groups: Dict[Tuple[int, ...], List[State]] = {}
-        for state, code in self.codes.items():
-            groups.setdefault(code, []).append(state)
-        return groups
+        enabled = {s for s, _ in self.pairs(self.enabled_masks[number])}
+        return ".".join(
+            "".join(str(self.value(number, s)) + ("*" if s in enabled else "")
+                    for s in group)
+            for group in groups)
 
     # ------------------------------------------------------------------ #
     # excitation and quiescent regions (Section 3.2)
     # ------------------------------------------------------------------ #
 
-    def excitation_region(self, signal: str, direction: str) -> Set[State]:
-        """``ER(z+)`` or ``ER(z-)``: states where a transition of the signal
-        in the given direction is enabled (a fresh set per call)."""
+    def excitation_region(self, signal: str, direction: str) -> Set[int]:
+        """``ER(z+)`` or ``ER(z-)``: the numbers of the states where a
+        transition of the signal in the given direction is enabled."""
         _, rise, fall = self.signal_bits(signal)
         bit = rise if direction == RISE else fall
-        markings = self.graph.markings()
-        return {markings[i] for i, mask in enumerate(self.enabled_masks)
-                if mask & bit}
+        return {i for i, mask in enumerate(self.enabled_masks) if mask & bit}
 
-    def quiescent_region(self, signal: str, direction: str) -> Set[State]:
-        """``QR(z+)``: states where z is stable 1 (``QR(z-)``: stable 0)."""
+    def quiescent_region(self, signal: str, direction: str) -> Set[int]:
+        """``QR(z+)``: the numbers of the states where z is stable 1
+        (``QR(z-)``: stable 0)."""
         bit, rise, fall = self.signal_bits(signal)
         stable, opposite = (bit, fall) if direction == RISE else (0, rise)
-        markings = self.graph.markings()
         masks = self.enabled_masks
-        return {markings[i] for i, word in enumerate(self.int_codes)
+        return {i for i, word in enumerate(self.int_codes)
                 if word & bit == stable and not masks[i] & opposite}
-
-    def next_value(self, state: State, signal: str) -> int:
-        """The next-state value of a signal in a state (Section 3.2):
-
-        * 1 in ``ER(z+) ∪ QR(z+)``,
-        * 0 in ``ER(z-) ∪ QR(z-)``.
-        """
-        i = self._number_of(state)
-        bit, rise, fall = self.signal_bits(signal)
-        mask = self.enabled_masks[i]
-        if mask & rise:
-            return 1
-        if mask & fall:
-            return 0
-        return 1 if self.int_codes[i] & bit else 0
-
-    def excited(self, state: State, signal: str) -> bool:
-        """True iff the signal's next value differs from its current value —
-        i.e. the state is in an excitation region of the signal."""
-        return self.next_value(state, signal) != self.value(state, signal)
 
 
 def build_state_graph(stg: STG,

@@ -8,7 +8,7 @@ into state graphs (:mod:`repro.ts.state_graph`).
 
 from __future__ import annotations
 
-from typing import Callable, Dict, FrozenSet, Hashable, Iterable, List, Optional, Set, Tuple
+from typing import Callable, Dict, FrozenSet, Hashable, Iterable, List, Set, Tuple
 
 from ..errors import ModelError
 
@@ -51,7 +51,7 @@ class TransitionSystem:
 
         States are inserted in the mapping's iteration order (``initial``
         first); arcs keep their per-state list order.  This is how
-        :meth:`repro.ts.builder.NumberedGraph.transition_system`
+        :func:`repro.ts.builder.build_reachability_graph`
         materialises an explored graph — equivalent to calling
         :meth:`add_arc` per arc, minus the per-arc bookkeeping.
         """

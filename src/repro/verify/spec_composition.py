@@ -16,7 +16,7 @@ behaviour.  The resulting TS can be re-synthesized into an STG via
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Set, Tuple
+from typing import Dict, List, Tuple
 
 from ..budgets import DECOMPOSE_STATE_BOUND
 from ..errors import ModelError, StateExplosionError
@@ -46,7 +46,7 @@ def compose_specifications(a: STG, b: STG,
                            max_states: int = DECOMPOSE_STATE_BOUND) -> TransitionSystem:
     """Synchronous product of two STG behaviours.
 
-    States are pairs of component states; arcs are labelled with signal
+    States are pairs of component markings; arcs are labelled with signal
     event strings (``"req+"``).  Shared events move both components
     simultaneously and require both to enable them; private events
     interleave.
@@ -55,27 +55,30 @@ def compose_specifications(a: STG, b: STG,
     sg_a = build_state_graph(a, max_states=max_states)
     sg_b = build_state_graph(b, max_states=max_states)
 
-    def moves(sg, state):
-        """signal-event string -> list of successor states."""
-        result: Dict[str, List] = {}
-        for tname, succ in sg.ts.successors(state):
-            event = sg.stg.event_of(tname)
+    def moves(sg, i):
+        """signal-event string -> list of successor state numbers."""
+        result: Dict[str, List[int]] = {}
+        for t, j in sg.graph.arcs[i]:
+            event = sg.events[t]
             if event.is_dummy:
                 raise ModelError("composition of dummy events unsupported")
             key = event.signal + event.direction
-            result.setdefault(key, []).append(succ)
+            result.setdefault(key, []).append(j)
         return result
 
-    initial = (sg_a.initial, sg_b.initial)
-    ts = TransitionSystem(initial)
-    stack = [initial]
-    seen = {initial}
+    # the walk runs on pairs of state numbers; markings are decoded only
+    # for the transition system it returns
+    markings_a = sg_a.graph.markings()
+    markings_b = sg_b.graph.markings()
+    ts = TransitionSystem((markings_a[0], markings_b[0]))
+    stack = [(0, 0)]
+    seen = {(0, 0)}
     while stack:
         state = stack.pop()
         pa, pb = state
         moves_a = moves(sg_a, pa)
         moves_b = moves(sg_b, pb)
-        successors: List[Tuple[str, Tuple]] = []
+        successors: List[Tuple[str, Tuple[int, int]]] = []
         for event, targets in moves_a.items():
             signal = event[:-1]
             if signal in shared:
@@ -93,7 +96,8 @@ def compose_specifications(a: STG, b: STG,
             for tb in targets:
                 successors.append((event, (pa, tb)))
         for event, succ in successors:
-            ts.add_arc(state, event, succ)
+            ts.add_arc((markings_a[pa], markings_b[pb]), event,
+                       (markings_a[succ[0]], markings_b[succ[1]]))
             if succ not in seen:
                 if len(seen) >= max_states:
                     raise StateExplosionError(

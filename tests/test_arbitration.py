@@ -52,8 +52,8 @@ class TestMutexController:
         from repro.ts import build_state_graph
 
         sg = build_state_graph(spec)
-        for state in sg.states:
-            assert not (sg.value(state, "a1") and sg.value(state, "a2"))
+        for i in range(len(sg)):
+            assert not (sg.value(i, "a1") and sg.value(i, "a2"))
 
     def test_mutex_implementation_ok(self, spec, mutex_netlist):
         report = verify_circuit(mutex_netlist, spec)

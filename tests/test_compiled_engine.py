@@ -104,8 +104,10 @@ def test_engines_produce_identical_state_graph_codes(name):
     stg, other = LIBRARY[name](), LIBRARY[name]()
     sg_naive = StateGraph(stg, token_game(explore, stg))
     sg_comp = StateGraph(other, explore(other))
+    assert sg_naive.graph.compiled is None
+    assert sg_comp.graph.compiled is not None
     assert sg_naive.initial_values == sg_comp.initial_values
-    assert sg_naive.codes == sg_comp.codes
+    assert sg_naive.graph.markings() == sg_comp.graph.markings()
     assert sg_naive.int_codes == sg_comp.int_codes
     assert sg_naive.enabled_masks == sg_comp.enabled_masks
     assert sg_naive.order == sg_comp.order
@@ -304,7 +306,7 @@ def test_dropped_net_is_freed_without_the_cycle_collector():
         stg = muller_pipeline(3)
         sg = build_state_graph(stg)
         assert sg.graph.compiled is not None
-        assert len(sg.states) == len(sg)
+        assert len(sg.graph.markings()) == len(sg)
         net = weakref.ref(stg.net)
         del stg, sg
         assert net() is None
@@ -362,7 +364,12 @@ def test_state_graph_helper_matches_token_game():
     stg = muller_pipeline(3)
     sg = build_state_graph(stg)
     sg_naive = token_game(build_state_graph, muller_pipeline(3))
-    assert sg.codes == sg_naive.codes
+    assert sg.graph.compiled is not None
+    assert sg_naive.graph.compiled is None
+    assert sg.graph.markings() == sg_naive.graph.markings()
+    assert sg.int_codes == sg_naive.int_codes
+    assert sg.enabled_masks == sg_naive.enabled_masks
+    assert sg.order == sg_naive.order
     assert sg.initial_values == sg_naive.initial_values
 
 

@@ -69,7 +69,7 @@ class TestErrorsAndEdges:
         """The synthesized function agrees with the next-state value in
         every reachable state — the defining property of Section 3.2."""
         sg = build_state_graph(vme_read_csc())
-        for state in sg.states:
-            env = {s: sg.value(state, s) for s in sg.signal_order}
+        for i in range(len(sg)):
+            env = {s: sg.value(i, s) for s in sg.signal_order}
             for signal, gate in csc_netlist.gates.items():
-                assert gate.expr.eval(env) == sg.next_value(state, signal)
+                assert gate.expr.eval(env) == sg.next_value(i, signal)

@@ -53,7 +53,7 @@ class TestContraction:
         # preserving) net; the SG is built in k-bounded mode
         sg = build_state_graph(contracted, require_safe=False)
         # x+ and y+ concurrent in the initial state
-        enabled = {str(e) for e in sg.enabled_events(sg.initial)}
+        enabled = {str(sg.events[t]) for t, _ in sg.graph.arcs[0]}
         assert enabled == {"x+", "y+"}
 
     def test_preserves_visible_language(self):

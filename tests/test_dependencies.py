@@ -9,6 +9,11 @@ module the imports pull in must come from the standard library, or be
 ``repro.ts`` (the graph builder) and ``repro.bdd`` (the symbolic query
 engine) share only the kernel packages below them: neither imports the
 other, at module level or inside a function.
+
+A module other than a package's ``__init__.py`` uses every name it
+imports: the name occurs as an ``ast.Name`` somewhere in the module.
+``__init__.py`` files import to re-export, and ``from __future__``
+imports are directives, so both are exempt.
 """
 
 import ast
@@ -76,4 +81,35 @@ def test_state_space_packages_do_not_import_each_other(package, other):
     offending = sorted(name for name in imported_modules(package)
                        if name == forbidden
                        or name.startswith(forbidden + "."))
+    assert offending == []
+
+
+def unused_imports(path):
+    """``(line, name)`` of every name ``path`` imports and never uses."""
+    with open(path) as handle:
+        tree = ast.parse(handle.read(), path)
+    used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+    unused = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom) and node.module == "__future__":
+            continue
+        if isinstance(node, (ast.Import, ast.ImportFrom)):
+            for alias in node.names:
+                # ``import a.b`` binds ``a``
+                name = (alias.asname or alias.name).partition(".")[0]
+                if name not in used:
+                    unused.append((node.lineno, name))
+    return unused
+
+
+def test_modules_use_every_name_they_import():
+    root = os.path.dirname(repro.__file__)
+    offending = []
+    for directory, _, filenames in sorted(os.walk(root)):
+        for filename in sorted(filenames):
+            if filename.endswith(".py") and filename != "__init__.py":
+                path = os.path.join(directory, filename)
+                offending.extend(
+                    "%s:%d %s" % (os.path.relpath(path, root), line, name)
+                    for line, name in unused_imports(path))
     assert offending == []

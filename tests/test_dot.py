@@ -42,6 +42,6 @@ class TestReachabilityDot:
         stg = vme_read()
         sg = build_state_graph(stg)
         graph = build_reachability_graph(stg.net)
-        codes = {s: sg.code_str(s) for s in sg.states}
+        codes = {sg.graph.marking(i): sg.code_str(i) for i in range(len(sg))}
         text = reachability_to_dot(graph, codes=codes)
         assert "0*0" in text or "00" in text

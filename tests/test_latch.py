@@ -37,11 +37,11 @@ class TestCovers:
     def test_set_cover_covers_er_plus(self, csc_sg):
         for signal in csc_sg.stg.noninput_signals:
             set_cubes, reset_cubes = excitation_covers(csc_sg, signal)
-            for state in csc_sg.excitation_region(signal, RISE):
-                code = csc_sg.code(state)
+            for i in csc_sg.excitation_region(signal, RISE):
+                code = csc_sg.code_tuple(csc_sg.int_codes[i])
                 assert any(cube_contains(c, code) for c in set_cubes)
-            for state in csc_sg.excitation_region(signal, FALL):
-                code = csc_sg.code(state)
+            for i in csc_sg.excitation_region(signal, FALL):
+                code = csc_sg.code_tuple(csc_sg.int_codes[i])
                 assert any(cube_contains(c, code) for c in reset_cubes)
 
     def test_set_cover_avoids_off_states(self, csc_sg):
@@ -49,15 +49,15 @@ class TestCovers:
             set_cubes, reset_cubes = excitation_covers(csc_sg, signal)
             off = (csc_sg.excitation_region(signal, FALL)
                    | csc_sg.quiescent_region(signal, FALL))
-            for state in off:
-                code = csc_sg.code(state)
+            for i in off:
+                code = csc_sg.code_tuple(csc_sg.int_codes[i])
                 assert not any(cube_contains(c, code) for c in set_cubes)
 
     def test_set_reset_mutually_exclusive_on_reachable(self, csc_sg):
         for signal in csc_sg.stg.noninput_signals:
             set_cubes, reset_cubes = excitation_covers(csc_sg, signal)
-            for state in csc_sg.states:
-                code = csc_sg.code(state)
+            for word in csc_sg.int_codes:
+                code = csc_sg.code_tuple(word)
                 s = any(cube_contains(c, code) for c in set_cubes)
                 r = any(cube_contains(c, code) for c in reset_cubes)
                 assert not (s and r)

@@ -32,7 +32,8 @@ class TestDerivation:
 
     def test_onset_offset_partition_reachable(self, csc_sg):
         fn = derive_next_state_function(csc_sg, "LDS")
-        reachable = {minterm_to_int(csc_sg.code(s)) for s in csc_sg.states}
+        reachable = {minterm_to_int(csc_sg.code_tuple(word))
+                     for word in csc_sg.int_codes}
         assert fn.onset | fn.offset == reachable
         assert not (fn.onset & fn.offset)
         assert fn.dcset == set(range(64)) - reachable

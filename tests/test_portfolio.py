@@ -18,12 +18,15 @@ import pytest
 from repro.cli import main
 from repro.errors import (EngineTimeoutError, StateExplosionError,
                           WorkerCrashError)
+from repro.petri.compiled import CompiledNet
 from repro.petri.library import dining_philosophers
 from repro.portfolio import (TaskSpec, check_consistency, check_csc,
                              check_deadlock, check_reach, race)
 from repro.portfolio import faults, tasks
 from repro.portfolio.faults import FaultRule, FaultSyntaxError, parse
-from repro.stg.library import ALL_EXAMPLES
+from repro.stg.library import ALL_EXAMPLES, muller_pipeline
+from repro.ts import explore
+from repro.ts.transition_system import TransitionSystem
 
 
 @pytest.fixture(autouse=True)
@@ -401,6 +404,62 @@ FAULT_PLANS = [
     "delay:slot=explicit,seconds=30",
     "kill:p=0.5,seed=3,max_attempt=99",
 ]
+
+
+# ---------------------------------------------------------------------- #
+# explicit runners: the explored graph, decoded only where reported
+# ---------------------------------------------------------------------- #
+
+def count_decodes(monkeypatch):
+    """The codes ``CompiledNet.decode`` is called with, from now on."""
+    calls = []
+    decode = CompiledNet.decode
+
+    def counting(self, code):
+        calls.append(code)
+        return decode(self, code)
+
+    monkeypatch.setattr(CompiledNet, "decode", counting)
+    return calls
+
+
+def refuse_transition_system(self, initial):
+    raise AssertionError("built a transition system")
+
+
+class TestExplicitRunners:
+    @pytest.mark.parametrize("model", [ALL_EXAMPLES["vme_read"],
+                                       lambda: dining_philosophers(3)],
+                             ids=["vme_read", "dining_philosophers_3"])
+    def test_no_transition_system_is_built(self, model, monkeypatch):
+        monkeypatch.setattr(TransitionSystem, "__init__",
+                            refuse_transition_system)
+        tasks.deadlock_explicit(model(), max_states=10_000)
+        for cover in (False, True):
+            tasks.reach_explicit(model(), {}, max_states=10_000,
+                                 cover=cover)
+
+    def test_deadlock_decodes_only_the_dead_states(self, monkeypatch):
+        dead = sum(not out for out in explore(dining_philosophers(3)).arcs)
+        assert dead == 1
+        calls = count_decodes(monkeypatch)
+        payload = tasks.deadlock_explicit(muller_pipeline(6),
+                                          max_states=10_000)
+        assert payload["verdict"] == "deadlock-free"
+        assert calls == []
+        payload = tasks.deadlock_explicit(dining_philosophers(3),
+                                          max_states=10_000)
+        assert payload["verdict"] == "deadlock"
+        assert len(calls) == dead
+
+    def test_reach_stops_decoding_at_the_first_hit(self, monkeypatch):
+        target = dict(explore(muller_pipeline(6)).marking(5).items())
+        calls = count_decodes(monkeypatch)
+        payload = tasks.reach_explicit(muller_pipeline(6), target,
+                                       max_states=10_000)
+        assert payload["verdict"] == "reached"
+        assert payload["final_marking"] == target
+        assert len(calls) == 6
 
 
 class TestMergedTraces:

@@ -109,8 +109,10 @@ class TestContraction:
         sg1 = build_state_graph(stg)
         sg2 = build_state_graph(contracted)
         shared = sorted(contracted.signals)
-        codes1 = {tuple(sg1.value(s, x) for x in shared) for s in sg1.states}
-        codes2 = {tuple(sg2.value(s, x) for x in shared) for s in sg2.states}
+        codes1 = {tuple(sg1.value(i, x) for x in shared)
+                  for i in range(len(sg1))}
+        codes2 = {tuple(sg2.value(i, x) for x in shared)
+                  for i in range(len(sg2))}
         assert codes1 == codes2
 
     def test_full_flow_on_compiled_process(self):

@@ -113,9 +113,12 @@ def test_explorers_build_identical_graphs(stg):
         naive = build_state_graph(stg.copy())
     assert naive.graph.compiled is None
     assert compiled.graph.compiled is not None
-    assert compiled.ts.states == naive.ts.states
-    assert list(compiled.ts.arcs()) == list(naive.ts.arcs())
-    assert compiled.codes == naive.codes
+    assert compiled.graph.markings() == naive.graph.markings()
+    assert compiled.graph.transitions == naive.graph.transitions
+    assert compiled.graph.arcs == naive.graph.arcs
+    assert compiled.int_codes == naive.int_codes
+    assert compiled.enabled_masks == naive.enabled_masks
+    assert compiled.order == naive.order
     assert compiled.initial_values == naive.initial_values
 
 
@@ -130,18 +133,18 @@ def test_image_operator_matches_token_game(stg):
 @SETTINGS
 def test_state_graph_codes_internally_consistent(stg):
     sg = build_state_graph(stg)
-    for state in sg.states:
-        for tname, succ in sg.ts.successors(state):
-            event = stg.event_of(tname)
-            before = sg.value(state, event.signal)
-            after = sg.value(succ, event.signal)
+    for i, out in enumerate(sg.graph.arcs):
+        for t, j in out:
+            event = stg.event_of(sg.graph.transitions[t])
+            before = sg.value(i, event.signal)
+            after = sg.value(j, event.signal)
             if event.is_rising:
                 assert (before, after) == (0, 1)
             else:
                 assert (before, after) == (1, 0)
             for other in sg.signal_order:
                 if other != event.signal:
-                    assert sg.value(state, other) == sg.value(succ, other)
+                    assert sg.value(i, other) == sg.value(j, other)
 
 
 @given(random_stg())
@@ -178,10 +181,10 @@ def test_next_state_functions_match_state_graph(stg):
     assume(report.implementable)
     sg = build_state_graph(stg)
     netlist = synthesize_complex_gates(sg)
-    for state in sg.states:
-        env = {s: sg.value(state, s) for s in sg.signal_order}
+    for i in range(len(sg)):
+        env = {s: sg.value(i, s) for s in sg.signal_order}
         for signal, gate in netlist.gates.items():
-            assert gate.next_value(env) == sg.next_value(state, signal)
+            assert gate.next_value(env) == sg.next_value(i, signal)
 
 
 @given(random_stg())

@@ -21,7 +21,7 @@ class TestFigure4:
 
     def test_initial_code(self, paper_sg):
         """Initial state of Figure 4: 0*0.00.0 (DSr excited)."""
-        code = paper_sg.code_str(paper_sg.initial, groups=PAPER_GROUPS)
+        code = paper_sg.code_str(0, groups=PAPER_GROUPS)
         assert code == "0*0.00.0"
 
     def test_all_figure4_codes_present(self, paper_sg):
@@ -30,19 +30,21 @@ class TestFigure4:
             "1*1.11.1", "01.11.1*", "01*.11*.0", "0*0.11*.0", "10.11*.0",
             "01*.1*0.0", "0*0.1*0.0", "01*.00.0", "10.1*0.0",
         }
-        actual = {paper_sg.code_str(s, groups=PAPER_GROUPS)
-                  for s in paper_sg.states}
+        actual = {paper_sg.code_str(i, groups=PAPER_GROUPS)
+                  for i in range(len(paper_sg))}
         assert actual == expected
 
     def test_conflict_states_share_code_10110(self, paper_sg):
         """The two underlined states of Figure 4."""
-        by_code = paper_sg.states_by_code()
+        by_code = {}
+        for i in paper_sg.order:
+            by_code.setdefault(paper_sg.int_codes[i], []).append(i)
         dup = [states for states in by_code.values() if len(states) > 1]
         assert len(dup) == 1
         states = dup[0]
-        codes = {paper_sg.code(s) for s in states}
+        codes = {paper_sg.code_tuple(paper_sg.int_codes[i]) for i in states}
         assert codes == {(1, 0, 1, 1, 0)}  # <DSr,DTACK,LDTACK,LDS,D>
-        markings = {s for s in states}
+        markings = {paper_sg.graph.marking(i) for i in states}
         assert Marking({"p4": 1}) in markings
         assert Marking({"p2": 1, "p9": 1}) in markings
 
@@ -53,18 +55,19 @@ class TestFigure4:
 class TestRegions:
     def test_excitation_region_of_d_plus(self, paper_sg):
         er = paper_sg.excitation_region("D", "+")
-        assert er == {Marking({"p4": 1})}
+        assert {paper_sg.graph.marking(i) for i in er} == {Marking({"p4": 1})}
 
     def test_quiescent_region_of_d_plus(self, paper_sg):
         qr = paper_sg.quiescent_region("D", "+")
-        assert qr == {Marking({"p5": 1}), Marking({"p6": 1})}
+        assert {paper_sg.graph.marking(i) for i in qr} == {
+            Marking({"p5": 1}), Marking({"p6": 1})}
 
     def test_next_value_classification(self, paper_sg):
         er_plus = paper_sg.excitation_region("LDS", "+")
         for s in er_plus:
             assert paper_sg.value(s, "LDS") == 0
             assert paper_sg.next_value(s, "LDS") == 1
-            assert paper_sg.excited(s, "LDS")
+            assert paper_sg.next_value(s, "LDS") != paper_sg.value(s, "LDS")
 
     def test_regions_partition_states(self, paper_sg):
         for signal in PAPER_SIGNAL_ORDER:
@@ -75,7 +78,7 @@ class TestRegions:
                 paper_sg.quiescent_region(signal, "-"),
             ]
             union = set().union(*regions)
-            assert union == set(paper_sg.states)
+            assert union == set(range(len(paper_sg)))
             total = sum(len(r) for r in regions)
             assert total == len(paper_sg)  # pairwise disjoint
 

@@ -63,8 +63,8 @@ class TestInsertSignal:
                                             fall_before=["D-"])
         sg = build_state_graph(inserted)
         # csc0+ must be causally before LDS+: in no state are both enabled
-        for s in sg.states:
-            enabled = {str(e) for e in sg.enabled_events(s)}
+        for out in sg.graph.arcs:
+            enabled = {str(sg.events[t]) for t, _ in out}
             assert not ({"csc0+", "LDS+"} <= enabled)
             assert not ({"csc0-", "D-"} <= enabled)
 
@@ -98,9 +98,9 @@ class TestRetargetTrigger:
         sg = build_state_graph(moved)
         # now LDS- can be enabled while D is still high
         found = False
-        for s in sg.states:
-            enabled = {str(e) for e in sg.enabled_events(s)}
-            if "LDS-" in enabled and sg.value(s, "D") == 1:
+        for i, out in enumerate(sg.graph.arcs):
+            enabled = {str(sg.events[t]) for t, _ in out}
+            if "LDS-" in enabled and sg.value(i, "D") == 1:
                 found = True
         assert found
 
