@@ -337,7 +337,18 @@ class Solver:
             for u in range(1, self.n_vars + 1):
                 self._activity[u] *= 1e-100
             self._var_inc *= 1e-100
+            # every heap entry still holds a pre-rescale activity
+            self._rebuild_heap()
         heappush(self._heap, (-self._activity[v], v))
+
+    def _rebuild_heap(self) -> None:
+        """The decision heap of the unassigned variables, keyed by their
+        current activities."""
+        activity = self._activity
+        vals = self._vals
+        self._heap = [(-activity[v], v) for v in range(1, self.n_vars + 1)
+                      if vals[v] == 0]
+        heapify(self._heap)
 
     def _bump_clause(self, clause: _Clause) -> None:
         clause.act += self._cla_inc
@@ -424,7 +435,8 @@ class Solver:
         """Pick an unassigned variable (0 when all are assigned).
 
         The heap is lazy: variables are re-pushed on every activity bump
-        and on unassignment, so stale entries are simply skipped.
+        and on unassignment, so stale entries are simply skipped; an
+        activity rescale rebuilds it.
         """
         heap = self._heap
         vals = self._vals
@@ -494,11 +506,8 @@ class Solver:
         conflict_budget = luby(self.restarts)
         conflicts_here = 0
         # rebuild the decision heap for the current variable pool
+        self._rebuild_heap()
         vals = self._vals
-        self._heap = [(-self._activity[v], v)
-                      for v in range(1, self.n_vars + 1)
-                      if vals[v] == 0]
-        heapify(self._heap)
         while True:
             conflict = self._propagate()
             if conflict is not None:

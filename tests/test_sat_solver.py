@@ -235,6 +235,37 @@ class TestSolverStructured:
             with pytest.raises(ModelError):
                 solver.model_value(bad)
 
+    def test_decisions_follow_current_activities_after_a_rescale(self):
+        # seeded random 3-SAT on which the decision heap used to keep its
+        # pre-rescale entries: the first decision after the rescale
+        # picked a variable of activity 0.871 while another had 1.002
+        rng = random.Random(1)
+        n = 24
+        clauses = [[rng.choice((1, -1)) * v
+                    for v in rng.sample(range(1, n + 1), 3)]
+                   for _ in range(round(4.3 * n))]
+        solver = Solver()
+        solver._var_inc = 1e99  # the first bumps overflow into a rescale
+        for clause in clauses:
+            solver.add_clause(clause)
+        decide = solver._decide
+        after_rescale = []
+
+        def checked_decide():
+            if solver._var_inc >= 1e99:
+                return decide()
+            free = [v for v in range(1, n + 1) if solver._vals[v] == 0]
+            v = decide()
+            after_rescale.append(v)
+            assert solver._vals[v] == 0
+            assert solver._activity[v] == max(solver._activity[u]
+                                              for u in free)
+            return v
+
+        solver._decide = checked_decide
+        assert not solver.solve()
+        assert after_rescale
+
     def test_model_unavailable_after_unsat(self):
         solver = Solver()
         solver.ensure_vars(1)

@@ -310,7 +310,7 @@ def run_instances(forced):
 #: records, reductions, solvers rescaled)
 GOLDEN_INSTANCES = {
     False: (161, 44, "13fceae50f9c5f9b", 0, 0),
-    True: (161, 44, "932c779d0af3f599", 79, 15),
+    True: (161, 44, "c86a36f3c76d70e1", 82, 15),
 }
 
 
