@@ -11,8 +11,9 @@ each other on three workloads:
   an order of magnitude slower than the SAT proof, and under a 4096-state
   budget it does not finish at all while the SAT verdict is unaffected;
 * **shallow deadlock in a large space (dining philosophers)** — BMC digs
-  out the depth-``n`` all-take-left deadlock without visiting the rest of
-  the ~3^n-state space; the explicit path enumerates everything first;
+  out the all-take-left deadlock in a single ∅-conflict step without
+  visiting the rest of the ~3^n-state space; the explicit path
+  enumerates everything first;
 * **the VME CSC conflict** — found by a bounded two-trace query instead
   of the state-graph + code-grouping pipeline.
 
@@ -62,11 +63,10 @@ def test_sat_answers_beyond_the_explicit_state_budget():
     assert isinstance(prove_deadlock_free(stg, max_k=2), Proved)
 
 
-@pytest.mark.parametrize("semantics", ["interleaving", "parallel"])
-def test_sat_finds_shallow_deadlock(benchmark, semantics):
+def test_sat_finds_shallow_deadlock(benchmark):
     net = dining_philosophers(6)
-    bound = 6 if semantics == "interleaving" else 1
-    witness = benchmark(find_deadlock, net, bound, semantics)
+    # one ∅-conflict step: every philosopher takes the left fork at once
+    witness = benchmark(find_deadlock, net, 1)
     assert witness is not None
     assert len(witness.transitions) == 6  # all take_left
     final = witness.final_marking

@@ -18,8 +18,9 @@ demonstrations on the paper's own models:
    replayable firing sequences.
 
 3. **A shallow deadlock in a large state space** — dining philosophers:
-   BMC digs out the depth-n "everyone took the left fork" deadlock; with
-   the ∅-conflict parallel step semantics it needs a single frame.
+   BMC digs out the "everyone took the left fork" deadlock; a step fires
+   any set of independent transitions together, so it needs a single
+   step.
 
 Run:  python examples/sat_model_checking.py
 """
@@ -81,9 +82,9 @@ def shallow_deadlock():
     print("\n== 3. shallow deadlock, large state space (philosophers) ==")
     n = 8
     net = dining_philosophers(n)
-    witness, seconds = timed(find_deadlock, net, 1, "parallel")
+    witness, seconds = timed(find_deadlock, net, 1)
     assert witness is not None
-    print("deadlock after one parallel step (%.3fs): %s"
+    print("deadlock after one step (%.3fs): %s"
           % (seconds, " ".join(witness.transitions)))
     # the SAT and explicit paths report dead markings identically
     print("dead marking: %r"

@@ -9,8 +9,7 @@ as propositional constraints and ask a SAT solver *targeted queries* —
 finding counterexamples (BMC) or proofs (k-induction) without ever
 materialising the state space.
 
-Module map, with the SMPT (`/root/related/Perevalov__SMPT`) and paper
-counterparts each one reproduces:
+Module map, with the SMPT and paper counterparts each one reproduces:
 
 ====================  ====================================================
 module                role / counterpart
@@ -26,9 +25,9 @@ module                role / counterpart
                       subprocess (``solver.py``) so the subsystem has
                       zero dependencies.
 :mod:`.encodings`     Unrolled token-game encoding of 1-safe nets: frame
-                      axioms, interleaving and ∅-conflict parallel step
-                      semantics, P-invariant (state-equation
-                      over-approximation) pruning — SMPT's
+                      axioms, ∅-conflict steps (any set of independent
+                      transitions fires in one step), P-invariant
+                      (state-equation over-approximation) pruning — SMPT's
                       ``smtlib_transitions_ordered`` plus the paper's
                       Section 2.2 approximation techniques.  The
                       :class:`~repro.sat.encodings.STGEncoding` subclass
@@ -39,8 +38,8 @@ module                role / counterpart
                       BMC loop in ``smpt.py``).
 :mod:`.kinduction`    k-induction with simple-path refinement returning
                       ``Proved`` / ``Refuted(trace)`` / ``Unknown(k)``
-                      (SMPT's ``kinduction.py``; the IC3 module of SMPT
-                      is future work, see ROADMAP).
+                      (SMPT's ``kinduction.py``; SMPT's IC3 module has
+                      no counterpart here).
 :mod:`.queries`       User-facing predicates: ``reach_marking``,
                       ``find_deadlock``, ``prove_deadlock_free``,
                       ``prove_unreachable``, ``csc_conflict``,
@@ -66,12 +65,7 @@ library.
 
 from .bmc import BMC, DEFAULT_BOUND, Witness, deadlock_target, marking_target
 from .cnf import CNF
-from .encodings import (
-    SEMANTICS,
-    SafeNetEncoding,
-    STGEncoding,
-    state_equation_refutes,
-)
+from .encodings import SafeNetEncoding, STGEncoding, state_equation_refutes
 from .kinduction import (
     DEFAULT_MAX_K,
     Proved,
@@ -94,7 +88,7 @@ from .solver import Solver
 
 __all__ = [
     "BMC", "DEFAULT_BOUND", "Witness", "deadlock_target", "marking_target",
-    "CNF", "SEMANTICS", "SafeNetEncoding", "STGEncoding",
+    "CNF", "SafeNetEncoding", "STGEncoding",
     "state_equation_refutes",
     "DEFAULT_MAX_K", "Proved", "Refuted", "Unknown", "Verdict", "k_induction",
     "SatCSCConflict", "consistency_violation", "csc_conflict",

@@ -39,11 +39,13 @@ class Witness:
     """A concrete counterexample trace found by BMC.
 
     ``transitions`` is the flattened firing sequence; ``steps`` groups it
-    per unrolling step (singletons under interleaving semantics, possibly
-    larger sets under the parallel semantics, empty stutter steps already
-    dropped); ``markings`` is the replayed trajectory, with
-    ``markings[0]`` the initial marking and ``markings[-1]`` the state
-    satisfying the target.
+    per unrolling step: each step is the sorted ∅-conflict set of
+    transitions fired together, which may hold more than one, and empty
+    stutter steps are already dropped.  ``markings`` is the replayed
+    trajectory, one marking per transition, with ``markings[0]`` the
+    initial marking and ``markings[-1]`` the state satisfying the target.
+    ``bound`` is the number of steps unrolled, so ``len(transitions)``
+    may exceed it.
     """
 
     transitions: List[str]
@@ -94,21 +96,17 @@ class BMC:
     """
 
     def __init__(self, model: Union[PetriNet, STG],
-                 semantics: str = "interleaving",
-                 invariants: bool = True,
                  track_consistency: bool = False):
         if isinstance(model, STG):
             self.net = model.net
             self.encoding: SafeNetEncoding = STGEncoding(
-                model, semantics=semantics, invariants=invariants,
-                track_consistency=track_consistency)
+                model, track_consistency=track_consistency)
         else:
             if track_consistency:
                 raise ModelError(
                     "consistency tracking needs an STG, not a bare net")
             self.net = model
-            self.encoding = SafeNetEncoding(
-                model, semantics=semantics, invariants=invariants)
+            self.encoding = SafeNetEncoding(model)
         self.solver = Solver()
         self._feed = ClauseFeeder(self.solver, self.encoding.cnf)
         self._feed()

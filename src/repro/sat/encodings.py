@@ -16,15 +16,13 @@ solver.  A :class:`SafeNetEncoding` unrolls the token game of an ordinary
   consumed(p))`` — a place is marked afterwards iff some producer fired,
   or it was marked and no pure consumer fired.
 
-Two step semantics are supported.  ``"interleaving"`` adds an
-at-most-one constraint over each step's firing variables (a step fires
-one transition or stutters — stuttering makes a bound-``k`` query cover
-all shorter traces too).  ``"parallel"`` instead forbids only
-*conflicting* pairs — transitions sharing an input or an output place —
-so any number of independent transitions fire per step (the
-∅-conflict step semantics: every such step replays sequentially in any
-order, which keeps witnesses checkable in the token game while reaching
-deep states with far fewer frames).
+A step is a *∅-conflict* set of transitions (Heljanko, CONCUR 2001):
+only *conflicting* pairs — transitions sharing an input or an output
+place — are forbidden, so any number of independent transitions fire in
+one step.  Every such step replays sequentially in any order, which
+keeps witnesses checkable in the token game while reaching deep states
+with far fewer frames.  A step may also fire nothing (a stutter), so a
+bound-``k`` query covers all shorter traces too.
 
 Every frame is additionally constrained by the net's minimal
 P-invariants (:func:`repro.petri.structure.p_invariants`) where they
@@ -68,9 +66,6 @@ from ..stg.signals import RISE
 from ..stg.stg import STG
 from .cnf import CNF
 
-SEMANTICS = ("interleaving", "parallel")
-
-
 def state_equation_refutes(net: PetriNet, target: Marking) -> bool:
     """Solver-free unreachability test from the P-invariant dual of the
     state equation.
@@ -98,19 +93,12 @@ class SafeNetEncoding:
     """
 
     def __init__(self, net: PetriNet, cnf: Optional[CNF] = None,
-                 semantics: str = "interleaving",
-                 invariants: bool = True,
                  anchor_initial: bool = True,
-                 initial: Optional[Marking] = None,
                  prefix: str = ""):
-        if semantics not in SEMANTICS:
-            raise ModelError("unknown step semantics %r (expected one of %s)"
-                             % (semantics, SEMANTICS))
         if not net.has_ordinary_arcs():
             raise ModelError(
                 "SAT encoding requires an ordinary (weight-1) net")
-        if initial is None:
-            initial = net.initial_marking
+        initial = net.initial_marking
         if not initial.is_safe():
             raise UnboundedError(
                 "SAT encoding requires a 1-safe initial marking")
@@ -118,7 +106,6 @@ class SafeNetEncoding:
             if p not in net.places:
                 raise ModelError("unknown place %r in initial marking" % p)
         self.net = net
-        self.semantics = semantics
         self.cnf = cnf if cnf is not None else CNF()
         self.prefix = prefix
         self.places: List[str] = sorted(net.places)
@@ -143,8 +130,7 @@ class SafeNetEncoding:
         self._fire_vars: List[Dict[str, int]] = []
         self._enabled_cache: Dict[Tuple[int, str], int] = {}
         self._deadlock_cache: Dict[int, int] = {}
-        self._invariants: List[Dict[str, int]] = (
-            p_invariants(net) if invariants else [])
+        self._invariants: List[Dict[str, int]] = p_invariants(net)
         self._initial = initial
         self._push_frame()
         if anchor_initial:
@@ -222,10 +208,7 @@ class SafeNetEncoding:
                 if p not in self.net.pre(t):
                     cnf.add_clause(-f, -current[p])  # contact-freedom
 
-        if self.semantics == "interleaving":
-            cnf.at_most_one([fire[t] for t in self.transitions])
-        else:
-            self._forbid_conflicting_pairs(fire)
+        self._forbid_conflicting_pairs(fire)
 
         for p in self.places:
             self._frame_axiom(current[p], succ[p],
@@ -239,9 +222,9 @@ class SafeNetEncoding:
             self.add_step()
 
     def _forbid_conflicting_pairs(self, fire: Dict[str, int]) -> None:
-        """∅-conflict parallel step: no two fired transitions may share an
-        input place (they would race for its token) or an output place
-        (their tokens would collide in a safe net)."""
+        """∅-conflict step: no two fired transitions may share an input
+        place (they would race for its token) or an output place (their
+        tokens would collide in a safe net)."""
         ts = self.transitions
         for i in range(len(ts)):
             pre_i = set(self._pre[ts[i]])
@@ -372,8 +355,6 @@ class STGEncoding(SafeNetEncoding):
     """
 
     def __init__(self, stg: STG, cnf: Optional[CNF] = None,
-                 semantics: str = "interleaving",
-                 invariants: bool = True,
                  anchor_initial: bool = True,
                  track_consistency: bool = False,
                  prefix: str = ""):
@@ -394,9 +375,8 @@ class STGEncoding(SafeNetEncoding):
         self._seen_vars: List[Dict[str, int]] = []
         self._last_vars: List[Dict[str, int]] = []
         self._violation_vars: List[int] = []
-        super().__init__(stg.net, cnf=cnf, semantics=semantics,
-                         invariants=invariants,
-                         anchor_initial=anchor_initial, prefix=prefix)
+        super().__init__(stg.net, cnf=cnf, anchor_initial=anchor_initial,
+                         prefix=prefix)
         # frame 0: parity all zero; alternation automaton empty
         for s in self.signals:
             self.cnf.add_clause(-self._parity_vars[0][s])
@@ -441,12 +421,9 @@ class STGEncoding(SafeNetEncoding):
                 cnf.iff_lit(par_next, par)
             else:
                 # parity tracking needs at most one event of the signal
-                # per step; interleaving guarantees that already, the
-                # parallel semantics does not (two instances of the same
-                # signal transition may be structurally independent)
-                if self.semantics == "parallel" and \
-                        len(rise_lits) + len(fall_lits) > 1:
-                    cnf.at_most_one(rise_lits + fall_lits)
+                # per step: two instances of the same signal transition
+                # may be structurally independent
+                cnf.at_most_one(rise_lits + fall_lits)
                 cnf.iff_xor(par_next, par, fired)
             if not self.track_consistency:
                 continue

@@ -4,11 +4,14 @@ BMC alone can only *find* counterexamples.  k-induction adds the proof
 direction: a safety property ``P`` ("no reachable deadlock", "no
 reachable bad state") holds in **every** reachable marking if
 
-* **base case** — no trace of length at most ``k`` from the initial
+* **base case** — no trace of at most ``k`` steps from the initial
   marking violates ``P`` (a BMC run), and
-* **inductive step** — no path of ``k+1`` transitions through *arbitrary*
+* **inductive step** — no path of ``k+1`` steps through *arbitrary*
   markings that satisfies ``P`` in its first ``k+1`` states can violate
   ``P`` in its last state.
+
+A step is a ∅-conflict set of transitions fired together (see
+:mod:`repro.sat.encodings`), so ``k`` counts steps, not transitions.
 
 The step case is solved on an *unanchored* unrolling (frame 0 is any
 marking allowed by the P-invariant constraints, not the initial one) with
@@ -97,15 +100,12 @@ Verdict = Union[Proved, Refuted, Unknown]
 class _StepCase:
     """The unanchored inductive-step unrolling with its own solver."""
 
-    def __init__(self, model, semantics: str, invariants: bool):
+    def __init__(self, model):
         if isinstance(model, STG):
             self.encoding: SafeNetEncoding = STGEncoding(
-                model, semantics=semantics, invariants=invariants,
-                anchor_initial=False)
+                model, anchor_initial=False)
         else:
-            self.encoding = SafeNetEncoding(
-                model, semantics=semantics, invariants=invariants,
-                anchor_initial=False)
+            self.encoding = SafeNetEncoding(model, anchor_initial=False)
         self.solver = Solver()
         self._feed = ClauseFeeder(self.solver, self.encoding.cnf)
 
@@ -134,9 +134,7 @@ class _StepCase:
 
 
 def k_induction(model, bad: TargetFn,
-                max_k: int = DEFAULT_MAX_K,
-                semantics: str = "interleaving",
-                invariants: bool = True) -> Verdict:
+                max_k: int = DEFAULT_MAX_K) -> Verdict:
     """Prove or refute that no reachable marking satisfies ``bad``.
 
     ``bad(encoding, frame)`` returns assumption literals describing the
@@ -147,8 +145,8 @@ def k_induction(model, bad: TargetFn,
     ``sat.kinduction`` span counting ``base_calls`` / ``step_calls``
     and tagged with the verdict and final depth.
     """
-    base = BMC(model, semantics=semantics, invariants=invariants)
-    step = _StepCase(model, semantics=semantics, invariants=invariants)
+    base = BMC(model)
+    step = _StepCase(model)
     reason = "bound-reached"
     with obs.span("sat.kinduction", net=base.net.name,
                   max_k=max_k) as span:

@@ -37,7 +37,7 @@ from .bmc import (
 )
 from .cnf import CNF
 from .encodings import STGEncoding, state_equation_refutes
-from .kinduction import DEFAULT_MAX_K, Verdict, k_induction
+from .kinduction import DEFAULT_MAX_K, Proved, Verdict, k_induction
 from .solver import ClauseFeeder, Solver
 
 
@@ -61,8 +61,7 @@ def _validate_target(net: PetriNet, target: Marking) -> None:
 
 def reach_marking(model: Union[PetriNet, STG], target: Marking,
                   bound: int = DEFAULT_BOUND,
-                  partial: bool = False,
-                  semantics: str = "interleaving") -> Optional[Witness]:
+                  partial: bool = False) -> Optional[Witness]:
     """A firing sequence reaching ``target`` within ``bound`` steps.
 
     ``partial=True`` asks for a marking *covering* the target (only the
@@ -74,41 +73,33 @@ def reach_marking(model: Union[PetriNet, STG], target: Marking,
     _validate_target(net, target)
     if not partial and state_equation_refutes(net, target):
         return None
-    bmc = BMC(net, semantics=semantics)
-    return bmc.run(marking_target(target, partial=partial), bound)
+    return BMC(net).run(marking_target(target, partial=partial), bound)
 
 
 def find_deadlock(model: Union[PetriNet, STG],
-                  bound: int = DEFAULT_BOUND,
-                  semantics: str = "interleaving") -> Optional[Witness]:
+                  bound: int = DEFAULT_BOUND) -> Optional[Witness]:
     """A firing sequence into a dead marking, or None within the bound."""
-    bmc = BMC(_net_of(model), semantics=semantics)
-    return bmc.run(deadlock_target, bound)
+    return BMC(_net_of(model)).run(deadlock_target, bound)
 
 
 def prove_deadlock_free(model: Union[PetriNet, STG],
-                        max_k: int = DEFAULT_MAX_K,
-                        semantics: str = "interleaving") -> Verdict:
+                        max_k: int = DEFAULT_MAX_K) -> Verdict:
     """k-induction verdict on deadlock freedom.
 
     ``Proved`` — no reachable marking is dead; ``Refuted`` — the witness
     trace ends in a dead marking; ``Unknown`` — undecided at ``max_k``.
     """
-    return k_induction(_net_of(model), deadlock_target, max_k=max_k,
-                       semantics=semantics)
+    return k_induction(_net_of(model), deadlock_target, max_k=max_k)
 
 
 def prove_unreachable(model: Union[PetriNet, STG], target: Marking,
-                      max_k: int = DEFAULT_MAX_K,
-                      semantics: str = "interleaving") -> Verdict:
+                      max_k: int = DEFAULT_MAX_K) -> Verdict:
     """k-induction verdict on unreachability of an exact marking."""
     net = _net_of(model)
     _validate_target(net, target)
     if state_equation_refutes(net, target):
-        from .kinduction import Proved
         return Proved(0)
-    return k_induction(net, marking_target(target), max_k=max_k,
-                       semantics=semantics)
+    return k_induction(net, marking_target(target), max_k=max_k)
 
 
 # ---------------------------------------------------------------------- #
@@ -185,24 +176,23 @@ def csc_pair_lits(stg: STG, cnf: CNF, enc_a: STGEncoding,
     return equal, cnf.new_or(diffs)
 
 
-def csc_conflict(stg: STG, bound: int = DEFAULT_BOUND,
-                 semantics: str = "interleaving"
-                 ) -> Optional[SatCSCConflict]:
+def csc_conflict(stg: STG,
+                 bound: int = DEFAULT_BOUND) -> Optional[SatCSCConflict]:
     """Search for a CSC conflict by BMC over a *pair* of unrollings.
 
     Two independent copies of the token game run from the initial
     marking; the query asks for a bound ``k`` at which their parity
     vectors agree on **every** signal (same binary code) while some
     non-input signal is excited in one copy but not the other.  Thanks to
-    stuttering, a bound-``k`` call covers all trace pairs of length at
-    most ``k`` each.
+    stuttering, a bound-``k`` call covers all trace pairs of at most ``k``
+    steps each.
     """
     noninput = [s for s in stg.signals if stg.type_of(s).is_noninput]
     if not noninput:
         return None
     cnf = CNF()
-    enc_a = STGEncoding(stg, cnf=cnf, semantics=semantics, prefix="A.")
-    enc_b = STGEncoding(stg, cnf=cnf, semantics=semantics, prefix="B.")
+    enc_a = STGEncoding(stg, cnf=cnf, prefix="A.")
+    enc_b = STGEncoding(stg, cnf=cnf, prefix="B.")
     solver = Solver()
     feed = ClauseFeeder(solver, cnf)
 
@@ -235,9 +225,8 @@ def csc_conflict(stg: STG, bound: int = DEFAULT_BOUND,
 # consistency
 # ---------------------------------------------------------------------- #
 
-def consistency_violation(stg: STG, bound: int = DEFAULT_BOUND,
-                          semantics: str = "interleaving"
-                          ) -> Optional[Witness]:
+def consistency_violation(stg: STG,
+                          bound: int = DEFAULT_BOUND) -> Optional[Witness]:
     """A firing sequence on which some signal fires twice in the same
     direction with no opposite transition in between.
 
@@ -245,21 +234,9 @@ def consistency_violation(stg: STG, bound: int = DEFAULT_BOUND,
     checker additionally detects *cross-path* divergence, where two
     branches imply different initial values; a trace witnessing that
     cannot exist on one path, so this query reports the dominant,
-    replayable class of violations).  The returned witness ends with the
-    offending transition.
+    replayable class of violations).  The last step of the returned
+    witness holds the offending transition; independent transitions
+    fired in the same step may follow it in the flattened sequence.
     """
-    bmc = BMC(stg, semantics=semantics, track_consistency=True)
-    encoding = bmc.encoding
-    assert isinstance(encoding, STGEncoding)
-
-    with obs.span("sat.consistency", net=stg.net.name,
-                  bound=bound) as span:
-        for k in range(bound):
-            span.add("bounds_explored")
-            encoding.ensure_steps(k + 1)
-            bmc._feed()
-            if bmc.solver.solve([encoding.violation_lit(k)]):
-                span.annotate(result="violation", k=k + 1)
-                return bmc.witness(k + 1)
-        span.annotate(result="no-violation")
-    return None
+    return BMC(stg, track_consistency=True).run(
+        lambda enc, frame: [enc.violation_lit(frame - 1)], bound, start=1)

@@ -150,18 +150,29 @@ def test_library_stgs_are_sat_consistent(name):
     assert consistency_violation(stg, bound=min(bfs_depth(stg), 12)) is None
 
 
-@pytest.mark.parametrize("semantics", ["interleaving", "parallel"])
-def test_reachability_queries_cover_the_state_space(semantics):
-    stg = vme_read()
+CONCURRENT_MODELS = {
+    "vme_read": vme_read,
+    "parallel_handshakes_3": lambda: parallel_handshakes(3),
+    "muller_pipeline_4": lambda: muller_pipeline(4),
+}
+
+
+@pytest.mark.parametrize("name", sorted(CONCURRENT_MODELS))
+def test_reachability_queries_cover_the_state_space(name):
+    stg = CONCURRENT_MODELS[name]()
     states = sorted(reachable_markings(stg.net), key=repr)
     bound = bfs_depth(stg)
+    widest = 0
     for target in states:
-        witness = reach_marking(stg, target, bound=bound,
-                                semantics=semantics)
+        witness = reach_marking(stg, target, bound=bound)
         assert witness is not None
         assert witness.final_marking == target
         assert fire_sequence(stg.net, stg.initial_marking,
                              witness.transitions) == target
+        widest = max([widest] + [len(step) for step in witness.steps])
+    # the models are concurrent: some target is reached through a step
+    # that fires independent transitions together
+    assert widest >= 2
 
 
 def test_unreachable_marking_is_refuted_and_proved():
@@ -195,10 +206,9 @@ def test_reach_partial_cover_query():
 # deadlock witnesses and the shared reporting format
 # ---------------------------------------------------------------------- #
 
-@pytest.mark.parametrize("semantics", ["interleaving", "parallel"])
-def test_deadlocked_net_witness_replays(semantics):
+def test_deadlocked_net_witness_replays():
     net = deadlocked_chain()
-    witness = find_deadlock(net, bound=5, semantics=semantics)
+    witness = find_deadlock(net, bound=5)
     assert witness is not None
     final = fire_sequence(net, net.initial_marking, witness.transitions)
     assert final == witness.final_marking
@@ -225,22 +235,17 @@ def test_kinduction_never_proves_a_reachable_target():
     clause; negating literal-by-literal over-constrained it and could
     prove reachable markings unreachable."""
     stg = vme_read()
-    ts = build_reachability_graph(stg)
-    depth = {ts.initial: 0}
-    frontier, level = [ts.initial], 0
-    while frontier:
-        level += 1
-        nxt = []
-        for state in frontier:
-            for _, succ in ts.successors(state):
-                if succ not in depth:
-                    depth[succ] = level
-                    nxt.append(succ)
-        frontier = nxt
-    deepest = max(depth, key=depth.get)
+    # the target's depth in steps: the smallest bound that reaches it
+    depth = {}
+    for target in reachable_markings(stg.net):
+        depth[target] = next(k for k in range(bfs_depth(stg) + 1)
+                             if reach_marking(stg, target, bound=k)
+                             is not None)
+    deepest = max(sorted(depth, key=repr), key=depth.get)
+    assert depth[deepest] >= 2
     # max_k below the target's depth: base can't refute, step must not
     # "prove" — the only sound verdict is Unknown
-    verdict = prove_unreachable(stg, deepest, max_k=2)
+    verdict = prove_unreachable(stg, deepest, max_k=depth[deepest] - 1)
     assert isinstance(verdict, Unknown)
     verdict = prove_unreachable(stg, deepest, max_k=depth[deepest])
     assert isinstance(verdict, Refuted)
@@ -248,13 +253,13 @@ def test_kinduction_never_proves_a_reachable_target():
 
 
 def test_kinduction_unknown_when_bound_too_small():
-    # the chain deadlocks at depth 3; induction capped below that and
-    # with invariants disabled cannot decide either way at k=0..0
+    # the chain deadlocks at depth 3; induction capped below that cannot
+    # decide either way at k=0..0
     from repro.sat import k_induction
 
-    verdict = k_induction(deadlocked_chain(), deadlock_target, max_k=0,
-                          invariants=False)
+    verdict = k_induction(deadlocked_chain(), deadlock_target, max_k=0)
     assert isinstance(verdict, Unknown)
+    assert verdict.reason == "step-satisfiable"
 
 
 # ---------------------------------------------------------------------- #
@@ -286,6 +291,40 @@ def test_consistency_violation_found_and_replays():
     # the trace must actually contain a same-direction repeat
     directions = [t for t in witness.transitions if t.startswith("a+")]
     assert len(directions) >= 2
+
+
+def test_consistency_witness_last_step_holds_the_offending_transition():
+    """The input ``c`` toggles independently of the double rise, so its
+    events may share a step with the offending ``a+``: the promise is
+    about the last step, not the last transition of the flattened
+    sequence."""
+    stg = parse_g("""
+.model double_rise_toggle
+.inputs a c
+.outputs b
+.graph
+a+/1 b+
+b+ a+/2
+a+/2 b-
+b- a+/1
+c+ c-
+c- c+
+.marking { <b-,a+/1> <c-,c+> }
+.end
+""")
+    witness = consistency_violation(stg, bound=8)
+    assert witness is not None
+    assert fire_sequence(stg.net, stg.initial_marking, witness.transitions)
+    *before, last = witness.steps
+    previous = {}
+    for step in before:
+        for t in step:
+            event = stg.event_of(t)
+            previous[event.signal] = event.direction
+    repeats = [t for t in last
+               if previous.get(stg.event_of(t).signal)
+               == stg.event_of(t).direction]
+    assert [stg.event_of(t).signal for t in repeats] == ["a"]
 
 
 # ---------------------------------------------------------------------- #
@@ -334,16 +373,16 @@ def test_dimacs_export_of_unrolling_round_trips():
 
 def test_parallel_steps_fire_independent_transitions_together():
     stg = parallel_handshakes(4)
-    # all four r+ events are mutually independent: with the parallel
-    # semantics one step suffices to mark every <r+,a+> place
+    # all four r+ events are mutually independent: one ∅-conflict step
+    # suffices to mark every <r+,a+> place
     target = Marking({"<r%d+,a%d+>" % (i, i): 1 for i in range(4)})
-    witness = reach_marking(stg, target, bound=1, semantics="parallel")
+    witness = reach_marking(stg, target, bound=1)
     assert witness is not None
     assert len(witness.steps) == 1
     assert sorted(witness.steps[0]) == ["r0+", "r1+", "r2+", "r3+"]
-    # the interleaving semantics needs four steps for the same state
-    assert reach_marking(stg, target, bound=3) is None
-    assert reach_marking(stg, target, bound=4) is not None
+    assert witness.bound == 1 and len(witness) == 4
+    # the target is not the initial marking: no trace of zero steps
+    assert reach_marking(stg, target, bound=0) is None
 
 
 # ---------------------------------------------------------------------- #

@@ -6,9 +6,14 @@ every counter of ``Solver.stats()``.  The order in which ``BDD.ite`` and
 ``BDD.image`` create nodes fixes every node id and the ``ite`` cache
 counters.  Every witness and every traced counter of the ``sat.solve``
 and ``bdd.fixpoint`` spans follows from these orders, so they are
-behaviour: a faster kernel must keep them.  The values below were
-recorded before the solver's and the manager's inner loops were
-rewritten onto local arrays, and hold after.
+behaviour: a faster kernel must keep them.  The verdicts, the BDD
+manager records and the default seeded instances were recorded before
+the solver's and the manager's inner loops were rewritten onto local
+arrays, and hold after.  The ``solve()`` lists of the queries were
+re-recorded when the SAT unrolling moved from one firing per step to
+∅-conflict steps (a different CNF, so a different search), and the
+forced seeded record when an activity rescale began to rebuild the
+decision heap.
 
 * The nine ``query_inline`` benchmark queries, run as the benchmark runs
   them (``repro.portfolio.check_*`` with one pinned engine, inline, so
@@ -99,12 +104,12 @@ GOLDEN_QUERIES = {
         "no-conflict",
         [
             (False, 136, 591, 0, 0, 0, 136, 0, None),
-            (False, 360, 1710, 2, 2, 1, 340, 0, None),
-            (False, 584, 2829, 9, 9, 7, 751, 0, None),
-            (False, 808, 3948, 29, 29, 26, 1843, 0, None),
-            (False, 1032, 5067, 81, 81, 100, 5120, 0, None),
-            (False, 1256, 6186, 222, 224, 323, 16560, 1, None),
-            (False, 1480, 7305, 441, 445, 650, 40005, 2, None),
+            (False, 326, 1628, 2, 2, 1, 336, 0, None),
+            (False, 516, 2665, 9, 9, 7, 684, 0, None),
+            (False, 706, 3702, 30, 30, 27, 1556, 0, None),
+            (False, 896, 4739, 95, 95, 118, 5091, 0, None),
+            (False, 1086, 5776, 295, 295, 379, 17640, 1, None),
+            (False, 1276, 6813, 570, 570, 845, 38933, 2, None),
         ],
         [(29453, 64483, 4199, "575e7086061da35a")],
     ),
@@ -117,12 +122,12 @@ GOLDEN_QUERIES = {
         "no-conflict",
         [
             (False, 91, 217, 0, 0, 0, 91, 0, None),
-            (False, 240, 700, 2, 2, 1, 223, 0, None),
-            (False, 389, 1183, 9, 9, 7, 650, 0, None),
-            (False, 538, 1666, 23, 23, 20, 1748, 0, None),
-            (False, 687, 2149, 45, 45, 73, 4125, 0, None),
-            (False, 836, 2632, 89, 89, 138, 9165, 0, None),
-            (False, 985, 3115, 155, 155, 275, 16367, 0, None),
+            (False, 218, 648, 2, 2, 1, 217, 0, None),
+            (False, 345, 1079, 9, 9, 7, 589, 0, None),
+            (False, 472, 1510, 23, 23, 20, 1535, 0, None),
+            (False, 599, 1941, 45, 45, 45, 3542, 0, None),
+            (False, 726, 2372, 89, 89, 100, 7862, 0, None),
+            (False, 853, 2803, 155, 155, 195, 14384, 0, None),
         ],
         [(654, 1396, 119, "2d4ab5eea5c00789")],
     ),
@@ -140,12 +145,12 @@ GOLDEN_QUERIES = {
         "deadlock-free",
         [
             (False, 71, 379, 0, 0, 0, 71, 0, None),
-            (False, 193, 1072, 0, 1, 0, 167, 0, None),
-            (False, 315, 1765, 0, 2, 0, 259, 0, None),
-            (False, 437, 2458, 0, 3, 0, 353, 0, None),
-            (False, 559, 3151, 0, 4, 0, 452, 0, None),
-            (False, 681, 3844, 0, 5, 0, 560, 0, None),
-            (False, 803, 4537, 0, 6, 0, 682, 0, None),
+            (False, 168, 998, 0, 1, 0, 167, 0, None),
+            (False, 265, 1617, 0, 2, 0, 259, 0, None),
+            (False, 362, 2236, 0, 3, 0, 353, 0, None),
+            (False, 459, 2855, 0, 4, 0, 452, 0, None),
+            (False, 556, 3474, 0, 5, 0, 560, 0, None),
+            (False, 653, 4093, 0, 6, 0, 682, 0, None),
         ],
         [(39156, 63829, 10088, "8f2def551a19b2dc")],
     ),
@@ -153,15 +158,15 @@ GOLDEN_QUERIES = {
         "conflict",
         [
             (False, 74, 173, 0, 0, 0, 74, 0, None),
-            (False, 196, 568, 2, 2, 1, 187, 0, None),
-            (False, 318, 963, 9, 9, 7, 548, 0, None),
-            (False, 440, 1358, 26, 26, 28, 1780, 0, None),
-            (False, 562, 1753, 47, 47, 52, 3610, 0, None),
-            (False, 684, 2148, 93, 93, 131, 8463, 0, None),
-            (False, 806, 2543, 185, 185, 277, 19157, 0, None),
-            (False, 928, 2938, 333, 333, 457, 36232, 1, None),
-            (False, 1050, 3333, 486, 486, 733, 57022, 2, None),
-            (True, 1172, 3728, 628, 628, 953, 80962, 2, "2850fd23a4e34b79"),
+            (False, 178, 526, 2, 2, 1, 181, 0, None),
+            (False, 282, 879, 9, 9, 7, 496, 0, None),
+            (False, 386, 1232, 26, 26, 22, 1542, 0, None),
+            (False, 490, 1585, 47, 47, 46, 3169, 0, None),
+            (False, 594, 1938, 93, 93, 105, 7519, 0, None),
+            (False, 698, 2291, 186, 186, 219, 17297, 0, None),
+            (False, 802, 2644, 341, 341, 432, 34206, 1, None),
+            (False, 906, 2997, 529, 529, 680, 59125, 2, None),
+            (True, 1010, 3350, 628, 628, 856, 75206, 2, "3f1deec64dda0453"),
         ],
         [],
     ),
@@ -169,22 +174,8 @@ GOLDEN_QUERIES = {
         "deadlock",
         [
             (False, 49, 193, 0, 0, 0, 49, 0, None),
-            (True, 161, 647, 1, 1, 16, 163, 0, "25a6ea61e9677db8"),
-            (False, 161, 678, 1, 2, 1, 114, 0, None),
-            (True, 305, 1262, 5, 5, 49, 671, 0, "3daa7ed2e99438a3"),
-            (False, 273, 1163, 5, 7, 5, 373, 0, None),
-            (True, 481, 2006, 17, 17, 137, 2168, 0, "01e3661edb8fcab1"),
-            (False, 385, 1648, 14, 17, 16, 1382, 0, None),
-            (True, 689, 2879, 28, 28, 197, 3491, 0, "ea5c8993d01e165f"),
-            (False, 497, 2133, 38, 42, 47, 4291, 0, None),
-            (True, 929, 3881, 33, 33, 259, 5573, 0, "cdeb8c979d45e550"),
-            (False, 609, 2618, 134, 139, 181, 18140, 0, None),
-            (True, 1201, 5012, 51, 51, 365, 9581, 0, "cd01d93c36dabded"),
-            (False, 721, 3103, 439, 445, 628, 59303, 2, None),
-            (True, 1505, 6272, 71, 71, 463, 13478, 0, "1a00fcb3325ba3f8"),
-            (False, 833, 3588, 944, 951, 1352, 130529, 5, None),
-            (True, 1841, 7661, 76, 76, 521, 16797, 0, "8b386de40fbd959b"),
-            (True, 945, 4073, 947, 954, 1375, 131528, 5, "1c5b1d80d2db04a3"),
+            (True, 138, 595, 1, 1, 16, 140, 0, "2bb606351832ebcf"),
+            (True, 138, 626, 1, 1, 1, 142, 0, "47ab80a96fc3becc"),
         ],
         [],
     ),
@@ -192,14 +183,14 @@ GOLDEN_QUERIES = {
         "deadlock-free",
         [
             (False, 71, 379, 0, 0, 0, 71, 0, None),
-            (False, 193, 1025, 7, 8, 14, 639, 0, None),
+            (False, 168, 951, 7, 8, 14, 616, 0, None),
             (False, 71, 379, 0, 0, 0, 71, 0, None),
-            (False, 193, 1072, 0, 1, 0, 167, 0, None),
-            (False, 315, 1765, 0, 2, 0, 259, 0, None),
-            (False, 437, 2458, 0, 3, 0, 353, 0, None),
-            (False, 559, 3151, 0, 4, 0, 452, 0, None),
-            (False, 681, 3844, 0, 5, 0, 560, 0, None),
-            (False, 803, 4537, 0, 6, 0, 682, 0, None),
+            (False, 168, 998, 0, 1, 0, 167, 0, None),
+            (False, 265, 1617, 0, 2, 0, 259, 0, None),
+            (False, 362, 2236, 0, 3, 0, 353, 0, None),
+            (False, 459, 2855, 0, 4, 0, 452, 0, None),
+            (False, 556, 3474, 0, 5, 0, 560, 0, None),
+            (False, 653, 4093, 0, 6, 0, 682, 0, None),
         ],
         [],
     ),
