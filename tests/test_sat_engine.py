@@ -236,9 +236,10 @@ def test_kinduction_never_proves_a_reachable_target():
     prove reachable markings unreachable."""
     stg = vme_read()
     # the target's depth in steps: the smallest bound that reaches it
+    bounds = range(bfs_depth(stg) + 1)
     depth = {}
     for target in reachable_markings(stg.net):
-        depth[target] = next(k for k in range(bfs_depth(stg) + 1)
+        depth[target] = next(k for k in bounds
                              if reach_marking(stg, target, bound=k)
                              is not None)
     deepest = max(sorted(depth, key=repr), key=depth.get)
@@ -321,10 +322,10 @@ c- c+
         for t in step:
             event = stg.event_of(t)
             previous[event.signal] = event.direction
-    repeats = [t for t in last
-               if previous.get(stg.event_of(t).signal)
-               == stg.event_of(t).direction]
-    assert [stg.event_of(t).signal for t in repeats] == ["a"]
+    events = [stg.event_of(t) for t in last]
+    repeats = [e.signal for e in events
+               if previous.get(e.signal) == e.direction]
+    assert repeats == ["a"]
 
 
 # ---------------------------------------------------------------------- #
