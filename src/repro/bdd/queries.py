@@ -11,9 +11,10 @@ bounded-model-checking query engine) with exact fixpoint semantics:
   function* of the CSC-conflicting binary codes of an STG.
 
 The CSC encoding borrows the parity trick of
-:class:`repro.sat.encodings.STGEncoding`: the symbolic state is the
-marking extended with one *parity* bit per signal (number of that
-signal's transitions fired so far, mod 2).  Two reachable states carry
+:class:`repro.sat.encodings.STGEncoding`: :class:`SymbolicCSC` is
+:class:`~repro.bdd.symbolic.SymbolicReachability` with the marking
+extended by one *parity* bit per signal (number of that signal's
+transitions fired so far, mod 2).  Two reachable states carry
 the same binary code iff their parity vectors coincide (code = initial
 code XOR parity), so codes can be compared without knowing the initial
 signal values — and the conflict characteristic function lives over the
@@ -30,15 +31,11 @@ from ..petri.marking import Marking
 from ..petri.net import PetriNet
 from ..stg.signals import FALL, RISE
 from ..stg.stg import STG
-from .bdd import BDD, FALSE, FLIP, CubeUpdate
+from .bdd import FALSE, FLIP, CubeUpdate
 from .symbolic import (
     DenseSymbolicReachability,
     SymbolicReachability,
-    find_safety_clash,
     marking_update,
-    raise_unsafe,
-    structural_place_order,
-    traced_traversal,
 )
 
 Model = Union[PetriNet, STG]
@@ -48,8 +45,7 @@ def _net_of(model: Model) -> PetriNet:
     return model.net if isinstance(model, STG) else model
 
 
-def reachable_count(model: Model, encoding: str = "naive",
-                    place_order: str = "dfs") -> int:
+def reachable_count(model: Model, encoding: str = "naive") -> int:
     """Number of reachable markings of a Petri net or STG, symbolically.
 
     ``encoding="naive"`` uses one BDD variable per place;
@@ -60,22 +56,20 @@ def reachable_count(model: Model, encoding: str = "naive",
     """
     net = _net_of(model)
     if encoding == "naive":
-        return SymbolicReachability(net, place_order=place_order).count()
+        return SymbolicReachability(net).count()
     if encoding == "dense":
         return DenseSymbolicReachability(net).count()
     raise ModelError("unknown encoding %r (expected 'naive' or 'dense')"
                      % encoding)
 
 
-def find_deadlock(model: Model, place_order: str = "dfs"
-                  ) -> Optional[Marking]:
+def find_deadlock(model: Model) -> Optional[Marking]:
     """One reachable dead marking, or None if the model is deadlock-free.
 
     Unlike :func:`repro.sat.queries.find_deadlock` this is a complete
     fixpoint answer, not a bounded search — a ``None`` here is a proof.
     """
-    net = _net_of(model)
-    return SymbolicReachability(net, place_order=place_order).find_deadlock()
+    return SymbolicReachability(_net_of(model)).find_deadlock()
 
 
 def has_deadlock(model: Model) -> bool:
@@ -83,14 +77,14 @@ def has_deadlock(model: Model) -> bool:
     return find_deadlock(model) is not None
 
 
-class SymbolicCSC:
+class SymbolicCSC(SymbolicReachability):
     """Symbolic Complete State Coding check for an STG (Section 2.1).
 
-    The symbolic state is ``(marking, parity)``: one BDD variable per
-    place plus one per signal (the signal's transition-count parity).
-    Transitions update the marking exactly as in
-    :class:`~repro.bdd.symbolic.SymbolicReachability` and complement the
-    parity bit of their signal (dummy events touch no parity).
+    :class:`~repro.bdd.symbolic.SymbolicReachability` of the STG's net
+    plus one variable per signal, zero initially: the parity of the
+    signal's transition count, which each non-dummy transition
+    complements.  A non-1-safe STG raises the base class's
+    :class:`~repro.errors.UnboundedError` (CSC needs a safe STG).
 
     A CSC conflict exists iff some parity vector (equivalently: some
     binary code) is shared by two reachable states with different
@@ -103,30 +97,21 @@ class SymbolicCSC:
     #: Prefix of the per-signal parity variables in the BDD.
     PARITY_PREFIX = "code:"
 
-    def __init__(self, stg: STG, place_order: str = "dfs"):
-        net = stg.net
-        if not net.has_ordinary_arcs():
-            raise ModelError("symbolic CSC requires arc weights of 1")
-        if not net.initial_marking.is_safe():
-            raise ModelError("symbolic CSC requires a 1-safe initial marking")
+    #: The ``encoding`` tag of the ``bdd.fixpoint`` span.
+    ENCODING = "naive+parity"
+
+    def __init__(self, stg: STG):
         self.stg = stg
-        self.net = net
-        if place_order == "dfs":
-            self.places = structural_place_order(net)
-        elif place_order == "sorted":
-            self.places = sorted(net.places)
-        else:
-            raise ModelError("unknown place_order %r" % place_order)
         self.signals: List[str] = list(stg.signals)
         self.parity_var: Dict[str, str] = {
             s: self.PARITY_PREFIX + s for s in self.signals
         }
-        self.bdd = BDD(self.places + [self.parity_var[s]
-                                      for s in self.signals])
-        self._reached: Optional[int] = None
+        super().__init__(stg.net)
         self._chf: Optional[int] = None
 
-    # -- traversal ------------------------------------------------------ #
+    def _extra_state(self) -> Dict[str, int]:
+        """The parity variables, all zero initially."""
+        return {self.parity_var[s]: 0 for s in self.signals}
 
     def transition_update(self, transition: str) -> CubeUpdate:
         """The safe-guarded marking update of one transition, plus the
@@ -136,34 +121,6 @@ class SymbolicCSC:
         if not event.is_dummy:
             entries[self.parity_var[event.signal]] = (None, FLIP)
         return self.bdd.cube_update(entries)
-
-    def reachable(self) -> int:
-        """BDD of reachable ``(marking, parity)`` pairs.
-
-        The traversal uses the safe-guarded updates, so it doubles as
-        the safety decision procedure: a non-1-safe STG raises
-        :class:`~repro.errors.UnboundedError` with a genuinely reachable
-        witness (CSC is only defined on safe STGs).
-        """
-        if self._reached is not None:
-            return self._reached
-        init_cube = {p: 1 if self.net.initial_marking.get(p) else 0
-                     for p in self.places}
-        for s in self.signals:
-            init_cube[self.parity_var[s]] = 0
-        init = self.bdd.from_cube(init_cube)
-        updates = [self.transition_update(t)
-                   for t in sorted(self.net.transitions)]
-        reached = traced_traversal(
-            self.bdd, init, updates, engine="bdd", net=self.net.name,
-            query="csc", signals=len(self.signals))
-        clash = find_safety_clash(self.bdd, self.net, reached, self.places)
-        if clash is not None:
-            t, assignment = clash
-            raise_unsafe(self.net, t,
-                         Marking({p: 1 for p, v in assignment.items() if v}))
-        self._reached = reached
-        return self._reached
 
     # -- the conflict characteristic function --------------------------- #
 

@@ -41,7 +41,7 @@ from .. import obs
 from ..errors import ModelError, UnboundedError
 from ..petri.marking import Marking
 from ..petri.net import PetriNet
-from ..petri.structure import DenseEncoding, SMComponent
+from ..petri.structure import DenseEncoding
 from .bdd import BDD, FALSE, TRUE, CubeUpdate
 
 
@@ -86,35 +86,6 @@ def marking_update(net: PetriNet, transition: str
     post = set(net.post(transition))
     return {p: (1 if p in pre else 0, 1 if p in post else 0)
             for p in pre | post}
-
-
-def find_safety_clash(bdd: BDD, net: PetriNet, reached: int,
-                      places: Sequence[str]
-                      ) -> Optional[Tuple[str, Dict[str, int]]]:
-    """First (transition, place-assignment) in ``reached`` whose firing
-    would put a second token somewhere, or None.  ``reached`` must be the
-    *safe-guarded* fixpoint (see :func:`marking_update`), so the
-    returned marking is genuinely reachable in the real token game."""
-    for t in sorted(net.transitions):
-        pre = set(net.pre(t))
-        extra = sorted(set(net.post(t)) - pre)
-        if not extra:
-            continue
-        enabling = bdd.cube_update({p: (1, 1) for p in pre})
-        clash = bdd.apply_and(bdd.image(reached, enabling),
-                              bdd.disj([bdd.var(p) for p in extra]))
-        if clash != FALSE:
-            return t, bdd.pick(clash, places)
-    return None
-
-
-def raise_unsafe(net: PetriNet, transition: str, marking: Marking) -> None:
-    """Raise :class:`UnboundedError` with the naive engine's message."""
-    offenders = [p for p in sorted(set(net.post(transition)))
-                 if marking.get(p) and p not in net.pre(transition)]
-    raise UnboundedError(
-        "firing %r from %r violates 1-safeness at %r"
-        % (transition, marking, offenders))
 
 
 def chained_fixpoint(bdd: BDD, init: int,
@@ -188,8 +159,12 @@ class SymbolicReachability:
     The traversal starts from the net's initial marking, which must be
     1-safe.  It is safe-guarded: on a net that is not 1-safe every query
     raises :class:`UnboundedError`, except :meth:`safety_violation`,
-    which returns the witness.
+    which returns the witness.  :class:`repro.bdd.queries.SymbolicCSC`
+    extends the state (:meth:`_extra_state`, :meth:`transition_update`).
     """
+
+    #: The ``encoding`` tag of the ``bdd.fixpoint`` span.
+    ENCODING = "naive"
 
     def __init__(self, net: PetriNet, place_order: str = "dfs"):
         if not net.has_ordinary_arcs():
@@ -204,18 +179,24 @@ class SymbolicReachability:
             self.places = sorted(net.places)
         else:
             raise ModelError("unknown place_order %r" % place_order)
-        self.bdd = BDD(self.places)
+        self._extra = self._extra_state()
+        self.bdd = BDD(self.places + list(self._extra))
         self._reached: Optional[int] = None
         self._violation: Optional[Tuple[str, Marking]] = None
         self._violation_known = False
 
     # -- encodings ------------------------------------------------------ #
 
+    def _extra_state(self) -> Dict[str, int]:
+        """Variables after the places, with their initial values."""
+        return {}
+
+    def _cube(self, marking: Marking) -> Dict[str, int]:
+        return {p: 1 if marking.get(p) else 0 for p in self.places}
+
     def marking_to_bdd(self, marking: Marking) -> int:
         """The characteristic function of a single safe marking."""
-        return self.bdd.from_cube(
-            {p: 1 if marking.get(p) else 0 for p in self.places}
-        )
+        return self.bdd.from_cube(self._cube(marking))
 
     def transition_update(self, transition: str) -> CubeUpdate:
         """One transition's safe-guarded cube update (see
@@ -225,20 +206,21 @@ class SymbolicReachability:
     # -- traversal ------------------------------------------------------ #
 
     def _fixpoint(self) -> int:
-        """The safe-guarded fixpoint: every marking of the 1-safe token
+        """The safe-guarded fixpoint: every state of the 1-safe token
         game (the whole reachable set when the net is 1-safe)."""
         if self._reached is None:
             bdd = self.bdd
-            init = self.marking_to_bdd(self.net.initial_marking)
+            init = bdd.from_cube({**self._cube(self.net.initial_marking),
+                                  **self._extra})
             updates = [self.transition_update(t)
                        for t in sorted(self.net.transitions)]
             self._reached = traced_traversal(
                 bdd, init, updates, engine="bdd", net=self.net.name,
-                encoding="naive", places=len(self.places))
+                encoding=self.ENCODING, places=len(self.places))
         return self._reached
 
     def reachable(self) -> int:
-        """BDD over the place variables of all reachable markings.
+        """BDD over the state variables of all reachable states.
 
         Raises :class:`UnboundedError` (the naive engine's witness
         message) unless the net is 1-safe.
@@ -256,8 +238,7 @@ class SymbolicReachability:
 
     def contains(self, marking: Marking) -> bool:
         """True iff the marking is reachable (membership in the BDD)."""
-        env = {p: 1 if marking.get(p) else 0 for p in self.places}
-        return self.bdd.eval(self.reachable(), env) == TRUE
+        return self.bdd.eval(self.reachable(), self._cube(marking)) == TRUE
 
     def deadlocks(self) -> int:
         """BDD of reachable dead markings."""
@@ -298,11 +279,19 @@ class SymbolicReachability:
         every other query reads.
         """
         if not self._violation_known:
-            clash = find_safety_clash(self.bdd, self.net, self._fixpoint(),
-                                      self.places)
-            if clash is not None:
-                t, assignment = clash
-                self._violation = (t, self._marking_of(assignment))
+            bdd, net, reached = self.bdd, self.net, self._fixpoint()
+            for t in sorted(net.transitions):
+                pre = set(net.pre(t))
+                extra = sorted(set(net.post(t)) - pre)
+                if not extra:
+                    continue
+                enabling = bdd.cube_update({p: (1, 1) for p in pre})
+                clash = bdd.apply_and(bdd.image(reached, enabling),
+                                      bdd.disj([bdd.var(p) for p in extra]))
+                if clash != FALSE:
+                    self._violation = (
+                        t, self._marking_of(bdd.pick(clash, self.places)))
+                    break
             self._violation_known = True
         return self._violation
 
@@ -311,18 +300,23 @@ class SymbolicReachability:
         the naive engine) unless the net is 1-safe."""
         violation = self.safety_violation()
         if violation is not None:
-            raise_unsafe(self.net, *violation)
+            t, marking = violation
+            offenders = [p for p in sorted(set(self.net.post(t)))
+                         if marking.get(p) and p not in self.net.pre(t)]
+            raise UnboundedError(
+                "firing %r from %r violates 1-safeness at %r"
+                % (t, marking, offenders))
 
 
 class DenseSymbolicReachability:
-    """Symbolic reachability with the SM-component dense encoding (§2.2)."""
+    """Symbolic reachability with the SM-component dense encoding (§2.2),
+    over the net's SM cover (:func:`repro.petri.structure.sm_cover`)."""
 
-    def __init__(self, net: PetriNet,
-                 cover: Optional[List[SMComponent]] = None):
+    def __init__(self, net: PetriNet):
         if not net.has_ordinary_arcs():
             raise ModelError("symbolic traversal requires arc weights of 1")
         self.net = net
-        self.encoding = DenseEncoding(net, cover)
+        self.encoding = DenseEncoding(net)
         self.bdd = BDD(self.encoding.variables)
         self._reached: Optional[int] = None
 

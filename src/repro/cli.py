@@ -421,59 +421,26 @@ def cmd_check(args) -> int:
     return _query(args, "check", stg, args.query, options)
 
 
-def _sat_check_cnf(stg, prop: str, bound: int, target=None, cover=False):
-    """The CNF whose satisfiability answers a ``sat-check`` query.
-
-    Used by ``--dimacs``: the dumped formula is satisfiable iff the
-    query has a counterexample within ``bound`` steps, so any external
-    DIMACS solver reproduces a counterexample verdict of the command.
-    (A k-induction proof also rests on the inductive-step unrolling,
-    which the dump does not include.)
-    """
-    from .petri import Marking
-    from .sat import CNF, STGEncoding
-    from .sat.queries import csc_pair_lits
-
-    if prop == "csc":
-        cnf = CNF()
-        enc_a = STGEncoding(stg, cnf=cnf, prefix="A.")
-        enc_b = STGEncoding(stg, cnf=cnf, prefix="B.")
-        enc_a.ensure_steps(bound)
-        enc_b.ensure_steps(bound)
-        equal, different = csc_pair_lits(stg, cnf, enc_a, enc_b, bound)
-        for lit in equal:
-            cnf.add_clause(lit)
-        cnf.add_clause(different)
-        return cnf
-    if prop == "consistency":
-        encoding = STGEncoding(stg, track_consistency=True)
-        encoding.ensure_steps(bound)
-        encoding.cnf.add_clause(
-            *[encoding.violation_lit(i) for i in range(bound)])
-        return encoding.cnf
-    encoding = STGEncoding(stg)
-    encoding.ensure_steps(bound)
-    if prop == "deadlock":
-        encoding.cnf.add_clause(encoding.deadlock_lit(bound))
-    else:  # reach
-        for lit in encoding.marking_lits(bound, Marking(target),
-                                         partial=cover):
-            encoding.cnf.add_clause(lit)
-    return encoding.cnf
-
-
 def cmd_sat_check(args) -> int:
     """SAT model checking without a state graph: ``check --engines sat
     --inline`` (k-induction, then BMC), where ``--bound`` caps both the
-    induction depth and the BMC unrolling."""
+    induction depth and the BMC unrolling.  ``--dimacs FILE`` first
+    writes the CNF the bounded query solves at ``--bound``
+    (:func:`repro.sat.query_cnf`): satisfiable iff that query finds a
+    counterexample within ``--bound`` steps, so any external DIMACS
+    solver reproduces a counterexample verdict of the command."""
     stg = _load(args.spec)
     options = {"engines": ["sat"], "inline": True, "bound": args.bound,
                "max_k": args.bound}
     if args.property == "reach":
         options.update(target=_target(args, stg), cover=args.cover)
     if args.dimacs:
-        cnf = _sat_check_cnf(stg, args.property, args.bound,
-                             target=options.get("target"), cover=args.cover)
+        from .petri import Marking
+        from .sat import query_cnf
+
+        cnf = query_cnf(stg, args.property, args.bound,
+                        target=Marking(options.get("target", {})),
+                        partial=args.cover)
         with open(args.dimacs, "w") as f:
             f.write(cnf.to_dimacs(comments=[
                 "repro sat-check %s --property %s --bound %d"
@@ -743,7 +710,9 @@ def build_parser() -> argparse.ArgumentParser:
                    help="reach: cover query (only marked places"
                         " constrained)")
     p.add_argument("--dimacs", metavar="FILE",
-                   help="dump the unrolled CNF in DIMACS format")
+                   help="write the CNF the bounded query solves at --bound"
+                        " in DIMACS format (satisfiable iff it finds a"
+                        " counterexample)")
     _add_telemetry_flags(p, json_flag=True)
     p.set_defaults(func=cmd_sat_check)
 
@@ -771,8 +740,9 @@ def build_parser() -> argparse.ArgumentParser:
                         " (default: the first engine able to prove the"
                         " property, alone and in-process)")
     p.add_argument("--engines",
-                   help="comma-separated engine slots to race (overrides"
-                        " the auto schedule; implies racing)")
+                   help="comma-separated engines to race, from sat, bdd"
+                        " and explicit (overrides the auto schedule;"
+                        " implies racing)")
     p.add_argument("--target",
                    help="reach: space-separated marked places")
     p.add_argument("--cover", action="store_true",

@@ -334,7 +334,8 @@ def invariant_overapproximation(net: PetriNet,
 
 
 class DenseEncoding:
-    """Dense boolean encoding of safe markings via an SM cover (§2.2).
+    """Dense boolean encoding of safe markings via the net's SM cover
+    (:func:`sm_cover`, §2.2).
 
     Each SM component carries exactly one token, so the identity of its
     marked place can be encoded in ``ceil(log2(k))`` bits.  Places shared by
@@ -349,9 +350,8 @@ class DenseEncoding:
             place is marked.
     """
 
-    def __init__(self, net: PetriNet, cover: Optional[List[SMComponent]] = None):
-        if cover is None:
-            cover = sm_cover(net)
+    def __init__(self, net: PetriNet):
+        cover = sm_cover(net)
         if cover is None:
             raise ModelError("net has no SM cover; dense encoding impossible")
         for c in cover:

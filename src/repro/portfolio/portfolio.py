@@ -56,18 +56,13 @@ from ..errors import ModelError, StateExplosionError, UnboundedError
 from ..petri.marking import Marking
 from ..petri.net import PetriNet
 from ..petri.token_game import enabled_transitions, fire_sequence
+from ..sat import DEFAULT_BOUND, DEFAULT_MAX_K
 from ..stg.stg import STG
 from . import tasks
 from .workers import (DEFAULT_DEADLINE_S, RaceResult, TaskOutcome, TaskSpec,
                       race)
 
 Model = Union[PetriNet, STG]
-
-#: Default depth for SAT methods raced by the portfolio.
-DEFAULT_MAX_K = 15
-
-#: Default BMC bound for the cheapest ladder rung.
-DEFAULT_BOUND = 30
 
 #: Bound for the independent cross-validation probe: deliberately small —
 #: the probe is a smoke test for gross engine disagreement, not a second
@@ -121,12 +116,12 @@ def _ladders(model: Model, query: str, engines: Sequence[str],
     table (:func:`repro.portfolio.tasks.ladders`)."""
     ladders: Dict[str, List[TaskSpec]] = {}
     slots = tasks.ladders(query, engines, options.get("cover", False))
-    for slot, (entry, methods) in slots.items():
+    for slot, methods in slots.items():
         ladders[slot] = []
         for method in methods:
             fn, kwargs = tasks.bind(query, method, model, options)
             ladders[slot].append(TaskSpec(
-                slot=slot, engine=tasks.engine_of(method, entry),
+                slot=slot, engine=tasks.engine_of(method),
                 method=method, fn=fn, kwargs=kwargs, deadline_s=deadline_s))
     return ladders
 

@@ -84,9 +84,11 @@ QUERIES: Dict[str, Query] = {
         "explicit": ("explicit", "sat")}),
 }
 
-#: The engine each method runs on; ``explicit`` runs on the graph engine
-#: its schedule entry names.
-_ENGINE = {"kinduction": "sat", "bmc": "sat", "sat": "sat", "bdd": "bdd"}
+#: The engine of the methods not named after one.
+_ENGINE = {"kinduction": "sat", "bmc": "sat"}
+
+#: The engine slots, in schedule order.
+SLOTS = ("sat", "bdd", "explicit")
 
 
 def schedule(model: Model) -> Tuple[str, ...]:
@@ -94,39 +96,36 @@ def schedule(model: Model) -> Tuple[str, ...]:
 
     The SAT query engine first (cheapest definitive answers on the
     library corpus), then ``"bdd"`` when the net is in the symbolic
-    domain (ordinary arcs, safe initial marking), then the graph engine
-    :func:`repro.ts.choose_engine` picks, as the exhaustive anchor.
+    domain (ordinary arcs, safe initial marking), then ``"explicit"``,
+    the graph builder, as the exhaustive anchor.
     """
-    from ..ts.builder import choose_engine
-
     net = _net_of(model)
-    slots = ["sat"]
     if net.has_ordinary_arcs() and net.initial_marking.is_safe():
-        slots.append("bdd")
-    slots.append(choose_engine(net))
-    return tuple(slots)
+        return SLOTS
+    return ("sat", "explicit")
 
 
 def ladders(query: str, engines: Sequence[str], cover: bool = False
-            ) -> Dict[str, Tuple[str, Tuple[str, ...]]]:
-    """The ladders to race for ``query`` over the schedule ``engines``.
+            ) -> Dict[str, Tuple[str, ...]]:
+    """The ladders to race for ``query`` over the slots ``engines``.
 
-    Maps each slot to its schedule entry and its methods, strongest
-    first.  The graph engines (``compiled``, ``naive``, ``explicit``)
-    share the ``explicit`` slot; slots without a ladder for the query
-    are skipped.  A ``cover`` reach target drops k-induction, which can
-    only prove exact markings unreachable.
+    Maps each slot to its methods, strongest first.  A name outside
+    :data:`SLOTS` raises :class:`~repro.errors.ModelError`; slots
+    without a ladder for the query are skipped.  A ``cover`` reach
+    target drops k-induction, which can only prove exact markings
+    unreachable.
     """
     if query not in QUERIES:
         raise ModelError("unknown portfolio query %r" % query)
-    out: Dict[str, Tuple[str, Tuple[str, ...]]] = {}
-    for engine in engines:
-        slot = "explicit" if engine in ("compiled", "naive", "explicit") \
-            else engine
+    out: Dict[str, Tuple[str, ...]] = {}
+    for slot in engines:
+        if slot not in SLOTS:
+            raise ModelError("unknown engine %r (expected one of %s)"
+                             % (slot, ", ".join(SLOTS)))
         methods = tuple(m for m in QUERIES[query].ladders.get(slot, ())
                         if not (cover and m == "kinduction"))
-        if methods and slot not in out:
-            out[slot] = (engine, methods)
+        if methods:
+            out.setdefault(slot, methods)
     if not out:
         raise ModelError("no engine in %r can answer the %r query"
                          % (tuple(engines), query))
@@ -134,18 +133,18 @@ def ladders(query: str, engines: Sequence[str], cover: bool = False
 
 
 def single_slot(model: Model, query: str, cover: bool = False) -> str:
-    """The schedule entry ``repro check`` runs alone: the first slot whose
+    """The slot ``repro check`` runs alone: the first scheduled slot whose
     head method is not bounded, so that its answer can prove the property
-    as well as refute it.  The graph engine that closes every schedule
-    always qualifies."""
+    as well as refute it.  The ``explicit`` slot that closes every
+    schedule always qualifies."""
     slots = ladders(query, schedule(model), cover)
-    return next(engine for engine, methods in slots.values()
+    return next(slot for slot, methods in slots.items()
                 if methods[0] != QUERIES[query].bounded)
 
 
-def engine_of(method: str, entry: str) -> str:
-    """The engine ``method`` runs on in the slot of schedule ``entry``."""
-    return _ENGINE.get(method, entry)
+def engine_of(method: str) -> str:
+    """The engine ``method`` runs on."""
+    return _ENGINE.get(method, method)
 
 
 def bind(query: str, method: str, model: Model,
@@ -248,7 +247,8 @@ def deadlock_bmc(model: Model, bound: int) -> dict:
     if witness is not None:
         return _payload(
             "deadlock", True, "bmc",
-            "BMC found a deadlock trace of %d transitions" % len(witness),
+            "BMC found a deadlock trace of %d transitions"
+            % len(witness.transitions),
             witness=list(witness.transitions),
             dead_marking=_marking_dict(witness.final_marking))
     return _payload(
@@ -322,7 +322,8 @@ def reach_bmc(model: Model, target: Dict[str, int], bound: int,
     if witness is not None:
         return _payload(
             "reached", True, "bmc",
-            "BMC reached the target in %d transitions" % len(witness),
+            "BMC reached the target in %d transitions"
+            % len(witness.transitions),
             witness=list(witness.transitions),
             final_marking=_marking_dict(witness.final_marking))
     return _payload(

@@ -33,9 +33,9 @@ module                role / counterpart
                       :class:`~repro.sat.encodings.STGEncoding` subclass
                       adds signal parities and the rise/fall alternation
                       automaton for the STG-level queries.
-:mod:`.bmc`           Bounded model checking with replayed
-                      :class:`~repro.sat.bmc.Witness` traces (SMPT's
-                      BMC loop in ``smpt.py``).
+:mod:`.bmc`           The one bound loop, over any encoding and target,
+                      with replayed :class:`~repro.sat.bmc.Witness`
+                      traces (SMPT's BMC loop in ``smpt.py``).
 :mod:`.kinduction`    k-induction with simple-path refinement returning
                       ``Proved`` / ``Refuted(trace)`` / ``Unknown(k)``
                       (SMPT's ``kinduction.py``; SMPT's IC3 module has
@@ -44,7 +44,8 @@ module                role / counterpart
                       ``find_deadlock``, ``prove_deadlock_free``,
                       ``prove_unreachable``, ``csc_conflict``,
                       ``consistency_violation`` — the paper's Section 2
-                      property checks asked as SAT queries.
+                      property checks as SAT queries, and ``query_cnf``,
+                      the CNF a bounded query solves at one bound.
 ====================  ====================================================
 
 Quick start::
@@ -60,7 +61,8 @@ Quick start::
 Every witness is replayed through the token game before being returned,
 and the cross-engine test suite (`tests/test_sat_engine.py`) locks the
 verdicts to the explicit, compiled and BDD engines on the whole STG
-library.
+library.  ``DEFAULT_BOUND`` (30 steps) and ``DEFAULT_MAX_K`` (15) are
+the defaults of these queries and of :mod:`repro.portfolio`.
 """
 
 from .bmc import BMC, DEFAULT_BOUND, Witness, deadlock_target, marking_target
@@ -78,10 +80,10 @@ from .queries import (
     SatCSCConflict,
     consistency_violation,
     csc_conflict,
-    csc_pair_lits,
     find_deadlock,
     prove_deadlock_free,
     prove_unreachable,
+    query_cnf,
     reach_marking,
 )
 from .solver import Solver
@@ -92,7 +94,7 @@ __all__ = [
     "state_equation_refutes",
     "DEFAULT_MAX_K", "Proved", "Refuted", "Unknown", "Verdict", "k_induction",
     "SatCSCConflict", "consistency_violation", "csc_conflict",
-    "csc_pair_lits", "find_deadlock", "prove_deadlock_free",
-    "prove_unreachable", "reach_marking",
+    "find_deadlock", "prove_deadlock_free", "prove_unreachable",
+    "query_cnf", "reach_marking",
     "Solver",
 ]

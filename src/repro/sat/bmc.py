@@ -1,37 +1,40 @@
 """Bounded model checking: find a firing sequence to a bad state.
 
-BMC asks, for growing ``k``: *is there a firing sequence of at most*
-``k`` *steps from the initial marking to a state satisfying the target
-predicate?*  Each iteration adds one step to the shared unrolling and one
-incremental solver call under assumptions — learnt clauses and variable
-activities carry over between bounds, which is where the CDCL solver's
-incremental interface pays off.
+A bounded query is an *encoding* plus a *target*: the encoding unrolls
+the token game (anything with ``net``, ``cnf`` and ``ensure_steps``),
+the target names the assumption literals that must hold at one frame.
+:meth:`BMC.run`, the one bound loop, asks for growing ``k``: *is there
+a firing sequence of at most* ``k`` *steps from the initial marking to
+a frame satisfying the target?*  Each bound adds one step to the shared
+unrolling and one incremental solver call under assumptions — learnt
+clauses and variable activities carry over between bounds, which is
+where the CDCL solver's incremental interface pays off.
 
-A positive answer comes back as a :class:`Witness` carrying the firing
-sequence **and** the replayed markings: every witness is re-executed
-through the real token game (:func:`repro.petri.token_game.fire_safe`)
-before being returned, so a BMC result is never an artifact of the
-encoding.  ``None`` means "no such trace within the bound" — a bounded
-verdict, not a proof (for proofs see :mod:`repro.sat.kinduction`).
+:meth:`BMC.run` returns the first satisfying frame; the query decodes
+it into a :class:`Witness` carrying the firing sequence **and** the
+replayed markings: every witness is re-executed through the real token
+game (:func:`repro.petri.token_game.fire_safe`) before being returned,
+so a BMC result is never an artifact of the encoding.  ``None`` means
+"no such trace within the bound" — a bounded verdict, not a proof (for
+proofs see :mod:`repro.sat.kinduction`).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Callable, List, Optional, Sequence, Union
+from typing import Any, Callable, List, Optional, Sequence
 
 from .. import obs
-from ..errors import ModelError
 from ..petri.marking import Marking
 from ..petri.net import PetriNet
 from ..petri.token_game import fire_safe
-from ..stg.stg import STG
-from .encodings import SafeNetEncoding, STGEncoding
+from .encodings import SafeNetEncoding
 from .solver import ClauseFeeder, Solver
 
 DEFAULT_BOUND = 30
 
-TargetFn = Callable[[SafeNetEncoding, int], Sequence[int]]
+#: ``target(encoding, frame)``: the literals that must hold at ``frame``.
+TargetFn = Callable[[Any, int], Sequence[int]]
 
 
 @dataclass
@@ -45,16 +48,13 @@ class Witness:
     trajectory, one marking per transition, with ``markings[0]`` the
     initial marking and ``markings[-1]`` the state satisfying the target.
     ``bound`` is the number of steps unrolled, so ``len(transitions)``
-    may exceed it.
+    may exceed it.  A witness is truthy even when it fires nothing.
     """
 
     transitions: List[str]
     steps: List[List[str]] = field(repr=False)
     markings: List[Marking] = field(repr=False)
     bound: int = 0
-
-    def __len__(self) -> int:
-        return len(self.transitions)
 
     @property
     def final_marking(self) -> Marking:
@@ -67,8 +67,8 @@ def replay_witness(net: PetriNet, encoding: SafeNetEncoding, model_value,
 
     Stutter steps are dropped; every remaining transition is fired through
     :func:`~repro.petri.token_game.fire_safe`, so the returned markings
-    are token-game truth, not solver output.  Shared by the BMC loop and
-    the two-copy CSC query.
+    are token-game truth, not solver output.  ``encoding`` is one
+    unrolling of ``net`` (the CSC query replays each of its two).
     """
     steps = []
     for step in range(frame):
@@ -95,20 +95,11 @@ class BMC:
     predicate expressed as assumption literals.
     """
 
-    def __init__(self, model: Union[PetriNet, STG],
-                 track_consistency: bool = False):
-        if isinstance(model, STG):
-            self.net = model.net
-            self.encoding: SafeNetEncoding = STGEncoding(
-                model, track_consistency=track_consistency)
-        else:
-            if track_consistency:
-                raise ModelError(
-                    "consistency tracking needs an STG, not a bare net")
-            self.net = model
-            self.encoding = SafeNetEncoding(model)
+    def __init__(self, encoding):
+        self.encoding = encoding
+        self.net: PetriNet = encoding.net
         self.solver = Solver()
-        self._feed = ClauseFeeder(self.solver, self.encoding.cnf)
+        self._feed = ClauseFeeder(self.solver, encoding.cnf)
         self._feed()
 
     def solve_at(self, target: TargetFn, frame: int) -> bool:
@@ -120,12 +111,9 @@ class BMC:
         return self.solver.solve(assumptions)
 
     def run(self, target: TargetFn, bound: int = DEFAULT_BOUND,
-            start: int = 0) -> Optional[Witness]:
-        """Search bounds ``start..bound`` for a trace satisfying the target.
-
-        ``target(encoding, frame)`` returns the assumption literals that
-        must hold at ``frame`` (it may add auxiliary clauses first).
-        Returns a replayed :class:`Witness` or None.
+            start: int = 0) -> Optional[int]:
+        """The first frame in ``start..bound`` at which the target holds
+        (the solver keeps its model for :meth:`witness`), or None.
 
         When :func:`repro.obs.enabled`, the whole bound loop runs under
         a ``sat.bmc`` span counting ``bounds_explored`` (the per-call
@@ -136,7 +124,7 @@ class BMC:
                 span.add("bounds_explored")
                 if self.solve_at(target, k):
                     span.annotate(result="witness", k=k)
-                    return self.witness(k)
+                    return k
             span.annotate(result="no-trace")
         return None
 

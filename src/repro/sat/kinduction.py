@@ -34,9 +34,9 @@ from dataclasses import dataclass
 from typing import Union
 
 from .. import obs
-from ..stg.stg import STG
+from ..petri.net import PetriNet
 from .bmc import BMC, TargetFn, Witness
-from .encodings import SafeNetEncoding, STGEncoding
+from .encodings import SafeNetEncoding
 from .solver import ClauseFeeder, Solver
 
 DEFAULT_MAX_K = 15
@@ -100,12 +100,8 @@ Verdict = Union[Proved, Refuted, Unknown]
 class _StepCase:
     """The unanchored inductive-step unrolling with its own solver."""
 
-    def __init__(self, model):
-        if isinstance(model, STG):
-            self.encoding: SafeNetEncoding = STGEncoding(
-                model, anchor_initial=False)
-        else:
-            self.encoding = SafeNetEncoding(model, anchor_initial=False)
+    def __init__(self, net: PetriNet):
+        self.encoding = SafeNetEncoding(net, anchor_initial=False)
         self.solver = Solver()
         self._feed = ClauseFeeder(self.solver, self.encoding.cnf)
 
@@ -133,7 +129,7 @@ class _StepCase:
         return not self.solver.solve(assumptions)
 
 
-def k_induction(model, bad: TargetFn,
+def k_induction(net: PetriNet, bad: TargetFn,
                 max_k: int = DEFAULT_MAX_K) -> Verdict:
     """Prove or refute that no reachable marking satisfies ``bad``.
 
@@ -145,8 +141,8 @@ def k_induction(model, bad: TargetFn,
     ``sat.kinduction`` span counting ``base_calls`` / ``step_calls``
     and tagged with the verdict and final depth.
     """
-    base = BMC(model)
-    step = _StepCase(model)
+    base = BMC(SafeNetEncoding(net))
+    step = _StepCase(net)
     reason = "bound-reached"
     with obs.span("sat.kinduction", net=base.net.name,
                   max_k=max_k) as span:

@@ -79,8 +79,8 @@ class TestChooseEngine:
         # the portfolio schedule races bdd only inside its domain
         from repro.portfolio.tasks import schedule
 
-        assert schedule(weighted_net()) == ("sat", "naive")
-        assert schedule(vme_read()) == ("sat", "bdd", "compiled")
+        assert schedule(weighted_net()) == ("sat", "explicit")
+        assert schedule(vme_read()) == ("sat", "bdd", "explicit")
 
 
 class TestQueries:

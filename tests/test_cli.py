@@ -3,11 +3,16 @@
 import json
 import multiprocessing
 import time
+from pathlib import Path
 
 import pytest
 
 from repro.cli import main
 from repro.stg import muller_pipeline, save_g, vme_read, write_g
+
+
+#: Two concurrent ``a+`` instances (see tests/test_sat_engine.py).
+TWIN_G = str(Path(__file__).parent / "data" / "twin.g")
 
 
 @pytest.fixture
@@ -291,16 +296,25 @@ class TestSatCheck:
         assert parsed.num_vars > 0 and parsed.clauses
         assert "# wrote" in capsys.readouterr().out
 
-    @pytest.mark.parametrize("prop,expect_sat", [
-        ("deadlock", False), ("csc", True), ("consistency", False)])
+    @pytest.mark.parametrize("spec,prop,bound,expect_sat", [
+        pytest.param("vme_read", "deadlock", 10, False, id="deadlock-False"),
+        pytest.param("vme_read", "csc", 10, True, id="csc-True"),
+        pytest.param("vme_read", "consistency", 10, False,
+                     id="consistency-False"),
+        # two concurrent a+ instances fire together in one step, into
+        # the dead empty marking
+        pytest.param("twin", "deadlock", 1, True, id="twin-deadlock-True"),
+    ])
     def test_dimacs_dump_reproduces_verdict(self, spec_file, tmp_path,
-                                            prop, expect_sat, capsys):
+                                            spec, prop, bound, expect_sat,
+                                            capsys):
         # the dumped formula must be satisfiable iff the CLI reported a
         # counterexample, for every property (not just deadlock)
         from repro.sat import CNF, Solver
 
         path = str(tmp_path / "query.cnf")
-        main(["sat-check", spec_file, "--property", prop, "--bound", "10",
+        main(["sat-check", spec_file if spec == "vme_read" else TWIN_G,
+              "--property", prop, "--bound", str(bound),
               "--dimacs", path, "--json"])
         verdict = json.loads(capsys.readouterr().out)["verdict"]
         assert (verdict in ("deadlock", "conflict", "violation")) == \
@@ -320,7 +334,16 @@ class TestCheck:
         assert main(["check", "latch_controller", "--query",
                      "consistency"]) == 0
         assert capsys.readouterr().out.startswith(
-            "consistent (winner: compiled/explicit")
+            "consistent (winner: explicit/explicit")
+
+    @pytest.mark.parametrize("engines", ["sat,bogus", "compiled"])
+    def test_unknown_engine_is_a_usage_error(self, engines, capsys):
+        # the query layer names three engines: sat, bdd and explicit
+        assert main(["check", "vme_read", "--engines", engines,
+                     "--inline"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error: unknown engine")
 
     def test_reach_exit_code_reads_the_holds_verdict(self, spec_file,
                                                      capsys):

@@ -8,6 +8,8 @@ game** and **a k-induction "Proved" never contradicts explicit
 exploration**.
 """
 
+from pathlib import Path
+
 import pytest
 from hypothesis import HealthCheck, assume, given, settings, strategies as st
 
@@ -24,10 +26,10 @@ from repro.petri import (
     reachable_markings,
 )
 from repro.sat import (
-    BMC,
     Proved,
     Refuted,
     SafeNetEncoding,
+    Solver,
     STGEncoding,
     Unknown,
     consistency_violation,
@@ -36,6 +38,7 @@ from repro.sat import (
     find_deadlock,
     prove_deadlock_free,
     prove_unreachable,
+    query_cnf,
     reach_marking,
     state_equation_refutes,
 )
@@ -43,6 +46,7 @@ from repro.stg import (
     ALL_EXAMPLES,
     STG,
     SignalType,
+    load_g,
     muller_pipeline,
     parallel_handshakes,
     parse_g,
@@ -165,7 +169,7 @@ def test_reachability_queries_cover_the_state_space(name):
     widest = 0
     for target in states:
         witness = reach_marking(stg, target, bound=bound)
-        assert witness is not None
+        assert witness  # truthy even when it fires nothing
         assert witness.final_marking == target
         assert fire_sequence(stg.net, stg.initial_marking,
                              witness.transitions) == target
@@ -355,10 +359,9 @@ def test_encoding_rejects_weighted_and_unsafe_nets():
 
 
 def test_encoding_rejects_unsafe_target_marking():
-    stg = vme_read()
-    bmc = BMC(stg)
+    encoding = STGEncoding(vme_read())
     with pytest.raises(UnboundedError):
-        bmc.encoding.marking_lits(0, Marking({"p0": 2}))
+        encoding.marking_lits(0, Marking({"p0": 2}))
 
 
 def test_dimacs_export_of_unrolling_round_trips():
@@ -381,9 +384,57 @@ def test_parallel_steps_fire_independent_transitions_together():
     assert witness is not None
     assert len(witness.steps) == 1
     assert sorted(witness.steps[0]) == ["r0+", "r1+", "r2+", "r3+"]
-    assert witness.bound == 1 and len(witness) == 4
+    assert witness.bound == 1 and len(witness.transitions) == 4
     # the target is not the initial marking: no trace of zero steps
     assert reach_marking(stg, target, bound=0) is None
+
+
+# ---------------------------------------------------------------------- #
+# the DIMACS dump is the query
+# ---------------------------------------------------------------------- #
+
+#: Two concurrent ``a+`` instances, both enabled initially: one
+#: ∅-conflict step fires them together into the empty, dead marking.
+TWIN_G = str(Path(__file__).parent / "data" / "twin.g")
+
+DUMP_MODELS = dict(ALL_EXAMPLES, twin=lambda: load_g(TWIN_G))
+
+BOUNDED_QUERIES = {"deadlock": find_deadlock,
+                   "consistency": consistency_violation,
+                   "csc": csc_conflict}
+
+
+@pytest.mark.parametrize("query", sorted(BOUNDED_QUERIES))
+@pytest.mark.parametrize("name", sorted(DUMP_MODELS))
+def test_dump_is_satisfiable_iff_the_query_finds_a_counterexample(name,
+                                                                   query):
+    model = DUMP_MODELS[name]()
+    for bound in range(5):
+        found = BOUNDED_QUERIES[query](model, bound=bound) is not None
+        assert Solver(query_cnf(model, query, bound)).solve() == found, \
+            bound
+
+
+def test_twin_rise_dump_fires_both_instances_in_one_step():
+    stg = load_g(TWIN_G)
+    empty = Marking({})
+    for bound, found in ((0, False), (1, True)):
+        for query, witness in (
+                ("deadlock", find_deadlock(stg, bound=bound)),
+                ("reach", reach_marking(stg, empty, bound=bound))):
+            assert (witness is not None) == found, (query, bound)
+            cnf = query_cnf(stg, query, bound, target=empty)
+            assert Solver(cnf).solve() == found, (query, bound)
+    assert find_deadlock(stg, bound=1).steps == [["a+/1", "a+/2"]]
+
+
+def test_signal_queries_refuse_a_bare_net():
+    net = deadlocked_chain()
+    for query in (consistency_violation, csc_conflict):
+        with pytest.raises(ModelError, match="needs an STG"):
+            query(net, bound=2)
+    with pytest.raises(ModelError, match="needs an STG"):
+        query_cnf(net, "consistency", 2)
 
 
 # ---------------------------------------------------------------------- #
