@@ -17,7 +17,12 @@ This module computes all of these on the explicit state graph and returns
 a structured report.  The checks read the state graph's int codes and
 enabled masks per state number: states are grouped by int code and
 compared by mask, and a report object — with its states decoded to
-markings — is built only for what is reported.  Conflicts come out in
+markings — is built only for what is reported.  The CSC-conflict and
+persistency checks are each defined once, as an int-level core
+(:func:`csc_conflict_pairs`, :func:`persistency_losses` with the rule of
+:func:`disabling_mask`) that the report functions wrap; the CSC
+insertion search (:mod:`repro.synth.csc`) reads the same cores on the
+state graphs it walks without building their STGs.  Conflicts come out in
 code order, then in the state graph's parity-propagation order;
 persistency violations in state order, then transition order, then
 ``signal_order``.  For nets whose state graph is too large to build,
@@ -31,7 +36,7 @@ exact characteristic-function answer).
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, Iterable, Iterator, List, Optional, Sequence, Tuple
 
 from .. import obs
 from ..budgets import DEFAULT_STATE_BOUND
@@ -144,12 +149,12 @@ class ImplementabilityReport:
 # individual checks on a built state graph
 # ---------------------------------------------------------------------- #
 
-def _code_groups(sg: StateGraph) -> List[Tuple[int, List[int]]]:
+def _code_groups(codes: Sequence[int],
+                 order: Iterable[int]) -> List[Tuple[int, List[int]]]:
     """State numbers sharing an int code, for every code with more than
-    one state: in code order, each group in parity-propagation order."""
+    one state: in code order, each group in ``order``."""
     groups: Dict[int, List[int]] = {}
-    codes = sg.int_codes
-    for i in sg.order:
+    for i in order:
         groups.setdefault(codes[i], []).append(i)
     return sorted((code, states) for code, states in groups.items()
                   if len(states) > 1)
@@ -159,7 +164,7 @@ def usc_conflicts(sg: StateGraph) -> List[USCConflict]:
     """All pairs of distinct states sharing a binary code."""
     result = []
     marking = sg.graph.marking
-    for code, states in _code_groups(sg):
+    for code, states in _code_groups(sg.int_codes, sg.order):
         vector = sg.code_tuple(code)
         for i in range(len(states)):
             for j in range(i + 1, len(states)):
@@ -168,23 +173,80 @@ def usc_conflicts(sg: StateGraph) -> List[USCConflict]:
     return result
 
 
-def csc_conflicts(sg: StateGraph) -> List[CSCConflict]:
-    """All pairs of same-code states with different non-input excitation."""
-    result = []
-    marking = sg.graph.marking
-    masks = sg.enabled_masks
-    noninput = sg.noninput_mask
-    for code, states in _code_groups(sg):
+def csc_conflict_pairs(codes: Sequence[int], masks: Sequence[int],
+                       noninput: int, order: Iterable[int]
+                       ) -> Iterator[Tuple[int, int, int]]:
+    """The int-level core of :func:`csc_conflicts`: ``(code, a, b)`` for
+    every pair of states ``a``, ``b`` (state numbers) that share the int
+    code but differ in their enabled non-input bits, in code order, then
+    in ``order``.  Counting them decodes no marking."""
+    for code, states in _code_groups(codes, order):
         signatures = [masks[s] & noninput for s in states]
         for i in range(len(states)):
             for j in range(i + 1, len(states)):
                 if signatures[i] != signatures[j]:
-                    result.append(CSCConflict(
-                        sg.code_tuple(code),
-                        marking(states[i]), marking(states[j]),
-                        frozenset(sg.pairs(signatures[i])),
-                        frozenset(sg.pairs(signatures[j]))))
-    return result
+                    yield code, states[i], states[j]
+
+
+def csc_conflicts(sg: StateGraph) -> List[CSCConflict]:
+    """All pairs of same-code states with different non-input excitation."""
+    marking = sg.graph.marking
+    masks = sg.enabled_masks
+    noninput = sg.noninput_mask
+    return [CSCConflict(sg.code_tuple(code), marking(a), marking(b),
+                        frozenset(sg.pairs(masks[a] & noninput)),
+                        frozenset(sg.pairs(masks[b] & noninput)))
+            for code, a, b in csc_conflict_pairs(sg.int_codes, masks,
+                                                 noninput, sg.order)]
+
+
+def csc_conflict_count(sg: StateGraph) -> int:
+    """``len(csc_conflicts(sg))``, counted with no marking decoded."""
+    return sum(1 for _ in csc_conflict_pairs(
+        sg.int_codes, sg.enabled_masks, sg.noninput_mask, sg.order))
+
+
+def disabling_mask(own: int, noninput_event: bool, noninput: int) -> int:
+    """The enabled-mask bits whose loss, when an event fires, is a
+    persistency violation: every other event's for a non-input event,
+    every non-input event's but its own signal's for an input event
+    (input-by-input disabling is environment choice).  ``own`` holds the
+    firing signal's two bits and ``noninput`` every non-input bit."""
+    return (-1 if noninput_event else noninput) & ~own
+
+
+def persistency_losses(arcs: Sequence[Sequence[Tuple[int, int]]],
+                       masks: Sequence[int], disabling: Sequence[int]
+                       ) -> Iterator[Tuple[int, int, int]]:
+    """The int-level core of :func:`persistency_violations`: ``(state,
+    transition, bit)`` for every enabled-mask bit that firing the
+    transition from the state turns off while ``disabling[transition]``
+    watches it (see :func:`disabling_mask`), in state order, then arc
+    order, then bit order."""
+    for i, out in enumerate(arcs):
+        here = masks[i]
+        if not here:
+            continue
+        for t, j in out:
+            lost = here & ~masks[j] & disabling[t]
+            while lost:
+                low = lost & -lost
+                lost ^= low
+                yield i, t, low
+
+
+def disabling_masks(sg: StateGraph) -> List[int]:
+    """:func:`disabling_mask` of every transition of ``sg.graph``."""
+    masks = []
+    for b in sg.events:
+        if b.is_dummy:
+            masks.append(0)
+            continue
+        _, rise, fall = sg.signal_bits(b.signal)
+        masks.append(disabling_mask(
+            rise | fall, sg.stg.type_of(b.signal).is_noninput,
+            sg.noninput_mask))
+    return masks
 
 
 def persistency_violations(sg: StateGraph) -> List[PersistencyViolation]:
@@ -200,34 +262,15 @@ def persistency_violations(sg: StateGraph) -> List[PersistencyViolation]:
 
     The events one firing disables come out in ``signal_order``.
     """
-    stg = sg.stg
-    masks = sg.enabled_masks
+    marking = sg.graph.marking
     noninput = sg.noninput_mask
-    # per transition: the enabled-mask bits whose loss is a violation
-    watched = []
-    for b in sg.events:
-        if b.is_dummy:
-            watched.append(0)
-            continue
-        _, rise, fall = sg.signal_bits(b.signal)
-        # a non-input firing may disable no other event (-1: every bit)
-        reach = -1 if stg.type_of(b.signal).is_noninput else noninput
-        watched.append(reach & ~(rise | fall))
     result = []
-    for i, out in enumerate(sg.graph.arcs):
-        here = masks[i]
-        if not here:
-            continue
-        for t, j in out:
-            lost = here & ~masks[j] & watched[t]
-            while lost:
-                low = lost & -lost
-                lost ^= low
-                (signal, direction), = sg.pairs(low)
-                result.append(PersistencyViolation(
-                    sg.graph.marking(i), signal + direction,
-                    str(sg.events[t]),
-                    "output" if low & noninput else "input"))
+    for i, t, low in persistency_losses(sg.graph.arcs, sg.enabled_masks,
+                                        disabling_masks(sg)):
+        (signal, direction), = sg.pairs(low)
+        result.append(PersistencyViolation(
+            marking(i), signal + direction, str(sg.events[t]),
+            "output" if low & noninput else "input"))
     return result
 
 

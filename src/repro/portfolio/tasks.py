@@ -45,7 +45,8 @@ exception carry the budget numbers it needs.
 from __future__ import annotations
 
 import inspect
-from typing import Callable, Dict, NamedTuple, Sequence, Tuple, Union
+from typing import (Callable, Dict, NamedTuple, Optional, Sequence,
+                    Tuple, Union)
 
 from ..errors import ModelError
 from ..petri.marking import Marking
@@ -264,23 +265,44 @@ def _target_marking(target: Dict[str, int]) -> Marking:
     return Marking(target)
 
 
+def _first_hit(graph, goal: Marking, cover: bool) -> Optional[int]:
+    """The first state number whose marking equals ``goal`` (or covers
+    it), or None.  On a compiled graph the goal is encoded once and each
+    state is tested as an int, with no marking decoded: an exact goal is
+    compared with the state, a cover goal is a place mask the state must
+    contain.  A goal with a place the net lacks, or with more than one
+    token on a place, matches no state of a safe net."""
+    compiled = graph.compiled
+    if compiled is None:
+        hits = (i for i, marking in enumerate(graph.states)
+                if (marking.covers(goal) if cover else marking == goal))
+        return next(hits, None)
+    place_bit = compiled.place_bit
+    if any(n > 1 or p not in place_bit for p, n in goal.items()):
+        return None
+    mask = 0
+    for p in goal.places():
+        mask |= 1 << place_bit[p]
+    hits = (i for i, code in enumerate(graph.states)
+            if (code & mask == mask if cover else code == mask))
+    return next(hits, None)
+
+
 def reach_explicit(model: Model, target: Dict[str, int],
                    max_states: int, cover: bool = False) -> dict:
-    """Exhaustive membership test; definitive in both directions.  The
-    states are decoded one at a time, in state-number order, up to the
-    first hit."""
+    """Exhaustive membership test; definitive in both directions.  Only
+    the hit is decoded (:func:`_first_hit`)."""
     from ..ts.builder import explore
 
-    goal = _target_marking(target)
     graph = explore(model, max_states=max_states)
-    for i in range(len(graph)):
-        marking = graph.marking(i)
-        if marking.covers(goal) if cover else marking == goal:
-            return _payload(
-                "reached", True, "explicit",
-                "target %s among the %d reachable states"
-                % ("covered" if cover else "present", len(graph)),
-                final_marking=_marking_dict(marking), states=len(graph))
+    hit = _first_hit(graph, _target_marking(target), cover)
+    if hit is not None:
+        return _payload(
+            "reached", True, "explicit",
+            "target %s among the %d reachable states"
+            % ("covered" if cover else "present", len(graph)),
+            final_marking=_marking_dict(graph.marking(hit)),
+            states=len(graph))
     return _payload(
         "unreachable", True, "explicit",
         "target absent from all %d reachable states" % len(graph),
@@ -337,16 +359,16 @@ def reach_bmc(model: Model, target: Dict[str, int], bound: int,
 
 def csc_explicit(model: STG, max_states: int) -> dict:
     """State-graph CSC check; definitive in both directions."""
-    from ..analysis.implementability import csc_conflicts
+    from ..analysis.implementability import csc_conflict_count
     from ..ts.state_graph import build_state_graph
 
     sg = build_state_graph(model, max_states=max_states)
-    conflicts = csc_conflicts(sg)
+    conflicts = csc_conflict_count(sg)
     if conflicts:
         return _payload(
             "conflict", True, "explicit",
-            "state graph exposes %d CSC conflict pair(s)" % len(conflicts),
-            conflicts=len(conflicts), states=len(sg))
+            "state graph exposes %d CSC conflict pair(s)" % conflicts,
+            conflicts=conflicts, states=len(sg))
     return _payload(
         "no-conflict", True, "explicit",
         "all %d state codes separate non-input excitation" % len(sg),

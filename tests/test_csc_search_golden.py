@@ -4,8 +4,12 @@ The CSC search validates every candidate insertion on its state graph
 (bounded, consistent, persistent, live) and keeps its conflict count and
 state count.  Which candidates pass, and with which counts, decides the
 signal ``resolve_csc`` inserts and so every circuit synthesised after
-it.  The values below were recorded before the state-graph layer was
-moved onto numbered states and int codes, and hold after:
+it.  The values below were recorded when every candidate was built as
+an STG, explored and labelled, before the state-graph layer was moved
+onto numbered states and int codes.  They hold after that move, and
+after the insertion candidates came to be decided by two walks on the
+parent's graph with only the chosen STG built (``repro.synth.csc``;
+``tests/test_csc_walk.py`` checks the walks against built candidates):
 
 * every ``_insertion_metrics`` result, in call order, of ``resolve_csc``
   and ``resolve_by_concurrency_reduction`` on the seven bundled specs

@@ -20,6 +20,7 @@ from repro.errors import (EngineTimeoutError, StateExplosionError,
                           WorkerCrashError)
 from repro.petri.compiled import CompiledNet
 from repro.petri.library import dining_philosophers
+from repro.petri.marking import Marking
 from repro.portfolio import (TaskSpec, check_consistency, check_csc,
                              check_deadlock, check_reach, race)
 from repro.portfolio import faults, tasks
@@ -452,14 +453,59 @@ class TestExplicitRunners:
         assert payload["verdict"] == "deadlock"
         assert len(calls) == dead
 
-    def test_reach_stops_decoding_at_the_first_hit(self, monkeypatch):
+    def test_reach_decodes_only_the_hit(self, monkeypatch):
         target = dict(explore(muller_pipeline(6)).marking(5).items())
         calls = count_decodes(monkeypatch)
-        payload = tasks.reach_explicit(muller_pipeline(6), target,
+        for cover in (False, True):
+            payload = tasks.reach_explicit(muller_pipeline(6), target,
+                                           max_states=10_000, cover=cover)
+            assert payload["verdict"] == "reached"
+            assert payload["final_marking"] == target
+        assert len(calls) == 2
+        payload = tasks.reach_explicit(muller_pipeline(6), {"nowhere": 1},
                                        max_states=10_000)
-        assert payload["verdict"] == "reached"
-        assert payload["final_marking"] == target
-        assert len(calls) == 6
+        assert payload["verdict"] == "unreachable"
+        assert len(calls) == 2
+
+    @pytest.mark.parametrize("explorer", ["compiled", "naive"])
+    def test_reach_payloads_match_a_scan_of_decoded_markings(
+            self, explorer, monkeypatch):
+        if explorer == "naive":
+            monkeypatch.setattr("repro.ts.builder.supports_compilation",
+                                lambda net: False)
+        graph = explore(ALL_EXAMPLES["vme_read"]())
+        assert (graph.compiled is None) == (explorer == "naive")
+        middle = dict(graph.marking(5).items())
+        place = sorted(middle)[0]
+        everything = {p: 1 for p in ALL_EXAMPLES["vme_read"]().net.places}
+        targets = [middle, {place: 1}, everything, {}, {"nowhere": 1},
+                   {**middle, "nowhere": 1}, {place: 2}]
+        for target in targets:
+            for cover in (False, True):
+                # the reference decodes every state, in state order
+                goal = Marking(target)
+                hit = next((m for m in graph.markings()
+                            if (m.covers(goal) if cover else m == goal)),
+                           None)
+                payload = tasks.reach_explicit(
+                    ALL_EXAMPLES["vme_read"](), target, max_states=10_000,
+                    cover=cover)
+                if hit is None:
+                    assert payload == {
+                        "verdict": "unreachable", "definitive": True,
+                        "method": "explicit",
+                        "evidence": "target absent from all 14 reachable"
+                                    " states",
+                        "states": 14}, (target, cover)
+                else:
+                    assert payload == {
+                        "verdict": "reached", "definitive": True,
+                        "method": "explicit",
+                        "evidence": "target %s among the 14 reachable"
+                                    " states" % ("covered" if cover
+                                                 else "present"),
+                        "final_marking": dict(hit.items()),
+                        "states": 14}, (target, cover)
 
 
 class TestMergedTraces:
