@@ -14,8 +14,9 @@ parents:
   carry ``csc0``;
 * 150 ``ring_stg`` samples drawn from a seeded ``random.Random``;
 * constructed cases: ``max_states`` at the child's size and one below,
-  a parent that is not live, an inconsistent and an unsafe parent, and
-  a parent the naive explorer explored.
+  a parent that is not live, a parent with a dummy event, an
+  inconsistent and an unsafe parent, and a parent the naive explorer
+  explored.
 
 No value here may depend on ``PYTHONHASHSEED``; CI runs this file under
 two seeds.
@@ -152,6 +153,31 @@ def test_walk_agrees_on_a_parent_that_is_not_live():
     assert not is_live(stg.net)
     walked, accepted = agreement(stg)
     assert walked and not accepted
+
+
+#: A handshake whose outputs fork after a dummy event ``d~``; it has a
+#: CSC conflict, so most insertions are accepted.
+WITH_DUMMY = """
+.model with_dummy
+.inputs r
+.outputs a b
+.dummy d
+.graph
+r+ d~
+d~ a+ b+
+a+ r-
+b+ r-
+r- a-
+a- b-
+b- r+
+.marking { <b-,r+> }
+.end
+"""
+
+
+def test_walk_agrees_on_a_parent_with_a_dummy_event():
+    walked, accepted = agreement(parse_g(WITH_DUMMY))
+    assert walked and accepted
 
 
 def test_walk_rejects_every_candidate_of_an_inconsistent_parent():
