@@ -36,7 +36,8 @@ exact characteristic-function answer).
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, Iterable, Iterator, List, Optional, Sequence, Tuple
+from typing import (Callable, Dict, Iterable, Iterator, List, Optional,
+                    Sequence, Tuple)
 
 from .. import obs
 from ..budgets import DEFAULT_STATE_BOUND
@@ -200,10 +201,12 @@ def csc_conflicts(sg: StateGraph) -> List[CSCConflict]:
                                                  noninput, sg.order)]
 
 
-def csc_conflict_count(sg: StateGraph) -> int:
-    """``len(csc_conflicts(sg))``, counted with no marking decoded."""
-    return sum(1 for _ in csc_conflict_pairs(
-        sg.int_codes, sg.enabled_masks, sg.noninput_mask, sg.order))
+def csc_conflict_count(codes: Sequence[int], masks: Sequence[int],
+                       noninput: int) -> int:
+    """The number of :func:`csc_conflict_pairs` (for a state graph,
+    ``len(csc_conflicts(sg))``), counted with no marking decoded."""
+    return sum(1 for _ in csc_conflict_pairs(codes, masks, noninput,
+                                             range(len(codes))))
 
 
 def disabling_mask(own: int, noninput_event: bool, noninput: int) -> int:
@@ -235,8 +238,17 @@ def persistency_losses(arcs: Sequence[Sequence[Tuple[int, int]]],
                 yield i, t, low
 
 
-def disabling_masks(sg: StateGraph) -> List[int]:
-    """:func:`disabling_mask` of every transition of ``sg.graph``."""
+def disabling_masks(sg: StateGraph,
+                    lift: Callable[[int], int] = lambda mask: mask,
+                    noninput: Optional[int] = None) -> List[int]:
+    """:func:`disabling_mask` of every transition of ``sg.graph``.
+
+    A caller that reads ``sg`` in a wider mask layout (the CSC search,
+    which adds a signal) passes ``lift``, which moves a mask of ``sg``'s
+    layout into the wider one, and the wider layout's ``noninput`` bits.
+    """
+    if noninput is None:
+        noninput = sg.noninput_mask
     masks = []
     for b in sg.events:
         if b.is_dummy:
@@ -244,8 +256,8 @@ def disabling_masks(sg: StateGraph) -> List[int]:
             continue
         _, rise, fall = sg.signal_bits(b.signal)
         masks.append(disabling_mask(
-            rise | fall, sg.stg.type_of(b.signal).is_noninput,
-            sg.noninput_mask))
+            lift(rise | fall), sg.stg.type_of(b.signal).is_noninput,
+            noninput))
     return masks
 
 

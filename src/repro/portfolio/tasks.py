@@ -267,24 +267,20 @@ def _target_marking(target: Dict[str, int]) -> Marking:
 
 def _first_hit(graph, goal: Marking, cover: bool) -> Optional[int]:
     """The first state number whose marking equals ``goal`` (or covers
-    it), or None.  On a compiled graph the goal is encoded once and each
-    state is tested as an int, with no marking decoded: an exact goal is
-    compared with the state, a cover goal is a place mask the state must
-    contain.  A goal with a place the net lacks, or with more than one
-    token on a place, matches no state of a safe net."""
-    compiled = graph.compiled
-    if compiled is None:
+    it), or None.  A compiled graph's int states are tested against the
+    goal encoded once, with no marking decoded; a goal that does not
+    encode (a place the net lacks, two tokens on a place) matches no
+    state of a safe net."""
+    if graph.compiled is None:
         hits = (i for i, marking in enumerate(graph.states)
                 if (marking.covers(goal) if cover else marking == goal))
         return next(hits, None)
-    place_bit = compiled.place_bit
-    if any(n > 1 or p not in place_bit for p, n in goal.items()):
+    try:
+        code = graph.compiled.encode(goal)
+    except ModelError:
         return None
-    mask = 0
-    for p in goal.places():
-        mask |= 1 << place_bit[p]
-    hits = (i for i, code in enumerate(graph.states)
-            if (code & mask == mask if cover else code == mask))
+    hits = (i for i, state in enumerate(graph.states)
+            if (state & code == code if cover else state == code))
     return next(hits, None)
 
 
@@ -294,8 +290,9 @@ def reach_explicit(model: Model, target: Dict[str, int],
     the hit is decoded (:func:`_first_hit`)."""
     from ..ts.builder import explore
 
+    goal = _target_marking(target)
     graph = explore(model, max_states=max_states)
-    hit = _first_hit(graph, _target_marking(target), cover)
+    hit = _first_hit(graph, goal, cover)
     if hit is not None:
         return _payload(
             "reached", True, "explicit",
@@ -363,7 +360,8 @@ def csc_explicit(model: STG, max_states: int) -> dict:
     from ..ts.state_graph import build_state_graph
 
     sg = build_state_graph(model, max_states=max_states)
-    conflicts = csc_conflict_count(sg)
+    conflicts = csc_conflict_count(sg.int_codes, sg.enabled_masks,
+                                   sg.noninput_mask)
     if conflicts:
         return _payload(
             "conflict", True, "explicit",

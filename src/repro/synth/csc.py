@@ -35,33 +35,38 @@ walks over that graph, with no STG built:
    child is consistent iff the targets alternate on every path: a clash
    here replays in the child, and without one the child's codes are the
    parent's plus the virtual value.
-2. **Child walk.**  Over pairs (parent state, set of pending ``n_t``):
-   a pending target fires only after its ``n_t``, and a transition that
-   shares an input place with a pending target is disabled, since
-   ``n_t`` took those places.  The walk yields the child's states, arcs,
-   int codes and enabled masks in the child's own code layout, and the
-   persistency, liveness and CSC-conflict checks of an explored STG read
-   them (:func:`_insertion_metrics`).
+2. **Child walk.**  Over pairs (parent state, pending ``n_t`` or
+   none): a pending target fires only after its ``n_t``, and a
+   transition that shares an input place with the pending target is
+   disabled, since ``n_t`` took those places.  The walk yields the
+   child's states, arcs, int codes and enabled masks in the child's own
+   code layout, and the persistency, liveness and CSC-conflict checks of
+   an explored STG read them (:func:`_insertion_metrics`).
 
 The second walk is exact for a **safe** parent.  Map a child marking to
-the parent by giving every pending target its input places back.  A
+the parent by giving the pending target its input places back.  A
 firing of the child maps to no move (``n_t``) or to the same firing of
-the parent, so the image stays reachable; a second token in the child
-would be one in the parent too, and two pending targets never share an
-input place.  (Every target of a consistent parent has an input place:
-one without would be enabled everywhere and switch its signal twice in
-a row.)  So a candidate is walked only when the parent was explored by
+the parent, so the image stays reachable, and a second token in the
+child would be one in the parent too.  At most one target is pending
+once the parity walk has passed: if some ``n_u`` could fire while ``t``
+is pending, ``u`` shares no input place with ``t``, so in the parent
+``u`` fires both before and after ``t``, at both values of the virtual
+signal.  Nor can ``n_t`` fire again while pending, as it took ``t``'s
+input places (every target of a consistent parent has one: a target
+without would be enabled everywhere and switch its signal twice in a
+row).  So a candidate is walked only when the parent was explored by
 the compiled explorer, which refuses any unsafe firing.  If the parent
 is unsafe or inconsistent, every child replays the violation and the
 candidate is rejected unbuilt; a parent explored by the naive explorer
 (weighted arcs, or an unsafe initial marking) keeps building and
 exploring each candidate.  Only the chosen candidate's STG is built
-(:attr:`InsertionCandidate.stg`).
+(:attr:`InsertionCandidate.stg`), from the copy of the parent STG that
+the search step took.
 """
 
 from __future__ import annotations
 
-from typing import Dict, List, NamedTuple, Optional, Sequence, Tuple
+from typing import List, NamedTuple, Optional, Sequence, Tuple
 
 from ..budgets import REDUCTION_STATE_BOUND
 from ..errors import (CSCError, ConsistencyError, ModelError, ReproError,
@@ -74,7 +79,6 @@ from ..ts.state_graph import build_state_graph
 from ..analysis.implementability import (
     check_implementability,
     csc_conflict_count,
-    csc_conflict_pairs,
     disabling_mask,
     disabling_masks,
     persistency_losses,
@@ -109,17 +113,19 @@ class _Parent:
     layout.  Every candidate of the step reads it.
 
     Raises :class:`ModelError` if the STG already declares ``signal``.
-    ``conflicts`` is the parent's CSC-conflict count.  ``graph`` is None
-    when the parent is unsafe or inconsistent (every candidate is then
-    rejected), and ``walks`` is False when the parent was explored by the
-    naive explorer (every candidate is then built and explored).
+    ``stg`` is a copy of the parent taken here, so a candidate's STG is
+    built from the parent as it was searched.  ``conflicts`` is the
+    parent's CSC-conflict count.  ``graph`` is None when the parent is
+    unsafe or inconsistent (every candidate is then rejected), and
+    ``walks`` is False when the parent was explored by the naive explorer
+    (every candidate is then built and explored).
     """
 
     def __init__(self, stg: STG, signal: str, max_states: int):
         if signal in stg.signal_types:
             raise ModelError("signal %r is already declared in %r"
                              % (signal, stg.name))
-        self.stg = stg
+        self.stg = stg.copy()
         self.signal = signal
         self.conflicts = 0
         self.graph: Optional[NumberedGraph] = None
@@ -129,7 +135,8 @@ class _Parent:
         except (UnboundedError, ConsistencyError):
             return
         self.graph = graph = sg.graph
-        self.conflicts = csc_conflict_count(sg)
+        self.conflicts = csc_conflict_count(sg.int_codes, sg.enabled_masks,
+                                            sg.noninput_mask)
         self.walks = graph.compiled is not None
         if not self.walks:
             return
@@ -153,18 +160,10 @@ class _Parent:
 
         own = self.rise_bit | self.fall_bit
         self.noninput = lift(sg.noninput_mask) | own
-        self.pairs: List[int] = []
-        self.disabling: List[int] = []
-        for event in sg.events:
-            if event.is_dummy:
-                self.pairs.append(0)
-                self.disabling.append(0)
-                continue
-            _, rise, fall = sg.signal_bits(event.signal)
-            self.pairs.append(lift(rise if event.is_rising else fall))
-            self.disabling.append(disabling_mask(
-                lift(rise | fall), stg.type_of(event.signal).is_noninput,
-                self.noninput))
+        self.pairs = [0 if e.is_dummy else lift(
+            sg.signal_bits(e.signal)[1 if e.is_rising else 2])
+            for e in sg.events]
+        self.disabling = disabling_masks(sg, lift, self.noninput)
         self.inserted_disabling = disabling_mask(own, True, self.noninput)
 
     def values(self, targets: Sequence[int],
@@ -212,9 +211,10 @@ class _Parent:
         values = self.values(targets, len(rise))
         if values is None:
             return None
-        # walk 2, over (parent state, pending set), keyed as
-        # pending * n + state; the transition inserted before target k
-        # is transition number first + k
+        # walk 2, over (pending target, parent state), keyed k * n + state
+        # with k = 0 when no target is pending and k = s + 1 when target
+        # s is; the transition inserted before target s is transition
+        # number first + s
         arcs, pre, pairs = self.graph.arcs, self.pre, self.pairs
         n, first = len(arcs), len(self.graph.transitions)
         slot = [-1] * first
@@ -222,42 +222,30 @@ class _Parent:
             slot[t] = k
         inserted = ([self.rise_bit] * len(rise)
                     + [self.fall_bit] * len(fall))
-        # pending set -> (input places taken, odd number of members)
-        taken: Dict[int, Tuple[int, int]] = {0: (0, 0)}
         keys = [0]
         number = {0: 0}
         out_arcs: List[List[Tuple[int, int]]] = []
         codes: List[int] = []
         masks: List[int] = []
         for key in keys:
-            pending, m = divmod(key, n)
-            locked, odd = taken.get(pending, (-1, 0))
-            if locked < 0:
-                locked, odd, bits = 0, 0, pending
-                while bits:
-                    low = bits & -bits
-                    bits ^= low
-                    locked |= pre[targets[low.bit_length() - 1]]
-                    odd ^= 1
-                taken[pending] = (locked, odd)
+            k, m = divmod(key, n)
+            pending = targets[k - 1] if k else -1
+            locked = pre[pending] if k else 0
             out = []
             mask = 0
             for t, j in arcs[m]:
-                k = slot[t]
-                if k >= 0 and pending >> k & 1:
-                    succ = key - (n << k) + j - m
-                    label = t
-                    mask |= pairs[t]
+                if t == pending:
+                    succ, label, bit = j, t, pairs[t]
                 elif pre[t] & locked:
                     continue
-                elif k >= 0:
-                    succ = key + (n << k)
-                    label = first + k
-                    mask |= inserted[k]
+                elif slot[t] >= 0:
+                    # walk 1 leaves no second target pending (docstring)
+                    assert not k
+                    succ, label = (slot[t] + 1) * n + m, first + slot[t]
+                    bit = inserted[slot[t]]
                 else:
-                    succ = key + j - m
-                    label = t
-                    mask |= pairs[t]
+                    succ, label, bit = key + j - m, t, pairs[t]
+                mask |= bit
                 s = number.get(succ)
                 if s is None:
                     s = len(keys)
@@ -269,7 +257,7 @@ class _Parent:
             out_arcs.append(out)
             masks.append(mask)
             codes.append(self.codes[m] | self.code_bit
-                         if values[m] ^ odd else self.codes[m])
+                         if values[m] ^ (k > 0) else self.codes[m])
         names = self.graph.transitions + [
             str(SignalEvent(self.signal, RISE if k < len(rise) else FALL,
                             k if k < len(rise) else k - len(rise)))
@@ -289,7 +277,9 @@ class InsertionCandidate:
     ``conflicts`` counts the remaining CSC conflicts (0 means the
     insertion fully restores complete state coding) and ``states`` the
     state graph's size; :func:`enumerate_insertions` sets both once the
-    candidate passes.  :attr:`stg` builds the STG on first read.
+    candidate passes.  :attr:`stg` builds the STG on first read, from
+    the copy of the input STG that the search step took (``parent``), so
+    a later change to the input does not reach it.
     """
 
     def __init__(self, parent: _Parent, rise: Sequence[str],
@@ -372,9 +362,7 @@ def _insertion_metrics(stg, max_states: int) -> Optional[Tuple[int, int]]:
     if any(persistency_losses(graph.arcs, masks, disabling)) \
             or not is_live(graph):
         return None
-    conflicts = sum(1 for _ in csc_conflict_pairs(
-        codes, masks, noninput, range(len(graph))))
-    return conflicts, len(graph)
+    return csc_conflict_count(codes, masks, noninput), len(graph)
 
 
 def enumerate_insertions(stg: STG, signal: str = "csc0",
@@ -388,8 +376,9 @@ def enumerate_insertions(stg: STG, signal: str = "csc0",
     input) are included.  Sorted best-first: fewest remaining conflicts,
     then smallest state graph, then lexicographic.  Each candidate is
     decided on the input's graph (module docstring), and its STG is built
-    only when read.  Raises :class:`~repro.errors.ModelError` if ``stg``
-    already declares ``signal``.
+    only when read, from a copy of the input taken here.  Raises
+    :class:`~repro.errors.ModelError` if ``stg`` already declares
+    ``signal``.
     """
     parent = _Parent(stg, signal, max_states)
     candidates: List[InsertionCandidate] = []

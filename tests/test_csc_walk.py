@@ -29,9 +29,10 @@ import pytest
 import repro.synth.csc as csc
 from repro.errors import ModelError
 from repro.petri import is_live
-from repro.stg import (ALL_EXAMPLES, STG, concurrent_latch_controller,
-                       muller_pipeline, parallel_handshakes, parse_g,
-                       sequencer, vme_read, write_g)
+from repro.stg import (ALL_EXAMPLES, STG, SignalType,
+                       concurrent_latch_controller, muller_pipeline,
+                       parallel_handshakes, parse_g, sequencer, vme_read,
+                       write_g)
 from repro.synth import enumerate_insertions, resolve_csc
 
 from test_random_models import ring_stg
@@ -231,6 +232,15 @@ def test_candidates_build_their_stg_when_read():
     first = candidates[0]
     assert first.stg is first.stg
     assert first.stg.internal == ["csc0"]
+
+
+def test_a_candidates_stg_does_not_see_a_later_change_to_the_input():
+    stg = vme_read()
+    first = enumerate_insertions(stg)[0]
+    stg.declare_signal("late", SignalType.INTERNAL)
+    assert "late" not in first.stg.signal_types
+    assert write_g(first.stg) == write_g(vme_read().insert_signal(
+        "csc0", rise_before=list(first.rise), fall_before=list(first.fall)))
 
 
 # -- a spec that already declares csc0 --------------------------------------- #
